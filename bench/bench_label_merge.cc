@@ -1,13 +1,14 @@
-// Microbenchmark for the memory-bandwidth query path: the vectorized
-// label-merge kernels (scalar / SWAR / SSE / AVX2) over raw
-// `LabelEntry` spans and packed label blocks, plus the bytes each
-// representation streams per merge.
+// Microbenchmark for the query merge: the one production kernel
+// (`MergeLabelCountsBranchFree`) against the `MergeLabelCounts`
+// reference on raw `LabelEntry` spans, plus the kernel over packed
+// label blocks (decode, then merge) and the bytes each representation
+// holds per merge.
 //
 // Every timed configuration is also checked for bit-identity against
-// the scalar `MergeLabelCounts` reference on every sampled pair — a
-// kernel that is fast but wrong exits non-zero, and the `--json`
-// summary carries the mismatch counts so tools/bench_compare gates
-// them exactly in CI.
+// the reference on every sampled pair — a kernel that is fast but
+// wrong exits non-zero, and the `--json` summary carries the mismatch
+// counts so tools/bench_compare gates them exactly in CI, together
+// with `kernel_speedup`, a same-host ratio.
 //
 // Self-contained (WallTimer-based); no google-benchmark dependency:
 //
@@ -33,7 +34,6 @@
 namespace {
 
 using pspc::LabelSource;
-using pspc::MergeKernel;
 using pspc::SpcResult;
 using pspc::VertexId;
 
@@ -48,7 +48,7 @@ uint64_t Mix(const SpcResult& r) {
 }
 
 /// Times `merge(s, t)` over every pair, `reps` times, and counts
-/// result mismatches against the scalar reference once per pair.
+/// result mismatches against the reference once per pair.
 template <typename MergeFn>
 Timing TimePairs(const std::vector<std::pair<VertexId, VertexId>>& pairs,
                  const std::vector<SpcResult>& reference, size_t reps,
@@ -64,10 +64,9 @@ Timing TimePairs(const std::vector<std::pair<VertexId, VertexId>>& pairs,
     for (const auto& [s, t] : pairs) {
       timing.checksum ^= Mix(merge(s, t));
     }
-    // Full compiler barrier: without it the fully-inlinable scalar
-    // reference gets hoisted out of the rep loop (merges are pure) and
-    // times as ~0 ns, while the runtime-dispatched kernels cannot be —
-    // an unfair comparison, not a real speedup.
+    // Full compiler barrier: merges are pure and fully inlinable, so
+    // without it the compiler may hoist them out of the rep loop and
+    // time ~0 ns.
     asm volatile("" : "+r"(timing.checksum) : : "memory");
   }
   const double seconds = timer.ElapsedSeconds();
@@ -136,80 +135,38 @@ int main(int argc, char** argv) {
   const size_t reps =
       std::max<size_t>(1, 2'000'000 / std::max<size_t>(1, num_pairs));
 
-  // Reference timing: the pre-existing scalar merge, untouched.
-  const Timing baseline =
+  const Timing ref =
       TimePairs(pairs, reference, reps, [&](VertexId s, VertexId t) {
         return pspc::MergeLabelCounts(index.Labels(s), index.Labels(t));
       });
-
-  struct KernelRow {
-    MergeKernel kernel;
-    bool supported;
-    Timing raw;     // MergeLabelCountsFast on raw spans
-    Timing packed;  // MergeLabelSources on packed blocks
-  };
-  std::vector<KernelRow> rows;
-  for (const MergeKernel kernel :
-       {MergeKernel::kScalar, MergeKernel::kSwar, MergeKernel::kSse,
-        MergeKernel::kAvx2}) {
-    KernelRow row;
-    row.kernel = kernel;
-    row.supported = pspc::MergeKernelSupported(kernel);
-    if (row.supported) {
-      pspc::SetMergeKernel(kernel);
-      row.raw = TimePairs(pairs, reference, reps, [&](VertexId s, VertexId t) {
-        return pspc::MergeLabelCountsFast(index.Labels(s), index.Labels(t));
+  const Timing kernel =
+      TimePairs(pairs, reference, reps, [&](VertexId s, VertexId t) {
+        return pspc::MergeLabelCountsBranchFree(index.Labels(s),
+                                                index.Labels(t));
       });
-      row.packed =
-          TimePairs(pairs, reference, reps, [&](VertexId s, VertexId t) {
-            return pspc::MergeLabelSources(
-                LabelSource::Packed(packed.Block(s)),
-                LabelSource::Packed(packed.Block(t)));
-          });
-    }
-    rows.push_back(row);
-  }
-  pspc::ResetMergeKernel();
+  const Timing from_packed =
+      TimePairs(pairs, reference, reps, [&](VertexId s, VertexId t) {
+        return pspc::MergeLabelSources(LabelSource::Packed(packed.Block(s)),
+                                       LabelSource::Packed(packed.Block(t)));
+      });
+  const double kernel_speedup = ref.ns_per_merge / kernel.ns_per_merge;
+  const char* kernel_name = pspc::MergeKernelName(pspc::ActiveMergeKernel());
 
   std::printf(
       "\n%zu pairs x %zu reps, raw %.0f B/merge, packed %.0f B/merge "
       "(%.2fx fewer bytes)\n\n",
       num_pairs, reps, raw_bytes_per_merge, packed_bytes_per_merge,
       raw_bytes_per_merge / packed_bytes_per_merge);
-  std::printf("%-18s %12s %12s %10s %10s\n", "kernel", "raw ns", "packed ns",
-              "speedup", "oracle");
-  std::printf("%-18s %12.1f %12s %10s %10s\n", "reference(scalar)",
-              baseline.ns_per_merge, "-", "1.00x", "exact");
-  uint64_t kernel_mismatches = 0, packed_mismatches = 0;
-  for (const KernelRow& row : rows) {
-    if (!row.supported) {
-      std::printf("%-18s %12s %12s %10s %10s\n",
-                  pspc::MergeKernelName(row.kernel), "-", "-", "-",
-                  "unsupported");
-      continue;
-    }
-    kernel_mismatches += row.raw.mismatches;
-    packed_mismatches += row.packed.mismatches;
-    std::printf("%-18s %12.1f %12.1f %9.2fx %10s\n",
-                pspc::MergeKernelName(row.kernel), row.raw.ns_per_merge,
-                row.packed.ns_per_merge,
-                baseline.ns_per_merge / row.raw.ns_per_merge,
-                row.raw.mismatches + row.packed.mismatches == 0 ? "exact"
-                                                                : "WRONG");
-  }
-  const double best_raw_ns = [&] {
-    double best = baseline.ns_per_merge;
-    for (const KernelRow& row : rows) {
-      if (row.supported && row.raw.ns_per_merge < best) {
-        best = row.raw.ns_per_merge;
-      }
-    }
-    return best;
-  }();
-  std::printf("\nbest kernel vs scalar reference: %.2fx; mismatches: %llu\n",
-              baseline.ns_per_merge / best_raw_ns,
-              static_cast<unsigned long long>(kernel_mismatches +
-                                              packed_mismatches));
+  std::printf("%-28s %12s %10s %10s\n", "merge", "ns", "speedup", "oracle");
+  const auto print_row = [&](const char* name, const Timing& timing) {
+    std::printf("%-28s %12.1f %9.2fx %10s\n", name, timing.ns_per_merge,
+                ref.ns_per_merge / timing.ns_per_merge,
+                timing.mismatches == 0 ? "exact" : "WRONG");
+  };
+  print_row("reference, raw", ref);
+  print_row((std::string(kernel_name) + ", raw").c_str(), kernel);
+  print_row((std::string(kernel_name) + ", packed (decoded)").c_str(),
+            from_packed);
 
   if (!json_path.empty()) {
     pspc::benchjson::Object root;
@@ -217,33 +174,22 @@ int main(int argc, char** argv) {
     root.Add("vertices", static_cast<uint64_t>(n));
     root.Add("pairs", static_cast<uint64_t>(num_pairs));
     root.Add("reps", static_cast<uint64_t>(reps));
+    root.Add("merge_kernel", kernel_name);
     root.Add("raw_bytes_per_merge", raw_bytes_per_merge);
     root.Add("packed_bytes_per_merge", packed_bytes_per_merge);
     // "speedup" keys are gated (higher-better) by tools/bench_compare
-    // even in --machine-independent mode; the byte ratio genuinely is
-    // machine-independent, the kernel ratios are same-host ratios.
+    // even in --machine-independent mode: the byte ratio is
+    // machine-independent, the kernel ratio is a same-host ratio.
     root.Add("packed_bytes_speedup",
              raw_bytes_per_merge / packed_bytes_per_merge);
-    root.Add("best_kernel_speedup", baseline.ns_per_merge / best_raw_ns);
-    root.Add("scalar_reference_ns", baseline.ns_per_merge);
-    pspc::benchjson::Array kernel_array;
-    for (const KernelRow& row : rows) {
-      pspc::benchjson::Object r;
-      r.Add("kernel", pspc::MergeKernelName(row.kernel));
-      r.Add("supported", row.supported);
-      if (row.supported) {
-        r.Add("raw_ns_per_merge", row.raw.ns_per_merge);
-        r.Add("packed_ns_per_merge", row.packed.ns_per_merge);
-        r.Add("raw_speedup", baseline.ns_per_merge / row.raw.ns_per_merge);
-        r.Add("mismatches", row.raw.mismatches + row.packed.mismatches);
-      }
-      kernel_array.Add(r);
-    }
-    root.AddRaw("kernels", kernel_array.Serialize());
-    root.Add("kernel_mismatches", kernel_mismatches);
-    root.Add("packed_mismatches", packed_mismatches);
+    root.Add("kernel_speedup", kernel_speedup);
+    root.Add("reference_ns", ref.ns_per_merge);
+    root.Add("kernel_ns", kernel.ns_per_merge);
+    root.Add("packed_ns", from_packed.ns_per_merge);
+    root.Add("kernel_mismatches", kernel.mismatches);
+    root.Add("packed_mismatches", from_packed.mismatches);
     if (!pspc::benchjson::WriteFile(json_path, root)) return 1;
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return kernel_mismatches + packed_mismatches == 0 ? 0 : 1;
+  return kernel.mismatches + from_packed.mismatches == 0 ? 0 : 1;
 }

@@ -10,11 +10,11 @@
 //                    [--update-stream <updates.txt>]
 //
 // `index-stats` profiles a built index: label-size / distance / hub
-// distributions plus the memory-bandwidth view — raw label bytes vs
-// the packed-block mirror, bytes per entry. With `--update-stream` it
-// additionally replays the stream repair-only and reports the overlay
-// before and after a compaction pass (pack steps + fold): overlay
-// width, stale entries pruned, packed vs raw chunk bytes.
+// distributions plus raw label bytes against the packed-block
+// encoding, bytes per entry. With `--update-stream` it additionally
+// replays the stream repair-only and reports the overlay before and
+// after a compaction fold: overlay width, stale entries pruned, and
+// raw vs packed bytes of the folded base.
 //   ./spc_cli update <graph-or-dataset> <index.bin>
 //                    --update-stream <updates.txt>
 //                    [--batch-size N] [--rebuild-threshold R]
@@ -889,10 +889,10 @@ int CmdStats(int argc, char** argv) {
   return 0;
 }
 
-// Profiles a built index: the classic label distributions plus the
-// memory-bandwidth view (raw vs packed bytes, bytes/entry). With
-// --update-stream, additionally replays the stream repair-only and
-// reports the overlay before/after a full compaction pass.
+// Profiles a built index: the classic label distributions plus raw vs
+// packed bytes and bytes/entry. With --update-stream, additionally
+// replays the stream repair-only and reports the overlay before/after
+// a compaction fold.
 int CmdIndexStats(int argc, char** argv) {
   if (argc < 4) return Usage();
   pspc::Graph graph;
@@ -955,17 +955,6 @@ int CmdIndexStats(int argc, char** argv) {
               index.Overlay().OverlaidEntries(), index.StalenessRatio());
 
   pspc::OverlayCompactor compactor(&index);
-  while (compactor.PackStep() > 0) {
-  }
-  const pspc::CompactionStats packed = compactor.Stats();
-  std::printf("pack: %llu chunks, %llu raw B -> %llu packed B (%.2fx)\n",
-              static_cast<unsigned long long>(packed.chunks_packed),
-              static_cast<unsigned long long>(packed.raw_chunk_bytes),
-              static_cast<unsigned long long>(packed.packed_chunk_bytes),
-              packed.packed_chunk_bytes == 0
-                  ? 0.0
-                  : static_cast<double>(packed.raw_chunk_bytes) /
-                        static_cast<double>(packed.packed_chunk_bytes));
   compactor.Fold();
   std::printf("fold: overlay now %zu vertices / %zu entries, %llu stale "
               "entries pruned, base %zu entries\n",

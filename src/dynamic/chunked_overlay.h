@@ -10,7 +10,6 @@
 
 #include "src/common/types.h"
 #include "src/label/label_entry.h"
-#include "src/label/packed_label.h"
 
 /// Persistent (copy-on-write, structurally shared) per-vertex label
 /// overlay on top of an immutable base label table (`BaseLabelMap`:
@@ -167,59 +166,19 @@ class ChunkedOverlay {
         occupied_pages_.push_back(static_cast<uint32_t>(p));
       }
     } else if (chunk_gen_[v] != write_gen_) {
-      // Unshare — and when the frozen chunk was compacted, materialize
-      // its entries exactly once: the writable clone carries raw
-      // entries only, never the packed twin (which the first repair
-      // write would silently invalidate) and never a second decoded
-      // copy alongside it.
-      auto clone = std::make_shared<LabelChunk>();
-      if (slot->entries.empty() && !slot->packed.empty()) {
-        PackedBlockView(slot->packed.data()).DecodeAll(&clone->entries);
-      } else {
-        clone->entries = slot->entries;
-      }
-      slot = std::move(clone);
+      slot = std::make_shared<LabelChunk>(*slot);
       chunk_gen_[v] = write_gen_;
       ++copied_since_capture_;
-    } else {
-      // In-place write to a privately owned chunk: any packed twin a
-      // compaction pass attached this interval goes stale now.
-      slot->packed.clear();
     }
     return slot->entries;
   }
 
   bool Overlaid(VertexId v) const { return ChunkAt(v) != nullptr; }
 
-  /// Swaps in a replacement chunk for an already-overlaid vertex under
-  /// the same COW discipline as `Mutable`: the spine is unshared, the
-  /// old chunk stays untouched for any capture that aliases it, and
-  /// the swap counts toward the next capture's publish delta exactly
-  /// once per interval. The compaction pass uses this to attach packed
-  /// twins; `chunk` must decode to the same entries the vertex held.
-  void ReplaceChunk(VertexId v, LabelChunkPtr chunk) {
-    if (root_gen_ != write_gen_) {
-      root_ = std::make_shared<OverlayDirectory>(*root_);
-      root_gen_ = write_gen_;
-    }
-    const size_t p = v >> kOverlayPageBits;
-    OverlayPagePtr& page = (*root_)[p];
-    if (page_gen_[p] != write_gen_) {
-      page = std::make_shared<OverlayPage>(*page);
-      page_gen_[p] = write_gen_;
-    }
-    if (chunk_gen_[v] != write_gen_) {
-      chunk_gen_[v] = write_gen_;
-      ++copied_since_capture_;
-    }
-    page->slots[v & (kOverlayPageSize - 1)] = std::move(chunk);
-  }
-
   /// Visits every overlaid vertex (`fn(VertexId, const LabelChunk&)`)
   /// in occupied-page order. Cost is proportional to the overlay
   /// footprint, like `OverlaidEntries`. The chunks are the writer's
-  /// current ones — do not call `Mutable`/`ReplaceChunk` while
-  /// iterating.
+  /// current ones — do not call `Mutable` while iterating.
   template <typename Fn>
   void ForEachOverlaid(Fn&& fn) const {
     for (const uint32_t p : occupied_pages_) {

@@ -5,49 +5,11 @@
 #include <utility>
 #include <vector>
 
-#include "src/label/packed_label.h"
-
 namespace pspc {
 
 OverlayCompactor::OverlayCompactor(DynamicSpcIndex* index,
                                    CompactionOptions options)
     : index_(index), options_(options) {}
-
-size_t OverlayCompactor::PackStep() {
-  ChunkedOverlay& overlay = index_->overlay_;
-  std::vector<VertexId> candidates;
-  overlay.ForEachOverlaid([&](VertexId v, const LabelChunk& chunk) {
-    if (chunk.packed.empty()) candidates.push_back(v);
-  });
-  if (candidates.empty()) return 0;
-
-  // Resume after the previous step's last vertex so successive
-  // budgeted steps sweep the overlay round-robin instead of re-packing
-  // the lowest ids while a writer keeps dirtying them.
-  std::sort(candidates.begin(), candidates.end());
-  const auto resume =
-      std::lower_bound(candidates.begin(), candidates.end(), pack_cursor_);
-  std::rotate(candidates.begin(), resume, candidates.end());
-
-  const size_t todo = std::min(options_.chunk_budget_per_step, candidates.size());
-  for (size_t i = 0; i < todo; ++i) {
-    const VertexId v = candidates[i];
-    // Build the packed twin next to a fresh copy of the entries and
-    // swap it in under the overlay's COW discipline; captures that
-    // alias the old raw chunk keep serving it untouched.
-    auto packed_chunk = std::make_shared<LabelChunk>();
-    const std::span<const LabelEntry> entries = overlay.Labels(v);
-    packed_chunk->entries.assign(entries.begin(), entries.end());
-    AppendPackedBlock(ChunkSpan(*packed_chunk), &packed_chunk->packed);
-    stats_.raw_chunk_bytes += entries.size_bytes();
-    stats_.packed_chunk_bytes += packed_chunk->packed.size();
-    overlay.ReplaceChunk(v, std::move(packed_chunk));
-  }
-  pack_cursor_ = candidates[todo - 1] + 1;
-  stats_.chunks_packed += todo;
-  ++stats_.pack_steps;
-  return todo;
-}
 
 bool OverlayCompactor::FoldIfStale() {
   if (index_->StalenessRatio() <= options_.fold_staleness_ratio) return false;
@@ -92,7 +54,6 @@ void OverlayCompactor::Fold() {
   // bump tells the serving layer the label state changed.
   idx.base_ = std::make_shared<const SpcIndex>(
       SpcIndex(idx.order_, std::move(labels)));
-  idx.RefreshPackedBase();
   idx.overlay_.Rebase(idx.base_->LabelMap());
   ++idx.generation_;
   idx.PublishMetrics();

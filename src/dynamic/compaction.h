@@ -1,55 +1,39 @@
 #ifndef PSPC_SRC_DYNAMIC_COMPACTION_H_
 #define PSPC_SRC_DYNAMIC_COMPACTION_H_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "src/dynamic/dynamic_spc_index.h"
 
-/// Background overlay compaction — the third leg of the
-/// memory-bandwidth query path (with packed_label.h and
-/// label_merge_simd.h).
+/// Background overlay compaction.
 ///
-/// Under sustained churn the dynamic index accretes two kinds of query
-/// overhead: repaired vertices serve from raw overlay chunks (16
-/// bytes/entry, outside the packed base arena), and stale entries —
+/// Under sustained churn the dynamic index accretes stale entries —
 /// distances strictly longer than the true shortest, which repair
-/// provably may leave behind — widen every merge they participate in.
-/// `OverlayCompactor` runs two passes against both:
+/// provably may leave behind — and every one of them widens each merge
+/// it takes part in. `OverlayCompactor` removes them:
 ///
-///  * `PackStep()` rewrites up to a budget of repaired vertices'
-///    overlay chunks into packed form between captures. The swap goes
-///    through the overlay's COW discipline (`ReplaceChunk`), so
-///    already-published snapshots keep serving the chunks they
-///    captured and the next capture publishes the packed twins at the
-///    usual O(delta) cost.
-///
-///  * `Fold()` / `FoldIfStale()` folds a quiesced overlay into a
-///    fresh packed base CSR: it materializes base (+) overlay into a
-///    new `SpcIndex` (+ packed mirror), optionally dropping stale
-///    entries, and rebases the overlay to empty. Pruning is
-///    exact-preserving: an entry `(v, h, d)` is dropped only when `d`
-///    exceeds the index's own (exact) `Query(v, vertex(h))` distance,
-///    and such an entry can never reach the minimum of any query merge
-///    — `d + d' > sd(v,h) + sd(h,t) >= sd(v,t)` by the triangle
-///    inequality — so every query result is bit-identical before and
-///    after. Unlike `Rebuild()` there is no BFS re-construction and no
-///    re-ordering: a fold is a linear materialization pass.
+///  * `Fold()` / `FoldIfStale()` folds a quiesced overlay into a fresh
+///    base CSR: it materializes base (+) overlay into a new `SpcIndex`,
+///    optionally dropping stale entries, and rebases the overlay to
+///    empty. Pruning is exact-preserving: an entry `(v, h, d)` is
+///    dropped only when `d` exceeds the index's own (exact)
+///    `Query(v, vertex(h))` distance, and such an entry can never reach
+///    the minimum of any query merge — `d + d' > sd(v,h) + sd(h,t) >=
+///    sd(v,t)` by the triangle inequality — so every query result is
+///    bit-identical before and after. Unlike `Rebuild()` there is no BFS
+///    re-construction and no re-ordering: a fold is a linear
+///    materialization pass.
 ///
 /// Threading: the compactor mutates the index and must run on the
 /// index's single writer thread of control. `ServingEngine` drives it
 /// from its background compaction thread under the writer mutex,
 /// interleaved with update batches, and publishes a snapshot after
-/// each effective step (see serving_engine.h).
+/// each fold (see serving_engine.h).
 namespace pspc {
 
 struct CompactionOptions {
-  /// Max overlay chunks rewritten per `PackStep` call — bounds how
-  /// long the writer lock is held per background step.
-  size_t chunk_budget_per_step = 256;
   /// `FoldIfStale` folds when overlay entries / base entries exceeds
-  /// this. Folds are cheaper than rebuilds but still O(n); keep this
-  /// above the per-step pack budget's reach.
+  /// this. Folds are cheaper than rebuilds but still O(n).
   double fold_staleness_ratio = 0.10;
   /// Drop provably stale entries (dist strictly longer than the exact
   /// query distance) while folding.
@@ -57,12 +41,8 @@ struct CompactionOptions {
 };
 
 struct CompactionStats {
-  uint64_t pack_steps = 0;      // PackStep calls that packed anything
-  uint64_t chunks_packed = 0;   // overlay chunks rewritten packed
   uint64_t folds = 0;
   uint64_t entries_pruned = 0;  // stale entries dropped across folds
-  uint64_t packed_chunk_bytes = 0;  // packed footprint of rewritten chunks
-  uint64_t raw_chunk_bytes = 0;     // raw footprint those chunks had
   uint64_t last_fold_entries_folded = 0;  // overlay entries at last fold
 };
 
@@ -73,19 +53,12 @@ class OverlayCompactor {
   explicit OverlayCompactor(DynamicSpcIndex* index,
                             CompactionOptions options = {});
 
-  /// Rewrites up to `chunk_budget_per_step` not-yet-packed overlay
-  /// chunks into packed form. Returns the number rewritten (0 = the
-  /// whole overlay is already packed). The scan resumes where the
-  /// previous step left off, so successive steps cover the overlay
-  /// round-robin.
-  size_t PackStep();
-
   /// `Fold()` when the staleness ratio exceeds the configured
   /// threshold; returns whether a fold ran.
   bool FoldIfStale();
 
-  /// Folds the overlay into a fresh packed base unconditionally (see
-  /// class comment). Bumps the index generation.
+  /// Folds the overlay into a fresh base unconditionally (see the
+  /// comment above). Bumps the index generation.
   void Fold();
 
   const CompactionStats& Stats() const { return stats_; }
@@ -95,7 +68,6 @@ class OverlayCompactor {
   DynamicSpcIndex* index_;
   CompactionOptions options_;
   CompactionStats stats_;
-  VertexId pack_cursor_ = 0;  // round-robin resume point for PackStep
 };
 
 }  // namespace pspc

@@ -50,7 +50,7 @@ SpcResult DynamicDspcIndex::Query(VertexId s, VertexId t) const {
   PSPC_CHECK_MSG(s < NumVertices() && t < NumVertices(),
                  "query (" << s << "," << t << ") out of range");
   if (s == t) return {0, 1};
-  return MergeLabelCounts(OutLabels(s), InLabels(t));
+  return MergeLabelCountsBranchFree(OutLabels(s), InLabels(t));
 }
 
 double DynamicDspcIndex::StalenessRatio() const {

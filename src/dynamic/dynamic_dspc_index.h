@@ -133,7 +133,8 @@ struct DirectedRepairView {
   VertexId NumVertices() const { return graph->NumVertices(); }
   /// View-oriented query: `s` on the hub side. For the forward view
   /// this is the real directed query `s -> t` (Lout(s) x Lin(t)); the
-  /// backward view answers `t -> s` through the same merge.
+  /// backward view answers `t -> s` through the same merge. Like the
+  /// undirected repair view, it runs the reference merge.
   SpcResult Query(VertexId s, VertexId t) const {
     if (s == t) return {0, 1};
     return MergeLabelCounts(HubLabels(s), Labels(t));

@@ -9,7 +9,7 @@
 #include "src/common/timer.h"
 #include "src/core/builder_facade.h"
 #include "src/dynamic/repair_core.h"
-#include "src/label/label_merge_simd.h"
+#include "src/label/label_merge.h"
 
 namespace pspc {
 
@@ -46,13 +46,7 @@ DynamicSpcIndex::DynamicSpcIndex(Graph graph, SpcIndex index,
   PSPC_CHECK_MSG(base_->NumVertices() == base_graph_.NumVertices(),
                  "index (" << base_->NumVertices() << " vertices) does not "
                  "match graph (" << base_graph_.NumVertices() << ")");
-  RefreshPackedBase();
   InitScratch();
-}
-
-void DynamicSpcIndex::RefreshPackedBase() {
-  packed_base_ = std::make_shared<const PackedLabelMap>(
-      PackedLabelMap::Encode(base_->LabelMap()));
 }
 
 DynamicSpcIndex::DynamicSpcIndex(Graph graph,
@@ -77,9 +71,7 @@ SpcResult DynamicSpcIndex::Query(VertexId s, VertexId t) const {
   PSPC_CHECK_MSG(s < NumVertices() && t < NumVertices(),
                  "query (" << s << "," << t << ") out of range");
   if (s == t) return {0, 1};
-  // Vectorized galloping merge — bit-identical to MergeLabelCounts
-  // (differential suite: tests/label_merge_simd_test.cc).
-  return MergeLabelCountsFast(Labels(s), Labels(t));
+  return MergeLabelCountsBranchFree(Labels(s), Labels(t));
 }
 
 double DynamicSpcIndex::StalenessRatio() const {
@@ -110,7 +102,6 @@ void DynamicSpcIndex::Rebuild() {
   // A fresh shared base: snapshots captured from the old generation
   // keep the retired CSR alive through their shared_ptr.
   base_ = std::make_shared<const SpcIndex>(std::move(result.index));
-  RefreshPackedBase();
   order_ = base_->Order();
   graph_.Rebase(&base_graph_);
   overlay_.Rebase(base_->LabelMap());

@@ -198,15 +198,6 @@ class DynamicSpcIndex {
   /// an epoch still reading them.
   std::shared_ptr<const SpcIndex> SharedBaseIndex() const { return base_; }
 
-  /// Shared ownership of the packed (delta-compressed, see
-  /// src/label/packed_label.h) mirror of the current base — what
-  /// snapshot queries stream instead of the raw CSR. Refreshed
-  /// alongside the base on construction, rebuild, and compaction
-  /// folds; never null.
-  std::shared_ptr<const PackedLabelMap> SharedPackedBase() const {
-    return packed_base_;
-  }
-
   /// Freezes the overlay into a structurally shared view and advances
   /// its capture boundary (`ChunkedOverlay::Capture`). Writer thread
   /// only — `IndexSnapshot::Capture` is the one intended caller.
@@ -222,9 +213,8 @@ class DynamicSpcIndex {
 
  private:
   // The overlay compactor (src/dynamic/compaction.h) is the one
-  // component allowed behind the single-writer facade: it rewrites
-  // overlay chunks into packed form and folds the overlay into a
-  // fresh base, both on the writer's thread of control.
+  // component allowed behind the single-writer facade: it folds the
+  // overlay into a fresh base on the writer's thread of control.
   friend class OverlayCompactor;
 
   // The repair scratch, staged-write sink, region/seed/side types, and
@@ -265,8 +255,6 @@ class DynamicSpcIndex {
 
   void InitScratch();
   void MaybeRebuild();
-  /// Re-encodes the packed mirror from the current `base_`.
-  void RefreshPackedBase();
   /// Mirrors `stats_` deltas into the registry and refreshes the
   /// overlay/generation gauges; tail of every public mutation.
   void PublishMetrics();
@@ -339,7 +327,6 @@ class DynamicSpcIndex {
 
   Graph base_graph_;
   std::shared_ptr<const SpcIndex> base_;
-  std::shared_ptr<const PackedLabelMap> packed_base_;
   VertexOrder order_;
   DynamicGraph graph_;
   ChunkedOverlay overlay_;

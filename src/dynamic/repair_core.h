@@ -229,6 +229,9 @@ struct SymmetricRepairView {
     return order->VertexToRank();
   }
   VertexId NumVertices() const { return graph->NumVertices(); }
+  /// The pruning query. It runs the reference merge, not
+  /// `MergeLabelCountsBranchFree`: on the short labels repair queries,
+  /// the branch-free kernel made updates slower.
   SpcResult Query(VertexId s, VertexId t) const {
     if (s == t) return {0, 1};
     return MergeLabelCounts(HubLabels(s), Labels(t));

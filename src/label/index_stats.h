@@ -18,9 +18,9 @@ struct IndexProfile {
   double avg_label_size = 0.0;
   size_t max_label_size = 0;
   size_t min_label_size = 0;
-  /// Raw in-memory footprint (16 B/entry) vs the packed-block mirror
-  /// (`packed_label.h`: delta ranks + narrow lanes + skip headers) —
-  /// the bytes a query streams per label entry under each form.
+  /// Raw in-memory footprint (16 B/entry, what queries read) vs the
+  /// packed-block encoding (`packed_label.h`: delta ranks + narrow
+  /// lanes + skip headers).
   size_t raw_bytes = 0;
   size_t packed_bytes = 0;
   double raw_bytes_per_entry = 0.0;

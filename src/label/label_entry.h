@@ -67,15 +67,6 @@ struct BaseLabelMap {
 /// generation's chunk instead of being re-copied.
 struct LabelChunk {
   std::vector<LabelEntry> entries;
-
-  /// Optional packed twin of `entries` (one block in the
-  /// `src/label/packed_label.h` format), attached by overlay
-  /// compaction so frozen chunks serve queries from the compressed
-  /// form. Invariant: when non-empty it decodes to exactly `entries`;
-  /// every write path (`ChunkedOverlay::Mutable`) clears it, so a
-  /// writable chunk is always raw-only and the packed bytes can never
-  /// go stale.
-  std::vector<uint8_t> packed;
 };
 
 using LabelChunkPtr = std::shared_ptr<LabelChunk>;

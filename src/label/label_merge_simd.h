@@ -1,395 +1,31 @@
 #ifndef PSPC_SRC_LABEL_LABEL_MERGE_SIMD_H_
 #define PSPC_SRC_LABEL_LABEL_MERGE_SIMD_H_
 
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <span>
+#include <vector>
 
-#include "src/common/saturating.h"
 #include "src/common/types.h"
 #include "src/label/label_entry.h"
 #include "src/label/label_merge.h"
 #include "src/label/packed_label.h"
 
-#if defined(__x86_64__) || defined(__i386__)
-#define PSPC_MERGE_X86 1
-#include <immintrin.h>
-#endif
-
-/// Vectorized galloping label merge — the instruction half of the
-/// memory-bandwidth query path (packed_label.h is the bytes half).
+/// The merge kernel's name for result records, and the adapter that
+/// merges packed label blocks.
 ///
-/// The scalar `MergeLabelCounts` advances one entry per iteration even
-/// when one side must skip dozens of non-matching hubs. The kernels
-/// here keep the *accumulation* arithmetic exactly as written there —
-/// equal-rank pairs are visited in the same ascending order with the
-/// same `SatMul`/`SatAdd` updates, so results are bit-identical — and
-/// vectorize only the *skip*: count how many of the next 8 sorted
-/// ranks sit below the other side's current rank with one SIMD
-/// compare+movemask (AVX2 / SSE) or a branchless unrolled
-/// word-at-a-time pass (the portable SWAR-style fallback).
-///
-/// Kernel selection is at runtime: `__builtin_cpu_supports` picks the
-/// widest available lane, `PSPC_MERGE_KERNEL=scalar|swar|sse|avx2`
-/// overrides it, and `SetMergeKernel` forces one programmatically (the
-/// differential tests sweep all of them). Merges run against raw
-/// `LabelEntry` spans, packed blocks (`PackedBlockView`), or any mix —
-/// packed sides additionally gallop over *whole groups* via the skip
-/// table without ever decoding them.
+/// Queries merge raw `LabelEntry` spans with `MergeLabelCountsBranchFree`
+/// (label_merge.h), the one kernel on every host. Packed blocks
+/// (packed_label.h) are an at-rest encoding, measured by `spc_cli
+/// index-stats` and the benches; a merge over one decodes it first.
 namespace pspc {
 
-enum class MergeKernel : int { kScalar = 0, kSwar = 1, kSse = 2, kAvx2 = 3 };
+enum class MergeKernel : int { kBranchFree = 0 };
 
-inline const char* MergeKernelName(MergeKernel k) {
-  switch (k) {
-    case MergeKernel::kScalar:
-      return "scalar";
-    case MergeKernel::kSwar:
-      return "swar";
-    case MergeKernel::kSse:
-      return "sse";
-    case MergeKernel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
+inline const char* MergeKernelName(MergeKernel) { return "branch_free"; }
 
-/// Per-kernel primitives. Both operate on exactly 8 sorted ranks and
-/// return how many are strictly below `bound` (== the index of the
-/// first rank >= `bound`, because the window is sorted).
-struct MergeKernelOps {
-  int (*count_below8)(const uint32_t* ranks, uint32_t bound);
-  int (*count_entry_below8)(const LabelEntry* entries, uint32_t bound);
-};
+/// The kernel production queries run; recorded next to bench results.
+inline MergeKernel ActiveMergeKernel() { return MergeKernel::kBranchFree; }
 
-namespace merge_detail {
-
-inline int CountBelow8Scalar(const uint32_t* r, uint32_t bound) {
-  int c = 0;
-  while (c < 8 && r[c] < bound) ++c;
-  return c;
-}
-
-inline int CountEntryBelow8Scalar(const LabelEntry* e, uint32_t bound) {
-  int c = 0;
-  while (c < 8 && e[c].hub_rank < bound) ++c;
-  return c;
-}
-
-// Portable fallback: word-at-a-time loads, branchless compare
-// accumulation — no data-dependent branches inside the window, which
-// is what makes skipping through long runs cheap without SIMD.
-inline int CountBelow8Swar(const uint32_t* r, uint32_t bound) {
-  uint64_t w[4];
-  std::memcpy(w, r, sizeof(w));
-  int c = 0;
-  for (int i = 0; i < 4; ++i) {
-    c += static_cast<int>(static_cast<uint32_t>(w[i]) < bound);
-    c += static_cast<int>(static_cast<uint32_t>(w[i] >> 32) < bound);
-  }
-  return c;
-}
-
-inline int CountEntryBelow8Swar(const LabelEntry* e, uint32_t bound) {
-  int c = 0;
-  for (int i = 0; i < 8; ++i) c += static_cast<int>(e[i].hub_rank < bound);
-  return c;
-}
-
-#if defined(PSPC_MERGE_X86)
-
-// Ranks are unsigned; bias by 0x80000000 so the signed SIMD compare
-// preserves unsigned order across the full 32-bit range.
-inline int CountBelow8Sse(const uint32_t* r, uint32_t bound) {
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i vb = _mm_xor_si128(_mm_set1_epi32(static_cast<int>(bound)), bias);
-  const __m128i lo =
-      _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(r)), bias);
-  const __m128i hi = _mm_xor_si128(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(r + 4)), bias);
-  const int m0 = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(lo, vb)));
-  const int m1 = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(hi, vb)));
-  return __builtin_popcount(static_cast<unsigned>(m0 | (m1 << 4)));
-}
-
-inline int CountEntryBelow8Sse(const LabelEntry* e, uint32_t bound) {
-  // AoS ranks sit 16 bytes apart; pack two xmm lanes by hand.
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i vb = _mm_xor_si128(_mm_set1_epi32(static_cast<int>(bound)), bias);
-  const __m128i lo = _mm_xor_si128(
-      _mm_set_epi32(static_cast<int>(e[3].hub_rank), static_cast<int>(e[2].hub_rank),
-                    static_cast<int>(e[1].hub_rank), static_cast<int>(e[0].hub_rank)),
-      bias);
-  const __m128i hi = _mm_xor_si128(
-      _mm_set_epi32(static_cast<int>(e[7].hub_rank), static_cast<int>(e[6].hub_rank),
-                    static_cast<int>(e[5].hub_rank), static_cast<int>(e[4].hub_rank)),
-      bias);
-  const int m0 = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(lo, vb)));
-  const int m1 = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(hi, vb)));
-  return __builtin_popcount(static_cast<unsigned>(m0 | (m1 << 4)));
-}
-
-__attribute__((target("avx2"))) inline int CountBelow8Avx2(const uint32_t* r,
-                                                           uint32_t bound) {
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i vb =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(bound)), bias);
-  const __m256i vr = _mm256_xor_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r)), bias);
-  // x < bound  <=>  bound > x (signed, post-bias).
-  const int m = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(vb, vr)));
-  return __builtin_popcount(static_cast<unsigned>(m));
-}
-
-__attribute__((target("avx2"))) inline int CountEntryBelow8Avx2(
-    const LabelEntry* e, uint32_t bound) {
-  // Gather the 8 hub ranks out of the 16-byte-strided AoS layout
-  // (stride of 4 dwords) in one instruction.
-  static_assert(sizeof(LabelEntry) == 16);
-  const __m256i idx = _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
-  const __m256i vr0 = _mm256_i32gather_epi32(
-      reinterpret_cast<const int*>(&e->hub_rank), idx, 4);
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i vb =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(bound)), bias);
-  const __m256i vr = _mm256_xor_si256(vr0, bias);
-  const int m = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(vb, vr)));
-  return __builtin_popcount(static_cast<unsigned>(m));
-}
-
-#endif  // PSPC_MERGE_X86
-
-inline const MergeKernelOps& OpsFor(MergeKernel k) {
-  static constexpr MergeKernelOps kScalarOps{CountBelow8Scalar,
-                                             CountEntryBelow8Scalar};
-  static constexpr MergeKernelOps kSwarOps{CountBelow8Swar, CountEntryBelow8Swar};
-#if defined(PSPC_MERGE_X86)
-  static constexpr MergeKernelOps kSseOps{CountBelow8Sse, CountEntryBelow8Sse};
-  static constexpr MergeKernelOps kAvx2Ops{CountBelow8Avx2, CountEntryBelow8Avx2};
-  switch (k) {
-    case MergeKernel::kScalar:
-      return kScalarOps;
-    case MergeKernel::kSwar:
-      return kSwarOps;
-    case MergeKernel::kSse:
-      return kSseOps;
-    case MergeKernel::kAvx2:
-      return kAvx2Ops;
-  }
-  return kScalarOps;
-#else
-  return k == MergeKernel::kScalar ? kScalarOps : kSwarOps;
-#endif
-}
-
-// -1 = not yet selected. Kernel choice is a pure performance hint:
-// every kernel produces bit-identical results (the differential suite
-// proves it), so racing readers may observe either the old or new
-// value with no effect on output — relaxed ordering is sufficient.
-inline std::atomic<int> g_forced_kernel{-1};
-
-}  // namespace merge_detail
-
-inline bool MergeKernelSupported(MergeKernel k) {
-  switch (k) {
-    case MergeKernel::kScalar:
-    case MergeKernel::kSwar:
-      return true;
-    case MergeKernel::kSse:
-#if defined(PSPC_MERGE_X86)
-      return __builtin_cpu_supports("sse2") != 0;
-#else
-      return false;
-#endif
-    case MergeKernel::kAvx2:
-#if defined(PSPC_MERGE_X86)
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-/// Forces a kernel for benches/tests (pass an unsupported one and the
-/// selection falls back to the best supported lane).
-inline void SetMergeKernel(MergeKernel k) {
-  // See g_forced_kernel: any kernel yields identical results, so the
-  // cross-thread visibility of this hint does not affect correctness
-  // and relaxed ordering suffices.
-  merge_detail::g_forced_kernel.store(
-      MergeKernelSupported(k) ? static_cast<int>(k) : -1,
-      std::memory_order_relaxed);
-}
-
-/// Clears any forced kernel; selection returns to auto-detection.
-inline void ResetMergeKernel() {
-  // See g_forced_kernel for why relaxed ordering is sufficient here.
-  merge_detail::g_forced_kernel.store(-1, std::memory_order_relaxed);
-}
-
-inline MergeKernel ActiveMergeKernel() {
-  // See g_forced_kernel for why relaxed ordering is sufficient here.
-  const int forced = merge_detail::g_forced_kernel.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<MergeKernel>(forced);
-  static const MergeKernel kDetected = [] {
-    if (const char* env = std::getenv("PSPC_MERGE_KERNEL")) {
-      for (MergeKernel k : {MergeKernel::kScalar, MergeKernel::kSwar,
-                            MergeKernel::kSse, MergeKernel::kAvx2}) {
-        if (std::strcmp(env, MergeKernelName(k)) == 0 && MergeKernelSupported(k)) {
-          return k;
-        }
-      }
-    }
-    if (MergeKernelSupported(MergeKernel::kAvx2)) return MergeKernel::kAvx2;
-    if (MergeKernelSupported(MergeKernel::kSse)) return MergeKernel::kSse;
-    return MergeKernel::kSwar;
-  }();
-  return kDetected;
-}
-
-namespace merge_detail {
-
-/// Cursor over a raw rank-sorted `LabelEntry` span.
-class RawCursor {
- public:
-  RawCursor(std::span<const LabelEntry> s, const MergeKernelOps& ops)
-      : p_(s.data()), n_(s.size()), ops_(&ops) {}
-
-  bool AtEnd() const { return i_ >= n_; }
-  uint32_t CurRank() const { return p_[i_].hub_rank; }
-  uint16_t CurDist() const { return p_[i_].dist; }
-  Count CurCount() const { return p_[i_].count; }
-  void Next() { ++i_; }
-
-  // Advances past every entry with rank < bound.
-  void SkipBelow(uint32_t bound) {
-    while (n_ - i_ >= 8) {
-      const int c = ops_->count_entry_below8(p_ + i_, bound);
-      i_ += static_cast<size_t>(c);
-      if (c < 8) return;
-    }
-    while (i_ < n_ && p_[i_].hub_rank < bound) ++i_;
-  }
-
- private:
-  const LabelEntry* p_;
-  size_t n_;
-  size_t i_ = 0;
-  const MergeKernelOps* ops_;
-};
-
-/// Cursor over a packed block. Groups that the merge skips entirely
-/// are never decoded — the skip table alone drives the gallop — which
-/// is where the bandwidth saving on disjoint label regions comes from.
-class PackedCursor {
- public:
-  PackedCursor(PackedBlockView view, const MergeKernelOps& ops)
-      : view_(view), ngroups_(view.NumGroups()), ops_(&ops) {
-    if (ngroups_ > 0) view_.DecodeGroup(0, &grp_);
-  }
-
-  bool AtEnd() const { return g_ >= ngroups_; }
-  uint32_t CurRank() const { return grp_.ranks[k_]; }
-  uint16_t CurDist() const { return grp_.dists[k_]; }
-  Count CurCount() const { return grp_.counts[k_]; }
-
-  void Next() {
-    if (++k_ == grp_.n) {
-      k_ = 0;
-      if (++g_ < ngroups_) view_.DecodeGroup(g_, &grp_);
-    }
-  }
-
-  void SkipBelow(uint32_t bound) {
-    // Gallop over whole groups first: group g's ranks are all below
-    // group g+1's first rank, so if first_rank(g+1) <= bound the whole
-    // of group g is < bound and can be skipped without decoding.
-    if (g_ + 1 < ngroups_ && view_.GroupFirstRank(g_ + 1) <= bound) {
-      uint32_t lo = g_ + 1;
-      uint32_t hi = ngroups_;
-      while (hi - lo > 1) {
-        const uint32_t mid = lo + (hi - lo) / 2;
-        if (view_.GroupFirstRank(mid) <= bound) {
-          lo = mid;
-        } else {
-          hi = mid;
-        }
-      }
-      g_ = lo;
-      k_ = 0;
-      view_.DecodeGroup(g_, &grp_);
-    }
-    // In-group: SoA ranks are contiguous, so full groups take the
-    // SIMD count directly.
-    if (grp_.n == kPackedGroupSize) {
-      k_ = static_cast<uint32_t>(ops_->count_below8(grp_.ranks, bound));
-    } else {
-      while (k_ < grp_.n && grp_.ranks[k_] < bound) ++k_;
-    }
-    if (k_ >= grp_.n) {
-      k_ = 0;
-      if (++g_ < ngroups_) view_.DecodeGroup(g_, &grp_);
-    }
-  }
-
- private:
-  PackedBlockView view_;
-  uint32_t ngroups_;
-  uint32_t g_ = 0;
-  uint32_t k_ = 0;
-  PackedGroup grp_;
-  const MergeKernelOps* ops_;
-};
-
-/// The one merge loop every kernel/layout combination shares. The
-/// accumulation is literally `MergeLabelCounts`'s: equal-rank pairs
-/// arrive in ascending rank order and go through the same
-/// `SatMul`/`SatAdd` updates, so the result is bit-identical no matter
-/// which cursors or skip kernels drive it.
-template <typename CursorA, typename CursorB>
-inline SpcResult MergeCursors(CursorA a, CursorB b) {
-  uint32_t best = kInfSpcDistance;
-  Count count = 0;
-  while (!a.AtEnd() && !b.AtEnd()) {
-    const uint32_t ra = a.CurRank();
-    const uint32_t rb = b.CurRank();
-    if (ra == rb) {
-      const uint32_t d =
-          static_cast<uint32_t>(a.CurDist()) + static_cast<uint32_t>(b.CurDist());
-      if (d < best) {
-        best = d;
-        count = SatMul(a.CurCount(), b.CurCount());
-      } else if (d == best) {
-        count = SatAdd(count, SatMul(a.CurCount(), b.CurCount()));
-      }
-      a.Next();
-      b.Next();
-    } else if (ra < rb) {
-      a.SkipBelow(rb);
-    } else {
-      b.SkipBelow(ra);
-    }
-  }
-  if (best == kInfSpcDistance) return {kInfSpcDistance, 0};
-  return {best, count};
-}
-
-}  // namespace merge_detail
-
-/// Drop-in vectorized replacement for `MergeLabelCounts` on raw spans.
-inline SpcResult MergeLabelCountsFast(std::span<const LabelEntry> ls,
-                                      std::span<const LabelEntry> lt) {
-  const MergeKernelOps& ops = merge_detail::OpsFor(ActiveMergeKernel());
-  return merge_detail::MergeCursors(merge_detail::RawCursor(ls, ops),
-                                    merge_detail::RawCursor(lt, ops));
-}
-
-/// One side of a merge: either a raw span or a packed block. The
-/// serving layer builds these per vertex (overlay chunk, packed base,
-/// or raw base) without caring which representation backs it.
+/// One side of a merge: a raw span or a packed block.
 struct LabelSource {
   std::span<const LabelEntry> raw;
   PackedBlockView packed;  // wins over `raw` when valid
@@ -397,34 +33,24 @@ struct LabelSource {
   static LabelSource Raw(std::span<const LabelEntry> s) { return {s, {}}; }
   static LabelSource Packed(PackedBlockView v) { return {{}, v}; }
 
-  size_t NumEntries() const {
-    return packed.valid() ? packed.NumEntries() : raw.size();
-  }
-
-  /// Bytes a merge streams for this side — the quantity the
-  /// `serve.label_bytes.*` metrics and bench rows account.
-  size_t SizeBytes() const {
-    return packed.valid() ? packed.SizeBytes() : raw.size_bytes();
+  /// The entries as a raw span: `raw` itself, or a packed block decoded
+  /// into `*scratch`.
+  std::span<const LabelEntry> Entries(std::vector<LabelEntry>* scratch) const {
+    if (!packed.valid()) return raw;
+    scratch->clear();
+    packed.DecodeAll(scratch);
+    return {scratch->data(), scratch->size()};
   }
 };
 
-/// Merges any two label sources with the active kernel; bit-identical
-/// to `MergeLabelCounts` over the decoded entries.
+/// Decodes any packed side into a per-thread scratch buffer, then runs
+/// the one kernel; bit-identical to `MergeLabelCounts` over the decoded
+/// entries.
 inline SpcResult MergeLabelSources(const LabelSource& a, const LabelSource& b) {
-  using merge_detail::MergeCursors;
-  using merge_detail::PackedCursor;
-  using merge_detail::RawCursor;
-  const MergeKernelOps& ops = merge_detail::OpsFor(ActiveMergeKernel());
-  if (a.packed.valid()) {
-    if (b.packed.valid()) {
-      return MergeCursors(PackedCursor(a.packed, ops), PackedCursor(b.packed, ops));
-    }
-    return MergeCursors(PackedCursor(a.packed, ops), RawCursor(b.raw, ops));
-  }
-  if (b.packed.valid()) {
-    return MergeCursors(RawCursor(a.raw, ops), PackedCursor(b.packed, ops));
-  }
-  return MergeCursors(RawCursor(a.raw, ops), RawCursor(b.raw, ops));
+  thread_local std::vector<LabelEntry> scratch_a;
+  thread_local std::vector<LabelEntry> scratch_b;
+  return MergeLabelCountsBranchFree(a.Entries(&scratch_a),
+                                    b.Entries(&scratch_b));
 }
 
 }  // namespace pspc

@@ -169,25 +169,17 @@ void PackedBlockView::DecodeAll(std::vector<LabelEntry>* out) const {
   }
 }
 
-PackedLabelMap::Builder::Builder(VertexId num_vertices) {
-  map_.offsets_.reserve(static_cast<size_t>(num_vertices) + 1);
-  map_.offsets_.push_back(0);
-}
-
-void PackedLabelMap::Builder::Add(std::span<const LabelEntry> entries) {
-  AppendPackedBlock(entries, &map_.bytes_);
-  map_.offsets_.push_back(map_.bytes_.size());
-  map_.total_entries_ += entries.size();
-}
-
-PackedLabelMap PackedLabelMap::Builder::Finish() { return std::move(map_); }
-
 PackedLabelMap PackedLabelMap::Encode(const BaseLabelMap& base) {
-  Builder builder(base.num_vertices);
+  PackedLabelMap map;
+  map.offsets_.reserve(static_cast<size_t>(base.num_vertices) + 1);
+  map.offsets_.push_back(0);
   for (VertexId v = 0; v < base.num_vertices; ++v) {
-    builder.Add(base.Labels(v));
+    const std::span<const LabelEntry> entries = base.Labels(v);
+    AppendPackedBlock(entries, &map.bytes_);
+    map.offsets_.push_back(map.bytes_.size());
+    map.total_entries_ += entries.size();
   }
-  return builder.Finish();
+  return map;
 }
 
 }  // namespace pspc

@@ -10,14 +10,12 @@
 #include "src/common/types.h"
 #include "src/label/label_entry.h"
 
-/// Compressed, read-optimized per-vertex label blocks — the
-/// memory-bandwidth half of the serving query path.
+/// Compressed per-vertex label blocks: an at-rest encoding of the
+/// label table, reported by `spc_cli index-stats` and the benches.
 ///
-/// At serving rates the 2-hop query kernel is limited by bytes moved,
-/// not instructions: every query streams two whole label lists through
-/// the sorted merge, and a raw `LabelEntry` costs 16 bytes (4 rank +
-/// 2 dist + padding + 8 count) of which the common case needs three or
-/// four. A packed block stores the same list in ~4-6 bytes/entry:
+/// A raw `LabelEntry` costs 16 bytes (4 rank + 2 dist + padding + 8
+/// count), of which the common case needs three or four. A packed
+/// block stores the same list in ~4-6 bytes/entry:
 ///
 ///   block := u32 num_entries
 ///            u32 block_bytes                  (whole block, header incl.)
@@ -38,15 +36,17 @@
 /// keeps saturated counts (`kSaturatedCount`) exact — encode/decode
 /// round-trips every legal label bit-for-bit. The per-group skip
 /// header keeps `FindHubEntry`-style point lookups sublinear (binary
-/// search the skip slots, decode one group) and lets the merge kernel
-/// (label_merge_simd.h) gallop over whole groups without decoding
-/// them.
+/// search the skip slots, decode one group).
+///
+/// Queries do not read this form: a merge over packed blocks measured
+/// 1.35-1.65x slower than over raw entries while reading ~4x fewer
+/// bytes, so `MergeLabelSources` (label_merge_simd.h) decodes a block
+/// before merging it.
 namespace pspc {
 
 inline constexpr uint32_t kPackedGroupSize = 8;
 
-/// One decoded group in SoA form — the unit the vectorized merge
-/// kernel consumes (adjacent ranks SIMD-compare directly).
+/// One decoded group in SoA form.
 struct PackedGroup {
   uint32_t n = 0;
   uint32_t ranks[kPackedGroupSize];
@@ -71,8 +71,7 @@ class PackedBlockView {
 
   uint32_t NumEntries() const { return data_ == nullptr ? 0 : LoadU32(0); }
 
-  /// Whole-block footprint in bytes (header + skip table + payload) —
-  /// what a query actually streams for this side of the merge.
+  /// Whole-block footprint in bytes (header + skip table + payload).
   size_t SizeBytes() const { return data_ == nullptr ? 0 : LoadU32(4); }
 
   uint32_t NumGroups() const {
@@ -104,21 +103,15 @@ class PackedBlockView {
   const uint8_t* data_ = nullptr;
 };
 
-/// Immutable packed mirror of a whole label table — the read-optimized
-/// twin of `BaseLabelMap`. One contiguous byte arena plus per-vertex
-/// offsets; `Block(v)` is O(1). Built from a raw CSR view (`Encode`)
-/// or assembled vertex-by-vertex (`Builder`, the compaction fold
-/// path).
+/// Immutable packed copy of a whole label table (a `BaseLabelMap`).
+/// One contiguous byte arena plus per-vertex offsets; `Block(v)` is
+/// O(1).
 class PackedLabelMap {
  public:
   PackedLabelMap() = default;
 
   /// Packs every label list of `base`. Round-trip exact.
   static PackedLabelMap Encode(const BaseLabelMap& base);
-
-  /// Incremental assembly in vertex order (0, 1, ..., n-1); defined
-  /// after the class (it holds a map by value).
-  class Builder;
 
   VertexId NumVertices() const {
     return offsets_.empty() ? 0 : static_cast<VertexId>(offsets_.size() - 1);
@@ -140,16 +133,6 @@ class PackedLabelMap {
   std::vector<uint64_t> offsets_;  // n + 1
   std::vector<uint8_t> bytes_;
   size_t total_entries_ = 0;
-};
-
-class PackedLabelMap::Builder {
- public:
-  explicit Builder(VertexId num_vertices);
-  void Add(std::span<const LabelEntry> entries);
-  PackedLabelMap Finish();
-
- private:
-  PackedLabelMap map_;
 };
 
 }  // namespace pspc

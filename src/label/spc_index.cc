@@ -5,7 +5,7 @@
 #include <fstream>
 
 #include "src/common/logging.h"
-#include "src/label/label_merge_simd.h"
+#include "src/label/label_merge.h"
 
 namespace pspc {
 namespace {
@@ -40,10 +40,7 @@ SpcResult SpcIndex::Query(VertexId s, VertexId t) const {
   PSPC_CHECK_MSG(s < NumVertices() && t < NumVertices(),
                  "query (" << s << "," << t << ") out of range");
   if (s == t) return {0, 1};
-
-  // Vectorized galloping merge — bit-identical to MergeLabelCounts
-  // (differential suite: tests/label_merge_simd_test.cc).
-  return MergeLabelCountsFast(Labels(s), Labels(t));
+  return MergeLabelCountsBranchFree(Labels(s), Labels(t));
 }
 
 double SpcIndex::AverageLabelSize() const {

@@ -42,14 +42,17 @@ inline constexpr char kServeEpochOverflowPinsTotal[] =
 inline constexpr char kServeTracesSampledTotal[] =
     "serve.traces_sampled_total";
 inline constexpr char kServeTracesSlowTotal[] = "serve.traces_slow_total";
+/// Raw label bytes (16 per `LabelEntry`, both sides) the merges of
+/// uncached queries read; queries always merge raw entries.
 inline constexpr char kServeLabelBytesMergedTotal[] =
     "serve.label_bytes.merged_total";
+/// Background compaction steps run (each one checks the fold policy).
 inline constexpr char kServeCompactionStepsTotal[] =
     "serve.compaction.steps_total";
-inline constexpr char kServeCompactionChunksPackedTotal[] =
-    "serve.compaction.chunks_packed_total";
+/// Overlay folds into a fresh raw base.
 inline constexpr char kServeCompactionFoldsTotal[] =
     "serve.compaction.folds_total";
+/// Stale label entries the folds dropped.
 inline constexpr char kServeCompactionEntriesPrunedTotal[] =
     "serve.compaction.entries_pruned_total";
 
@@ -75,8 +78,10 @@ inline constexpr char kServePublishUs[] = "serve.publish_us";
 inline constexpr char kServePublishCopiedVertices[] =
     "serve.publish_copied_vertices";
 inline constexpr char kServeReaderPinUs[] = "serve.reader_pin_us";
+/// Raw label bytes one uncached query's merge read.
 inline constexpr char kServeLabelBytesPerQuery[] =
     "serve.label_bytes.per_query";
+/// Wall time of one compaction step, fold and publish included.
 inline constexpr char kServeCompactionStepUs[] = "serve.compaction.step_us";
 
 // ------------------------------------------------------ dynamic layer
@@ -139,7 +144,6 @@ inline constexpr std::string_view kCounterNames[] = {
     kServeTracesSlowTotal,
     kServeLabelBytesMergedTotal,
     kServeCompactionStepsTotal,
-    kServeCompactionChunksPackedTotal,
     kServeCompactionFoldsTotal,
     kServeCompactionEntriesPrunedTotal,
     kDynamicInsertionsAppliedTotal,

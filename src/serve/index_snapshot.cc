@@ -3,7 +3,7 @@
 #include "src/common/logging.h"
 #include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
-#include "src/label/label_merge_simd.h"
+#include "src/label/label_merge.h"
 
 namespace pspc {
 
@@ -11,7 +11,6 @@ std::unique_ptr<const IndexSnapshot> IndexSnapshot::Capture(
     DynamicSpcIndex& index) {
   auto snapshot = std::unique_ptr<IndexSnapshot>(new IndexSnapshot());
   snapshot->base_ = index.SharedBaseIndex();
-  snapshot->packed_base_ = index.SharedPackedBase();
   snapshot->overlay_ = index.CaptureOverlay();
   snapshot->generation_ = index.Generation();
   snapshot->num_vertices_ = index.NumVertices();
@@ -32,13 +31,8 @@ std::unique_ptr<const IndexSnapshot> IndexSnapshot::Capture(
 }
 
 SpcResult IndexSnapshot::Query(VertexId s, VertexId t) const {
-  PSPC_CHECK_MSG(s < num_vertices_ && t < num_vertices_,
-                 "query (" << s << "," << t << ") out of range");
-  if (s == t) return {0, 1};
-  // Vectorized galloping merge — bit-identical to MergeLabelCounts
-  // (differential suite: tests/label_merge_simd_test.cc).
-  if (IsDirected()) return MergeLabelCountsFast(OutLabels(s), InLabels(t));
-  return MergeLabelSources(Source(s), Source(t));
+  size_t merged_bytes = 0;
+  return QueryMeasured(s, t, &merged_bytes);
 }
 
 SpcResult IndexSnapshot::QueryMeasured(VertexId s, VertexId t,
@@ -49,16 +43,11 @@ SpcResult IndexSnapshot::QueryMeasured(VertexId s, VertexId t,
     *merged_bytes = 0;
     return {0, 1};
   }
-  if (IsDirected()) {
-    const std::span<const LabelEntry> ls = OutLabels(s);
-    const std::span<const LabelEntry> lt = InLabels(t);
-    *merged_bytes = ls.size_bytes() + lt.size_bytes();
-    return MergeLabelCountsFast(ls, lt);
-  }
-  const LabelSource a = Source(s);
-  const LabelSource b = Source(t);
-  *merged_bytes = a.SizeBytes() + b.SizeBytes();
-  return MergeLabelSources(a, b);
+  const std::span<const LabelEntry> ls =
+      IsDirected() ? OutLabels(s) : Labels(s);
+  const std::span<const LabelEntry> lt = IsDirected() ? InLabels(t) : Labels(t);
+  *merged_bytes = ls.size_bytes() + lt.size_bytes();
+  return MergeLabelCountsBranchFree(ls, lt);
 }
 
 }  // namespace pspc

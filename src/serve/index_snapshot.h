@@ -9,8 +9,6 @@
 #include "src/digraph/dspc_index.h"
 #include "src/dynamic/chunked_overlay.h"
 #include "src/label/label_entry.h"
-#include "src/label/label_merge_simd.h"
-#include "src/label/packed_label.h"
 #include "src/label/spc_index.h"
 
 /// An immutable, queryable freeze of a dynamic-index generation —
@@ -51,14 +49,12 @@ class IndexSnapshot {
       DynamicDspcIndex& index);
 
   /// Distance and exact shortest-path count on the captured graph
-  /// generation — the same merge semantics as every other label
-  /// container, served from the packed representation when the capture
-  /// carries one. Directed snapshots answer the directed query s -> t.
+  /// generation — the same merge as every other label container.
+  /// Directed snapshots answer the directed query s -> t.
   SpcResult Query(VertexId s, VertexId t) const;
 
-  /// `Query` plus an accounting of the label bytes the merge streamed
-  /// (both sides, packed when packed-backed) — what the
-  /// `serve.label_bytes.*` metrics record per request.
+  /// `Query` plus the raw label bytes the merge read (both sides) —
+  /// what the `serve.label_bytes.*` metrics record per request.
   SpcResult QueryMeasured(VertexId s, VertexId t, size_t* merged_bytes) const;
 
   /// True iff this snapshot froze a directed index.
@@ -104,27 +100,10 @@ class IndexSnapshot {
  private:
   IndexSnapshot() = default;
 
-  /// Labels of `v` in merge-ready form, preferring packed
-  /// representations: an overlaid chunk's packed twin (attached by
-  /// compaction), then the packed base mirror, then the raw spans.
-  LabelSource Source(VertexId v) const {
-    if (const LabelChunk* chunk = overlay_.Chunk(v)) {
-      if (!chunk->packed.empty()) {
-        return LabelSource::Packed(PackedBlockView(chunk->packed.data()));
-      }
-      return LabelSource::Raw(ChunkSpan(*chunk));
-    }
-    if (packed_base_ != nullptr) {
-      return LabelSource::Packed(packed_base_->Block(v));
-    }
-    return LabelSource::Raw(base_->Labels(v));
-  }
-
-  // Undirected capture: `base_` + `packed_base_` + `overlay_`.
+  // Undirected capture: `base_` + `overlay_`.
   // Directed capture: `directed_base_` + `overlay_` (in side) +
   // `out_overlay_`.
   std::shared_ptr<const SpcIndex> base_;
-  std::shared_ptr<const PackedLabelMap> packed_base_;
   std::shared_ptr<const DiSpcIndex> directed_base_;
   OverlayView overlay_;
   OverlayView out_overlay_;

@@ -108,8 +108,6 @@ void ServingEngine::BindMetrics(uint64_t generation) {
       metrics_->GetHistogram(obs::kServeLabelBytesPerQuery);
   compaction_steps_total_ =
       metrics_->GetCounter(obs::kServeCompactionStepsTotal);
-  compaction_chunks_packed_total_ =
-      metrics_->GetCounter(obs::kServeCompactionChunksPackedTotal);
   compaction_folds_total_ =
       metrics_->GetCounter(obs::kServeCompactionFoldsTotal);
   compaction_entries_pruned_total_ =
@@ -333,39 +331,28 @@ bool ServingEngine::CompactOnce() {
   spc::MutexLock lock(writer_mu_);
   if (compactor_ == nullptr) return false;
   const int64_t step_start_ns = obs::TraceNowNs();
-  const CompactionStats before = compactor_->Stats();
-  const size_t packed = compactor_->PackStep();
+  const uint64_t pruned_before = compactor_->Stats().entries_pruned;
   const bool folded = compactor_->FoldIfStale();
   compaction_steps_total_->Increment();
-  compaction_chunks_packed_total_->Increment(packed);
   if (folded) {
     compaction_folds_total_->Increment();
     compaction_entries_pruned_total_->Increment(
-        compactor_->Stats().entries_pruned - before.entries_pruned);
-  }
-  const bool changed = packed > 0 || folded;
-  if (changed) {
-    // Publish so readers pick up the packed chunks (and, after a fold,
-    // the fresh base). A pack-only step keeps the index generation —
-    // results are bit-identical, so cached entries tagged with it stay
-    // valid — which is why published_generation_ bookkeeping below only
-    // fires for folds.
+        compactor_->Stats().entries_pruned - pruned_before);
+    // A fold bumps the index generation; publish the fresh base.
     const int64_t publish_start_ns = obs::TraceNowNs();
     snapshots_.Publish(IndexSnapshot::Capture(*index_));
     publish_us_->Record(
         static_cast<double>(obs::TraceNowNs() - publish_start_ns) * 1e-3);
     const uint64_t generation = index_->Generation();
-    if (generation != published_generation_) {
-      published_generation_ = generation;
-      // relaxed: Counters() tally, as in ApplyUpdates.
-      publishes_.fetch_add(1, std::memory_order_relaxed);
-      generations_published_total_->Increment();
-      published_generation_gauge_->Set(static_cast<int64_t>(generation));
-    }
+    published_generation_ = generation;
+    // relaxed: Counters() tally, as in ApplyUpdates.
+    publishes_.fetch_add(1, std::memory_order_relaxed);
+    generations_published_total_->Increment();
+    published_generation_gauge_->Set(static_cast<int64_t>(generation));
   }
   compaction_step_us_->Record(
       static_cast<double>(obs::TraceNowNs() - step_start_ns) * 1e-3);
-  return changed;
+  return folded;
 }
 
 CompactionStats ServingEngine::CompactionTotals() {

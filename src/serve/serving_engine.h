@@ -74,17 +74,16 @@ struct ServingOptions {
   obs::FlightRecorder* flight_recorder = nullptr;
   /// Recent update-batch traces retained for `/tracez`.
   size_t update_trace_capacity = 64;
-  /// Background overlay compaction (undirected indexes only — the
-  /// directed index has no packed mirror yet; ignored for directed
-  /// engines). A dedicated thread periodically packs repaired overlay
-  /// chunks into the compressed label form and folds a stale overlay
-  /// into a fresh packed base, interleaving with update batches under
-  /// the writer mutex and publishing through the usual O(delta)
-  /// snapshot machinery (see src/dynamic/compaction.h).
+  /// Background overlay compaction (undirected indexes only; ignored
+  /// for directed engines). A dedicated thread periodically folds a
+  /// stale overlay into a fresh base, dropping stale entries,
+  /// interleaving with update batches under the writer mutex and
+  /// publishing through the usual snapshot machinery (see
+  /// src/dynamic/compaction.h).
   bool enable_compaction = false;
   /// Sleep between background compaction steps.
   uint64_t compaction_interval_ms = 50;
-  /// Budget/fold policy handed to the OverlayCompactor.
+  /// Fold policy handed to the OverlayCompactor.
   CompactionOptions compaction;
 };
 
@@ -189,9 +188,9 @@ class ServingEngine {
   /// Writer-serialized with updates; safe to call from any thread.
   CompactionStats CompactionTotals() EXCLUDES(writer_mu_);
 
-  /// Runs one synchronous compaction step (pack budget + fold check)
-  /// on the caller's thread, exactly as the background thread would.
-  /// Returns true if anything was packed or folded (and published).
+  /// Runs one synchronous compaction step (fold check) on the
+  /// caller's thread, exactly as the background thread would. Returns
+  /// true if the overlay was folded (and published).
   /// No-op (false) when compaction is disabled or the index is
   /// directed. Thread-safe.
   bool CompactOnce() EXCLUDES(writer_mu_);
@@ -273,7 +272,6 @@ class ServingEngine {
   obs::Counter* label_bytes_merged_total_;
   obs::Histogram* label_bytes_per_query_;
   obs::Counter* compaction_steps_total_;
-  obs::Counter* compaction_chunks_packed_total_;
   obs::Counter* compaction_folds_total_;
   obs::Counter* compaction_entries_pruned_total_;
   obs::Histogram* compaction_step_us_;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
 #include "src/graph/generators.h"
-#include "src/label/packed_label.h"
 #include "tests/test_util.h"
 
 namespace pspc {
@@ -62,44 +60,31 @@ void ExpectMatchesOracle(const DynamicSpcIndex& index,
   }
 }
 
-TEST(CompactionTest, PackStepPacksEveryChunkAndPreservesQueries) {
-  DynamicSpcIndex index(GenerateErdosRenyi(40, 90, 11), SmallBuildOptions(),
-                        NoRebuildOptions());
-  Churn(index, 25, 0.5, 301);
-  ASSERT_GT(index.Overlay().OverlaidVertices(), 0u);
-
-  CompactionOptions options;
-  options.chunk_budget_per_step = 3;  // force multiple budgeted steps
-  OverlayCompactor compactor(&index, options);
-  size_t total = 0;
-  while (const size_t packed = compactor.PackStep()) {
-    EXPECT_LE(packed, options.chunk_budget_per_step);
-    total += packed;
-    ASSERT_LT(total, 10000u) << "pack loop failed to converge";
-  }
-  EXPECT_EQ(total, index.Overlay().OverlaidVertices());
-  EXPECT_EQ(compactor.Stats().chunks_packed, total);
-  EXPECT_GT(compactor.Stats().pack_steps, 1u);
-  EXPECT_LT(compactor.Stats().packed_chunk_bytes,
-            compactor.Stats().raw_chunk_bytes);
-
-  // Every overlaid chunk now carries a packed twin that decodes to
-  // exactly its raw entries.
-  index.Overlay().ForEachOverlaid([&](VertexId v, const LabelChunk& chunk) {
-    ASSERT_FALSE(chunk.packed.empty()) << "vertex " << v;
-    std::vector<LabelEntry> decoded;
-    PackedBlockView(chunk.packed.data()).DecodeAll(&decoded);
-    EXPECT_EQ(decoded, chunk.entries) << "vertex " << v;
-  });
-  ExpectMatchesOracle(index, "after pack");
-}
-
 TEST(CompactionTest, FoldEmptiesOverlayBumpsGenerationKeepsAnswers) {
   DynamicSpcIndex index(GenerateWattsStrogatz(36, 3, 0.2, 13),
                         SmallBuildOptions(), NoRebuildOptions());
   Churn(index, 30, 0.5, 302);
   ASSERT_GT(index.Overlay().OverlaidEntries(), 0u);
   const uint64_t generation_before = index.Generation();
+
+  // What the fold must produce: base (+) overlay, minus the stale
+  // entries of repaired vertices — those recording a distance longer
+  // than the true one, decided here by BFS rather than by the index.
+  const Graph g = index.MaterializeGraph();
+  const VertexId n = index.NumVertices();
+  std::vector<std::vector<LabelEntry>> expected(n);
+  uint64_t stale = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    for (const LabelEntry& e : index.Labels(v)) {
+      const VertexId hub = index.Order().VertexAt(e.hub_rank);
+      if (index.Overlay().Overlaid(v) &&
+          static_cast<uint32_t>(e.dist) > BfsSpcPair(g, v, hub).distance) {
+        ++stale;
+      } else {
+        expected[v].push_back(e);
+      }
+    }
+  }
 
   OverlayCompactor compactor(&index);
   compactor.Fold();
@@ -109,22 +94,14 @@ TEST(CompactionTest, FoldEmptiesOverlayBumpsGenerationKeepsAnswers) {
   EXPECT_GT(index.Generation(), generation_before);
   EXPECT_EQ(compactor.Stats().folds, 1u);
   EXPECT_GT(compactor.Stats().last_fold_entries_folded, 0u);
-  ExpectMatchesOracle(index, "after fold");
-
-  // The fold refreshed the packed mirror to the folded base: it must
-  // round-trip the new base labels exactly.
-  const auto packed = index.SharedPackedBase();
-  ASSERT_NE(packed, nullptr);
-  ASSERT_EQ(packed->NumVertices(), index.NumVertices());
-  for (VertexId v = 0; v < index.NumVertices(); ++v) {
-    std::vector<LabelEntry> decoded;
-    packed->Block(v).DecodeAll(&decoded);
-    const auto raw = index.BaseIndex().Labels(v);
-    ASSERT_EQ(decoded.size(), raw.size()) << "vertex " << v;
-    for (size_t i = 0; i < raw.size(); ++i) {
-      ASSERT_EQ(decoded[i], raw[i]) << "vertex " << v << " entry " << i;
-    }
+  EXPECT_EQ(compactor.Stats().entries_pruned, stale);
+  for (VertexId v = 0; v < n; ++v) {
+    const auto folded = index.BaseIndex().Labels(v);
+    ASSERT_EQ(std::vector<LabelEntry>(folded.begin(), folded.end()),
+              expected[v])
+        << "vertex " << v;
   }
+  ExpectMatchesOracle(index, "after fold");
 }
 
 TEST(CompactionTest, FoldPrunesStaleEntriesWithoutChangingAnswers) {
@@ -167,103 +144,6 @@ TEST(CompactionTest, FoldIfStaleHonorsThreshold) {
   EXPECT_TRUE(eager.FoldIfStale());
   EXPECT_FALSE(eager.FoldIfStale());  // overlay now empty, ratio 0
   EXPECT_EQ(eager.Stats().folds, 1u);
-}
-
-// ------------------------------------------- overlay aliasing details
-
-class OverlayPackedChunkTest : public ::testing::Test {
- protected:
-  OverlayPackedChunkTest()
-      : index_(BuildIndex(GenerateCycle(12), SmallBuildOptions()).index),
-        overlay_(index_.LabelMap()) {}
-
-  /// A frozen packed-only chunk for `v` (entries dropped, packed twin
-  /// only) — the most compact frozen form a compaction pass could
-  /// produce.
-  LabelChunkPtr PackedOnlyChunk(VertexId v) {
-    auto chunk = std::make_shared<LabelChunk>();
-    AppendPackedBlock(overlay_.Labels(v), &chunk->packed);
-    return chunk;
-  }
-
-  const LabelChunk* ChunkOf(VertexId v) {
-    const LabelChunk* found = nullptr;
-    overlay_.ForEachOverlaid([&](VertexId u, const LabelChunk& chunk) {
-      if (u == v) found = &chunk;
-    });
-    return found;
-  }
-
-  SpcIndex index_;
-  ChunkedOverlay overlay_;
-};
-
-TEST_F(OverlayPackedChunkTest, MutableDecodesPackedOnlyChunkExactlyOnce) {
-  const VertexId v = 3;
-  const std::vector<LabelEntry> original(index_.Labels(v).begin(),
-                                         index_.Labels(v).end());
-  overlay_.Mutable(v);                      // overlay the vertex
-  overlay_.ReplaceChunk(v, PackedOnlyChunk(v));
-  const OverlayView view = overlay_.Capture();  // freeze the packed form
-
-  // First write after the capture: the clone must materialize raw
-  // entries from the packed twin (not serve an empty list, not keep
-  // the about-to-go-stale packed bytes alongside).
-  std::vector<LabelEntry>& entries = overlay_.Mutable(v);
-  EXPECT_EQ(entries, original);
-  const LabelChunk* writable = ChunkOf(v);
-  ASSERT_NE(writable, nullptr);
-  EXPECT_TRUE(writable->packed.empty());
-
-  // The frozen chunk the capture aliases is untouched: still
-  // packed-only, still decoding to the original entries.
-  const LabelChunk* frozen = view.Chunk(v);
-  ASSERT_NE(frozen, nullptr);
-  EXPECT_TRUE(frozen->entries.empty());
-  std::vector<LabelEntry> decoded;
-  PackedBlockView(frozen->packed.data()).DecodeAll(&decoded);
-  EXPECT_EQ(decoded, original);
-}
-
-TEST_F(OverlayPackedChunkTest, InPlaceWriteDropsPackedTwin) {
-  const VertexId v = 5;
-  overlay_.Mutable(v);
-  auto dual = std::make_shared<LabelChunk>();
-  dual->entries.assign(overlay_.Labels(v).begin(), overlay_.Labels(v).end());
-  AppendPackedBlock(ChunkSpan(*dual), &dual->packed);
-  overlay_.ReplaceChunk(v, std::move(dual));
-  ASSERT_FALSE(ChunkOf(v)->packed.empty());
-
-  // Same capture interval: Mutable writes in place and must invalidate
-  // the twin, or the next snapshot would serve stale packed bytes.
-  overlay_.Mutable(v).push_back({9999, 1, 1});
-  EXPECT_TRUE(ChunkOf(v)->packed.empty());
-}
-
-// Mirror of serving_test's InsertHeavyPublishCopiesDeltaNotOverlay for
-// the compaction write path: ReplaceChunk must unshare, never mutate
-// what a capture aliases.
-TEST_F(OverlayPackedChunkTest, ReplaceChunkCopiesDeltaNotOverlay) {
-  const VertexId packed_v = 2;
-  const VertexId untouched_v = 7;
-  overlay_.Mutable(packed_v);
-  overlay_.Mutable(untouched_v);
-  const OverlayView view = overlay_.Capture();
-  const LabelChunk* frozen_packed = view.Chunk(packed_v);
-  const LabelChunk* frozen_untouched = view.Chunk(untouched_v);
-
-  overlay_.ReplaceChunk(packed_v, PackedOnlyChunk(packed_v));
-
-  // The replaced vertex got a fresh chunk; the untouched vertex still
-  // aliases the captured one (O(delta), not O(overlay)).
-  EXPECT_NE(ChunkOf(packed_v), frozen_packed);
-  EXPECT_EQ(ChunkOf(untouched_v), frozen_untouched);
-  EXPECT_TRUE(frozen_packed->packed.empty());  // frozen bytes untouched
-  EXPECT_EQ(overlay_.CopiedSinceCapture(), 1u);
-
-  // A second replace in the same interval re-copies nothing new.
-  overlay_.ReplaceChunk(packed_v, PackedOnlyChunk(packed_v));
-  EXPECT_EQ(overlay_.CopiedSinceCapture(), 1u);
 }
 
 }  // namespace

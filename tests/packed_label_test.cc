@@ -161,26 +161,5 @@ TEST(PackedLabelMapTest, EncodesWholeIndexExactlyAndSmaller) {
   EXPECT_LT(packed.SizeBytes(), raw_bytes);
 }
 
-TEST(PackedLabelMapTest, BuilderMatchesEncode) {
-  const Graph g = GenerateWattsStrogatz(120, 3, 0.2, 7);
-  BuildOptions options;
-  options.num_landmarks = 4;
-  const SpcIndex index = BuildIndex(g, options).index;
-  const PackedLabelMap encoded = PackedLabelMap::Encode(index.LabelMap());
-
-  PackedLabelMap::Builder builder(index.NumVertices());
-  for (VertexId v = 0; v < index.NumVertices(); ++v) {
-    builder.Add(index.Labels(v));
-  }
-  const PackedLabelMap built = builder.Finish();
-
-  ASSERT_EQ(built.NumVertices(), encoded.NumVertices());
-  ASSERT_EQ(built.SizeBytes(), encoded.SizeBytes());
-  for (VertexId v = 0; v < built.NumVertices(); ++v) {
-    EXPECT_EQ(Decode(built.Block(v)), Decode(encoded.Block(v)))
-        << "vertex " << v;
-  }
-}
-
 }  // namespace
 }  // namespace pspc

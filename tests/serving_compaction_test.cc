@@ -2,9 +2,9 @@
 // written to run clean under ThreadSanitizer (CI runs every serving_*
 // test in the tsan lane): reader threads hammer the engine while the
 // writer applies a randomized update stream AND the engine's own
-// compaction thread packs/folds the overlay between captures. At every
-// quiesce point served answers must be oracle-exact — compaction is a
-// representation change, never a result change.
+// compaction thread folds the overlay between captures. At every
+// quiesce point served answers must be oracle-exact — a fold drops
+// only stale entries, never changes a result.
 
 #include <gtest/gtest.h>
 
@@ -47,7 +47,6 @@ ServingOptions CompactingServingOptions() {
   serving.max_batch = 16;
   serving.enable_compaction = true;
   serving.compaction_interval_ms = 1;  // fire constantly under churn
-  serving.compaction.chunk_budget_per_step = 8;
   serving.compaction.fold_staleness_ratio = 0.01;  // fold eagerly
   return serving;
 }
@@ -119,8 +118,8 @@ TEST(ServingCompactionTest, ReadersExactWhileCompactionRuns) {
 
     // Quiesce: drain in-flight queries, then demand oracle-exact
     // answers for the now-current graph. The compaction thread keeps
-    // running — by construction its packs and folds may only change
-    // the representation, never an answer.
+    // running — by construction its folds drop only stale entries,
+    // never change an answer.
     engine.Drain();
     ASSERT_EQ(index.NumEdges(), edges.size());
     const Graph current = index.MaterializeGraph();
@@ -145,7 +144,7 @@ TEST(ServingCompactionTest, ReadersExactWhileCompactionRuns) {
 
   EXPECT_EQ(oracle_mismatches, 0u);
   const CompactionStats totals = engine.CompactionTotals();
-  EXPECT_GT(totals.pack_steps + totals.folds, 0u);
+  EXPECT_GT(totals.folds, 0u);
 }
 
 TEST(ServingCompactionTest, CompactOnceIsDeterministicAndExact) {
@@ -158,7 +157,6 @@ TEST(ServingCompactionTest, CompactOnceIsDeterministicAndExact) {
   DynamicSpcIndex index(graph, SmallBuild(), dynamic);
   ServingOptions serving = CompactingServingOptions();
   serving.compaction_interval_ms = 3600 * 1000;  // thread idles; we drive
-  serving.compaction.chunk_budget_per_step = 1024;
   serving.compaction.fold_staleness_ratio = 0.0;  // every step folds
   ServingEngine engine(&index, serving);
 

@@ -158,6 +158,10 @@ TEST(ServingMetricsTest, PollingThreadDuringMixedWorkload) {
     }
   });
 
+  // The workload starts once the poller is polling: on a loaded machine
+  // it can otherwise finish before the poller thread first runs.
+  // relaxed: progress flag only.
+  while (polls.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   std::thread loader([&] {
     for (int round = 0; round < 20; ++round) {
       engine.SubmitBatch(MakeRandomQueries(60, 16, round)).get();

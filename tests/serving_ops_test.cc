@@ -308,6 +308,10 @@ TEST(ServingOpsTest, ConcurrentScrapesDuringMixedWorkload) {
     }
   });
 
+  // The workload starts once the scraper has scraped: on a loaded
+  // machine it can otherwise finish before the scraper thread first runs.
+  // relaxed: progress flag only.
+  while (scrapes.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   std::thread loader([&] {
     for (int round = 0; round < 15; ++round) {
       engine.SubmitBatch(MakeRandomQueries(60, 16, round)).get();
