@@ -56,7 +56,6 @@
 #include "src/common/timer.h"
 #include "src/core/builder_facade.h"
 #include "src/dynamic/closure_churn.h"
-#include "src/dynamic/compaction.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/graph/generators.h"
 #include "src/obs/metrics.h"
@@ -419,16 +418,15 @@ bool RunQueryPathPhase(const pspc::SpcIndex& index,
 }
 
 // Compaction phase: insert-heavy churn into a repair-only overlay,
-// then one fold. Driven synchronously so the row is deterministic (the
-// concurrent engine-owned path is covered by serving_compaction_test
-// under TSan). Reports overlay width before/after, stale entries
-// pruned, and the merge time of the repaired pairs before and after
-// the fold (the reference against the one kernel); the quiesce oracle
-// and the kernel mismatches are exact-gated in CI.
+// then one `DynamicSpcIndex::Fold()`. Reports overlay width
+// before/after, stale entries pruned, and the merge time of the
+// repaired pairs before and after the fold (the reference against the
+// one kernel); the quiesce oracle and the kernel mismatches are
+// exact-gated in CI.
 bool RunCompactionPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
                         pspc::benchjson::Object* json_out) {
   pspc::DynamicOptions options;
-  options.rebuild_threshold = 1e18;  // repair-only; compaction owns folds
+  options.rebuild_threshold = 1e18;  // repair-only; the phase folds
   pspc::DynamicSpcIndex dynamic(graph, index, options);
 
   const pspc::VertexId n = graph.NumVertices();
@@ -487,12 +485,10 @@ bool RunCompactionPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
   double reference_before_ns = 0.0, kernel_before_ns = 0.0;
   measure(&reference_before_ns, &kernel_before_ns);
 
-  pspc::OverlayCompactor compactor(&dynamic);
   const size_t overlay_entries_before = dynamic.Overlay().OverlaidEntries();
   pspc::WallTimer fold_timer;
-  compactor.Fold();
+  const uint64_t pruned = dynamic.Fold();
   const double fold_ms = fold_timer.ElapsedMillis();
-  const pspc::CompactionStats totals = compactor.Stats();
   const size_t overlay_entries_after = dynamic.Overlay().OverlaidEntries();
 
   double reference_after_ns = 0.0, kernel_after_ns = 0.0;
@@ -511,7 +507,7 @@ bool RunCompactionPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
       "%.0f ns\n"
       "  oracle: %zu mismatches, kernel: %llu mismatches%s\n",
       fold_ms, overlay_entries_before, overlay_entries_after,
-      static_cast<unsigned long long>(totals.entries_pruned),
+      static_cast<unsigned long long>(pruned),
       reference_before_ns, reference_after_ns, kernel_before_ns,
       kernel_after_ns, mismatches,
       static_cast<unsigned long long>(kernel_mismatches),
@@ -519,7 +515,7 @@ bool RunCompactionPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
   if (json_out != nullptr) {
     json_out->Add("overlay_entries_before_fold", overlay_entries_before);
     json_out->Add("overlay_entries_after_fold", overlay_entries_after);
-    json_out->Add("entries_pruned", totals.entries_pruned);
+    json_out->Add("entries_pruned", pruned);
     json_out->Add("fold_ms", fold_ms);
     json_out->Add("reference_merge_ns_before_fold", reference_before_ns);
     json_out->Add("kernel_merge_ns_before_fold", kernel_before_ns);
@@ -629,7 +625,7 @@ int main(int argc, char** argv) {
                           /*batch_size=*/8, &publish_json);
 
   // The query merge (reference vs the one kernel, raw and packed
-  // labels) and the overlay compactor's fold.
+  // labels) and the overlay fold.
   pspc::benchjson::Object query_path_json;
   const bool query_path_ok = RunQueryPathPhase(built.index, &query_path_json);
   pspc::benchjson::Object compaction_json;

@@ -13,8 +13,8 @@
 // distributions plus raw label bytes against the packed-block
 // encoding, bytes per entry. With `--update-stream` it additionally
 // replays the stream repair-only and reports the overlay before and
-// after a compaction fold: overlay width, stale entries pruned, and
-// raw vs packed bytes of the folded base.
+// after `DynamicSpcIndex::Fold()`: overlay width, stale entries pruned,
+// and raw vs packed bytes of the folded base.
 //   ./spc_cli update <graph-or-dataset> <index.bin>
 //                    --update-stream <updates.txt>
 //                    [--batch-size N] [--rebuild-threshold R]
@@ -99,7 +99,6 @@
 #include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
-#include "src/dynamic/compaction.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/datasets.h"
 #include "src/graph/graph_io.h"
@@ -892,7 +891,7 @@ int CmdStats(int argc, char** argv) {
 // Profiles a built index: the classic label distributions plus raw vs
 // packed bytes and bytes/entry. With --update-stream, additionally
 // replays the stream repair-only and reports the overlay before/after
-// a compaction fold.
+// a fold.
 int CmdIndexStats(int argc, char** argv) {
   if (argc < 4) return Usage();
   pspc::Graph graph;
@@ -937,7 +936,7 @@ int CmdIndexStats(int argc, char** argv) {
     return 1;
   }
   pspc::DynamicOptions options;
-  options.rebuild_threshold = 1e18;  // repair-only: compaction owns the fold
+  options.rebuild_threshold = 1e18;  // repair-only until the Fold() below
   pspc::DynamicSpcIndex index(std::move(graph), std::move(loaded).value(),
                               options);
   size_t applied = 0;
@@ -954,13 +953,12 @@ int CmdIndexStats(int argc, char** argv) {
               applied, index.Overlay().OverlaidVertices(),
               index.Overlay().OverlaidEntries(), index.StalenessRatio());
 
-  pspc::OverlayCompactor compactor(&index);
-  compactor.Fold();
+  const uint64_t pruned = index.Fold();
   std::printf("fold: overlay now %zu vertices / %zu entries, %llu stale "
               "entries pruned, base %zu entries\n",
               index.Overlay().OverlaidVertices(),
               index.Overlay().OverlaidEntries(),
-              static_cast<unsigned long long>(compactor.Stats().entries_pruned),
+              static_cast<unsigned long long>(pruned),
               index.BaseIndex().TotalEntries());
   const pspc::IndexProfile after = pspc::ProfileIndex(index.BaseIndex());
   std::printf("post-compaction label bytes: raw %zu, packed %zu "
@@ -971,8 +969,8 @@ int CmdIndexStats(int argc, char** argv) {
 }
 
 // Replays an update stream against the dynamic index: per-update
-// repair latency, staleness growth, and optionally a compacted
-// (rebuilt) index written back to disk.
+// repair latency, staleness growth, and optionally a rebuilt index
+// written back to disk.
 int CmdUpdate(int argc, char** argv) {
   if (DirectedMode(argc, argv)) return CmdUpdateDirected(argc, argv);
   if (argc < 4) return Usage();
@@ -1077,7 +1075,7 @@ int CmdUpdate(int argc, char** argv) {
               static_cast<unsigned long long>(index.NumEdges()));
 
   if (!save_path.empty()) {
-    index.Rebuild();  // compact: fold the overlay into a fresh base
+    index.Rebuild();  // re-construct from the current graph, then save
     if (const pspc::Status st = index.BaseIndex().Save(save_path); !st.ok()) {
       std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
       return 1;

@@ -10,8 +10,7 @@ namespace pspc {
 
 /// Outcome of a fallible operation. Cheap to copy for the OK case.
 /// `[[nodiscard]]` on the class makes every by-value `Status` return
-/// must-use: ignoring one is a compile warning (error in CI) and the
-/// `spc_analyze` must-use pass re-checks the same contract tree-wide.
+/// must-use: ignoring one is a compile warning (error in CI).
 class [[nodiscard]] Status {
  public:
   enum class Code {

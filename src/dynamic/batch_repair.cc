@@ -135,7 +135,8 @@ void DynamicSpcIndex::RepairDeletionsBatch(
       for (int s = 0; s < 2; ++s) {
         const VertexId near = s == 0 ? a : b;
         const VertexId far = s == 0 ? b : a;
-        DetectAffectedSide(near, far, hub_of_a, hub_of_b, &side);
+        repair::DetectAffectedSide(RepView(), near, far, hub_of_a, hub_of_b,
+                                   &side);
         SparseSide& sparse = plans[i].sides[s];
         sparse.touched = std::move(side.touched);
         sparse.full_ranks = std::move(side.full_ranks);
@@ -233,10 +234,11 @@ void DynamicSpcIndex::RepairDeletionsBatch(
       for (int s = 0; s < 2; ++s) {
         const VertexId near = s == 0 ? a : b;
         const VertexId far = s == 0 ? b : a;
-        ValidateDeletionSeeds(plans[i].sides[s].full_ranks,
-                              plans[i].sides[s].subtract_ranks, Labels(near),
-                              near, far, hub_of_a, hub_of_b, &seed_ok,
-                              &seed_dist, &seed_count, &seed_far);
+        repair::ValidateDeletionSeeds(
+            RepView(), plans[i].sides[s].full_ranks,
+            plans[i].sides[s].subtract_ranks, Labels(near), near, far,
+            hub_of_a, hub_of_b, &seed_ok, &seed_dist, &seed_count,
+            &seed_far);
       }
       for (const LabelEntry& e : Labels(a)) hub_of_a[e.hub_rank] = 0;
       for (const LabelEntry& e : Labels(b)) hub_of_b[e.hub_rank] = 0;
@@ -254,8 +256,8 @@ void DynamicSpcIndex::RepairDeletionsBatch(
         (filter[i][1] && !plans[i].sides[1].full_ranks.empty());
     if (!need_pre) continue;
     for (int s = 0; s < 2; ++s) {
-      const std::vector<uint32_t> dense =
-          BfsDistances(s == 0 ? plans[i].a : plans[i].b);
+      const std::vector<uint32_t> dense = repair::ViewBfsDistances(
+          RepView(), s == 0 ? plans[i].a : plans[i].b);
       SparseSide& side = plans[i].sides[s];
       side.full_pre.reserve(side.full_ranks.size());
       for (const Rank r : side.full_ranks) {
@@ -278,16 +280,16 @@ void DynamicSpcIndex::RepairDeletionsBatch(
   std::vector<uint8_t> needs_full(n, 0);
   for (size_t i = 0; i < k; ++i) {
     if (filter[i][0] && !plans[i].sides[0].full_ranks.empty()) {
-      MarkDistanceChanges(plans[i].sides[0].full_ranks,
-                          plans[i].sides[0].full_pre,
-                          plans[i].sides[1].full_ranks,
-                          plans[i].sides[1].full_pre, &needs_full);
+      repair::MarkDistanceChanges(
+          RepView(), plans[i].sides[0].full_ranks, plans[i].sides[0].full_pre,
+          plans[i].sides[1].full_ranks, plans[i].sides[1].full_pre,
+          &needs_full);
     }
     if (filter[i][1] && !plans[i].sides[1].full_ranks.empty()) {
-      MarkDistanceChanges(plans[i].sides[1].full_ranks,
-                          plans[i].sides[1].full_pre,
-                          plans[i].sides[0].full_ranks,
-                          plans[i].sides[0].full_pre, &needs_full);
+      repair::MarkDistanceChanges(
+          RepView(), plans[i].sides[1].full_ranks, plans[i].sides[1].full_pre,
+          plans[i].sides[0].full_ranks, plans[i].sides[0].full_pre,
+          &needs_full);
     }
   }
 
@@ -398,15 +400,16 @@ void DynamicSpcIndex::RunDeletionTaskLive(
   MaterializeTaskRegion(task, plans, s);
   const RegionView region{s.region_flags.data(), &s.region_touched};
   LabelWriteSink sink(&overlay_);
-  if (task.subtract && !force_full) {
-    if (!SubtractiveDeleteRepair(task.rank, task.start, task.seed_dist,
-                                 task.seed_count, task.depth_cap, region, s,
-                                 sink, &stats_)) {
-      RepairHubAfterDeletion(task.rank, region, s, sink, &stats_);
-    }
-  } else {
-    RepairHubAfterDeletion(task.rank, region, s, sink, &stats_);
+  const SymmetricRepairView view = RepView();
+  if (task.subtract && !force_full &&
+      repair::SubtractiveDeleteRepair(view, task.rank, task.start,
+                                      task.seed_dist, task.seed_count,
+                                      task.depth_cap, region, s, sink,
+                                      &stats_)) {
+    return;
   }
+  repair::RepairHubAfterDeletion(view, task.rank, region, s, sink, &stats_,
+                                 std::min(ResolvedThreads(), MaxThreads()));
 }
 
 void DynamicSpcIndex::CommitStagedOps(std::span<const StagedLabelOp> ops) {
@@ -514,6 +517,8 @@ void DynamicSpcIndex::ExecuteDeletionTasks(
       scratch_pool_[w].Init(n);
     }
   }
+  const SymmetricRepairView view = RepView();
+  const int sweep_threads = std::min(threads, MaxThreads());
   std::atomic<size_t> next{0};
   std::vector<std::thread> pool;
   pool.reserve(num_workers);
@@ -536,13 +541,13 @@ void DynamicSpcIndex::ExecuteDeletionTasks(
           // other task writes — it cannot depend on in-flight work.
           // Escalation (saturated counts) defers to the fixup, which
           // re-runs the full repair live.
-          slot.ok = SubtractiveDeleteRepair(
-              task.rank, task.start, task.seed_dist, task.seed_count,
+          slot.ok = repair::SubtractiveDeleteRepair(
+              view, task.rank, task.start, task.seed_dist, task.seed_count,
               task.depth_cap, region, s, sink, &slot.local);
         } else {
-          slot.ok = RepairHubAfterDeletion(
-              task.rank, region, s, sink, &slot.local, claim.data(),
-              static_cast<int32_t>(idx));
+          slot.ok = repair::RepairHubAfterDeletion(
+              view, task.rank, region, s, sink, &slot.local, sweep_threads,
+              claim.data(), static_cast<int32_t>(idx));
         }
       }
     });

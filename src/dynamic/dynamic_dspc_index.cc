@@ -60,9 +60,7 @@ double DynamicDspcIndex::StalenessRatio() const {
 }
 
 void DynamicDspcIndex::MaybeRebuild() {
-  if (options_.auto_rebuild && StalenessRatio() > options_.rebuild_threshold) {
-    Rebuild();
-  }
+  if (StalenessRatio() > options_.rebuild_threshold) Rebuild();
 }
 
 void DynamicDspcIndex::PublishMetrics() {

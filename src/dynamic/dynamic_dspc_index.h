@@ -69,11 +69,10 @@
 namespace pspc {
 
 struct DynamicDiOptions {
-  /// Rebuild when `overlay entries / base entries` exceeds this.
+  /// Rebuild when `overlay entries / base entries` exceeds this
+  /// (repair-only callers set it to 1e18 and drive Rebuild()
+  /// themselves).
   double rebuild_threshold = 0.25;
-  /// When false, StalenessRatio still grows but nothing auto-rebuilds
-  /// (callers drive Rebuild() themselves).
-  bool auto_rebuild = true;
   /// Pipeline used for staleness rebuilds (ordering recomputed from
   /// the current graph via DirectedDegreeOrder).
   DiPspcOptions rebuild_options;

@@ -80,9 +80,7 @@ double DynamicSpcIndex::StalenessRatio() const {
 }
 
 void DynamicSpcIndex::MaybeRebuild() {
-  if (options_.auto_rebuild && StalenessRatio() > options_.rebuild_threshold) {
-    Rebuild();
-  }
+  if (StalenessRatio() > options_.rebuild_threshold) Rebuild();
 }
 
 void DynamicSpcIndex::PublishMetrics() {
@@ -115,6 +113,34 @@ void DynamicSpcIndex::Rebuild() {
                     static_cast<uint64_t>(elapsed * 1e6),
                     base_->TotalEntries());
   PublishMetrics();
+}
+
+uint64_t DynamicSpcIndex::Fold() {
+  const VertexId n = NumVertices();
+  std::vector<std::vector<LabelEntry>> labels(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const std::span<const LabelEntry> span = Labels(v);
+    labels[v].assign(span.begin(), span.end());
+  }
+  // Stale entries can only sit at repaired vertices; each is decided
+  // against the still-live (exact) index before the rebase.
+  uint64_t pruned = 0;
+  overlay_.ForEachOverlaid([&](VertexId v, const LabelChunk&) {
+    std::vector<LabelEntry>& lv = labels[v];
+    const auto stale_from =
+        std::remove_if(lv.begin(), lv.end(), [&](const LabelEntry& e) {
+          const VertexId hub = order_.VertexAt(e.hub_rank);
+          return static_cast<uint32_t>(e.dist) > Query(v, hub).distance;
+        });
+    pruned += static_cast<uint64_t>(lv.end() - stale_from);
+    lv.erase(stale_from, lv.end());
+  });
+  base_ = std::make_shared<const SpcIndex>(
+      SpcIndex(order_, std::move(labels)));
+  overlay_.Rebase(base_->LabelMap());
+  ++generation_;
+  PublishMetrics();
+  return pruned;
 }
 
 Status DynamicSpcIndex::InsertEdge(VertexId u, VertexId v) {
@@ -181,39 +207,6 @@ void DynamicSpcIndex::RepairInsertions(
 
 // -------------------------------------------------------------- deletion
 
-std::vector<uint32_t> DynamicSpcIndex::BfsDistances(VertexId source) {
-  return repair::ViewBfsDistances(RepView(), source);
-}
-
-void DynamicSpcIndex::DetectAffectedSide(
-    VertexId from, VertexId to, const std::vector<uint8_t>& hub_of_a,
-    const std::vector<uint8_t>& hub_of_b, AffectedSide* side) {
-  repair::DetectAffectedSide(RepView(), from, to, hub_of_a, hub_of_b, side);
-}
-
-void DynamicSpcIndex::ValidateDeletionSeeds(
-    const std::vector<Rank>& full_ranks,
-    const std::vector<Rank>& subtract_ranks,
-    std::span<const LabelEntry> near_labels, VertexId near, VertexId far,
-    const std::vector<uint8_t>& hub_of_a,
-    const std::vector<uint8_t>& hub_of_b, std::vector<uint8_t>* seed_ok,
-    std::vector<uint32_t>* seed_dist, std::vector<Count>* seed_count,
-    std::vector<VertexId>* seed_far) {
-  repair::ValidateDeletionSeeds(RepView(), full_ranks, subtract_ranks,
-                                near_labels, near, far, hub_of_a, hub_of_b,
-                                seed_ok, seed_dist, seed_count, seed_far);
-}
-
-void DynamicSpcIndex::MarkDistanceChanges(
-    const std::vector<Rank>& sender_ranks,
-    std::span<const uint32_t> sender_pre,
-    const std::vector<Rank>& opposite_full_ranks,
-    std::span<const uint32_t> opposite_pre,
-    std::vector<uint8_t>* needs_full) {
-  repair::MarkDistanceChanges(RepView(), sender_ranks, sender_pre,
-                              opposite_full_ranks, opposite_pre, needs_full);
-}
-
 void DynamicSpcIndex::RepairDeletion(VertexId a, VertexId b) {
   repair::RepairContext ctx;
   ctx.scratch = &scratch_;
@@ -223,23 +216,6 @@ void DynamicSpcIndex::RepairDeletion(VertexId a, VertexId b) {
   repair::RepairEdgeDeletionPair(view, view, a, b, ctx, [&] {
     PSPC_CHECK(graph_.RemoveEdge(a, b).ok());
   });
-}
-
-bool DynamicSpcIndex::SubtractiveDeleteRepair(
-    Rank hub_rank, VertexId start, uint32_t seed_dist, Count seed_count,
-    uint32_t depth_cap, RegionView region, RepairScratch& s,
-    LabelWriteSink& sink, DynamicStats* stats) {
-  return repair::SubtractiveDeleteRepair(RepView(), hub_rank, start,
-                                         seed_dist, seed_count, depth_cap,
-                                         region, s, sink, stats);
-}
-
-bool DynamicSpcIndex::RepairHubAfterDeletion(
-    Rank hub_rank, RegionView region, RepairScratch& s, LabelWriteSink& sink,
-    DynamicStats* stats, const int32_t* claim_owner, int32_t claim_self) {
-  return repair::RepairHubAfterDeletion(
-      RepView(), hub_rank, region, s, sink, stats,
-      std::min(ResolvedThreads(), MaxThreads()), claim_owner, claim_self);
 }
 
 }  // namespace pspc

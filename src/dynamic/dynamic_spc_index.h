@@ -104,11 +104,10 @@
 namespace pspc {
 
 struct DynamicOptions {
-  /// Rebuild when `overlay entries / base entries` exceeds this.
+  /// Rebuild when `overlay entries / base entries` exceeds this
+  /// (repair-only callers set it to 1e18 and drive Rebuild() or Fold()
+  /// themselves).
   double rebuild_threshold = 0.25;
-  /// When false, StalenessRatio still grows but nothing auto-rebuilds
-  /// (callers drive Rebuild() themselves).
-  bool auto_rebuild = true;
   /// Pipeline used for staleness rebuilds (ordering recomputed from
   /// the current graph, construction parallel per these options).
   BuildOptions rebuild_options;
@@ -172,6 +171,18 @@ class DynamicSpcIndex {
   /// Forces the full rebuild the staleness policy would trigger.
   void Rebuild();
 
+  /// Folds the overlay into a fresh base without re-construction: a
+  /// linear pass materializes base (+) overlay into a new `SpcIndex`
+  /// (same vertex order, no BFS) and rebases the overlay to empty. On
+  /// the way it drops the stale entries of repaired vertices: `(v, h,
+  /// d)` goes when `d` exceeds the index's own (exact) distance from
+  /// `v` to `vertex(h)`. Such an entry never reaches the minimum of a
+  /// query merge (`d + d' > sd(v,h) + sd(h,t) >= sd(v,t)`), so every
+  /// answer is bit-identical before and after. Bumps the generation
+  /// like `Rebuild()`; snapshots captured earlier keep the old base.
+  /// Writer thread only. Returns the number of entries pruned.
+  uint64_t Fold();
+
   VertexId NumVertices() const { return graph_.NumVertices(); }
   EdgeId NumEdges() const { return graph_.NumEdges(); }
 
@@ -212,11 +223,6 @@ class DynamicSpcIndex {
   const DynamicOptions& Options() const { return options_; }
 
  private:
-  // The overlay compactor (src/dynamic/compaction.h) is the one
-  // component allowed behind the single-writer facade: it folds the
-  // overlay into a fresh base on the writer's thread of control.
-  friend class OverlayCompactor;
-
   // The repair scratch, staged-write sink, region/seed/side types, and
   // the BFS kernels themselves are the direction-generic machinery of
   // repair_core.h; this class binds them to the symmetric view.
@@ -270,47 +276,6 @@ class DynamicSpcIndex {
   void RepairDeletion(VertexId a, VertexId b);
   void RepairDeletionsBatch(
       const std::vector<std::pair<VertexId, VertexId>>& edges);
-  void DetectAffectedSide(VertexId from, VertexId to,
-                          const std::vector<uint8_t>& hub_of_a,
-                          const std::vector<uint8_t>& hub_of_b,
-                          AffectedSide* side);
-  // Plain BFS distances from `source` over the current graph view.
-  std::vector<uint32_t> BfsDistances(VertexId source);
-  // Exact distance-change detection for full-sender downgrades (see
-  // repair_core.h); runs on the post-deletion graph. `sender_pre` /
-  // `opposite_pre` parallel the rank lists with each vertex's
-  // pre-deletion distance from its own side's endpoint.
-  void MarkDistanceChanges(const std::vector<Rank>& sender_ranks,
-                           std::span<const uint32_t> sender_pre,
-                           const std::vector<Rank>& opposite_full_ranks,
-                           std::span<const uint32_t> opposite_pre,
-                           std::vector<uint8_t>* needs_full);
-  // Validates subtraction seeds of one side's sender hubs against the
-  // still-exact pre-deletion index; fills the rank-indexed seed arrays.
-  void ValidateDeletionSeeds(const std::vector<Rank>& full_ranks,
-                             const std::vector<Rank>& subtract_ranks,
-                             std::span<const LabelEntry> near_labels,
-                             VertexId near, VertexId far,
-                             const std::vector<uint8_t>& hub_of_a,
-                             const std::vector<uint8_t>& hub_of_b,
-                             std::vector<uint8_t>* seed_ok,
-                             std::vector<uint32_t>* seed_dist,
-                             std::vector<Count>* seed_count,
-                             std::vector<VertexId>* seed_far);
-
-  /// Kernel wrappers over the symmetric view (see repair_core.h for
-  /// semantics); batch_repair.cc drives them per coalesced task.
-  bool RepairHubAfterDeletion(Rank hub_rank, RegionView region,
-                              RepairScratch& scratch, LabelWriteSink& sink,
-                              DynamicStats* stats,
-                              const int32_t* claim_owner = nullptr,
-                              int32_t claim_self = -1);
-  bool SubtractiveDeleteRepair(Rank hub_rank, VertexId start,
-                               uint32_t seed_dist, Count seed_count,
-                               uint32_t depth_cap, RegionView region,
-                               RepairScratch& scratch, LabelWriteSink& sink,
-                               DynamicStats* stats);
-
   // Coalesced-batch execution: ascending-rank task run with
   // disjoint-region waves on a thread pool (batch_repair.cc).
   void ExecuteDeletionTasks(std::vector<DeletionTask>& tasks,

@@ -46,15 +46,6 @@ inline constexpr char kServeTracesSlowTotal[] = "serve.traces_slow_total";
 /// uncached queries read; queries always merge raw entries.
 inline constexpr char kServeLabelBytesMergedTotal[] =
     "serve.label_bytes.merged_total";
-/// Background compaction steps run (each one checks the fold policy).
-inline constexpr char kServeCompactionStepsTotal[] =
-    "serve.compaction.steps_total";
-/// Overlay folds into a fresh raw base.
-inline constexpr char kServeCompactionFoldsTotal[] =
-    "serve.compaction.folds_total";
-/// Stale label entries the folds dropped.
-inline constexpr char kServeCompactionEntriesPrunedTotal[] =
-    "serve.compaction.entries_pruned_total";
 
 inline constexpr char kServePublishedGeneration[] =
     "serve.published_generation";
@@ -81,8 +72,6 @@ inline constexpr char kServeReaderPinUs[] = "serve.reader_pin_us";
 /// Raw label bytes one uncached query's merge read.
 inline constexpr char kServeLabelBytesPerQuery[] =
     "serve.label_bytes.per_query";
-/// Wall time of one compaction step, fold and publish included.
-inline constexpr char kServeCompactionStepUs[] = "serve.compaction.step_us";
 
 // ------------------------------------------------------ dynamic layer
 inline constexpr char kDynamicInsertionsAppliedTotal[] =
@@ -143,9 +132,6 @@ inline constexpr std::string_view kCounterNames[] = {
     kServeTracesSampledTotal,
     kServeTracesSlowTotal,
     kServeLabelBytesMergedTotal,
-    kServeCompactionStepsTotal,
-    kServeCompactionFoldsTotal,
-    kServeCompactionEntriesPrunedTotal,
     kDynamicInsertionsAppliedTotal,
     kDynamicDeletionsAppliedTotal,
     kDynamicBatchesAppliedTotal,
@@ -189,7 +175,6 @@ inline constexpr std::string_view kHistogramNames[] = {
     kServePublishCopiedVertices,
     kServeReaderPinUs,
     kServeLabelBytesPerQuery,
-    kServeCompactionStepUs,
     kDynamicPlanUs,
     kDynamicRepairUs,
     kDynamicRebuildUs,
@@ -215,7 +200,6 @@ inline constexpr std::string_view kRequiredServeMetrics[] = {
     kServeReaderPinUs,
     kServeLabelBytesMergedTotal,
     kServeLabelBytesPerQuery,
-    kServeCompactionStepsTotal,
 };
 
 /// Names any run that applied updates through a dynamic index must

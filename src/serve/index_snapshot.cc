@@ -10,23 +10,30 @@ namespace pspc {
 std::unique_ptr<const IndexSnapshot> IndexSnapshot::Capture(
     DynamicSpcIndex& index) {
   auto snapshot = std::unique_ptr<IndexSnapshot>(new IndexSnapshot());
-  snapshot->base_ = index.SharedBaseIndex();
-  snapshot->overlay_ = index.CaptureOverlay();
+  snapshot->base_owner_ = index.SharedBaseIndex();
+  snapshot->out_ = {index.BaseIndex().LabelMap(), index.CaptureOverlay()};
+  snapshot->in_ = snapshot->out_;
   snapshot->generation_ = index.Generation();
   snapshot->num_vertices_ = index.NumVertices();
   snapshot->num_edges_ = index.NumEdges();
+  snapshot->overlaid_vertices_ = snapshot->out_.overlay.OverlaidVertices();
+  snapshot->copied_vertices_ = snapshot->out_.overlay.CopiedVertices();
   return snapshot;
 }
 
 std::unique_ptr<const IndexSnapshot> IndexSnapshot::Capture(
     DynamicDspcIndex& index) {
   auto snapshot = std::unique_ptr<IndexSnapshot>(new IndexSnapshot());
-  snapshot->directed_base_ = index.SharedBaseIndex();
-  snapshot->overlay_ = index.CaptureInOverlay();
-  snapshot->out_overlay_ = index.CaptureOutOverlay();
+  snapshot->base_owner_ = index.SharedBaseIndex();
+  snapshot->out_ = {index.BaseIndex().OutLabelMap(), index.CaptureOutOverlay()};
+  snapshot->in_ = {index.BaseIndex().InLabelMap(), index.CaptureInOverlay()};
   snapshot->generation_ = index.Generation();
   snapshot->num_vertices_ = index.NumVertices();
   snapshot->num_edges_ = index.NumEdges();
+  snapshot->overlaid_vertices_ = snapshot->out_.overlay.OverlaidVertices() +
+                                 snapshot->in_.overlay.OverlaidVertices();
+  snapshot->copied_vertices_ = snapshot->out_.overlay.CopiedVertices() +
+                               snapshot->in_.overlay.CopiedVertices();
   return snapshot;
 }
 
@@ -43,9 +50,8 @@ SpcResult IndexSnapshot::QueryMeasured(VertexId s, VertexId t,
     *merged_bytes = 0;
     return {0, 1};
   }
-  const std::span<const LabelEntry> ls =
-      IsDirected() ? OutLabels(s) : Labels(s);
-  const std::span<const LabelEntry> lt = IsDirected() ? InLabels(t) : Labels(t);
+  const std::span<const LabelEntry> ls = out_.Labels(s);
+  const std::span<const LabelEntry> lt = in_.Labels(t);
   *merged_bytes = ls.size_bytes() + lt.size_bytes();
   return MergeLabelCountsBranchFree(ls, lt);
 }

@@ -6,10 +6,8 @@
 #include <span>
 
 #include "src/common/types.h"
-#include "src/digraph/dspc_index.h"
 #include "src/dynamic/chunked_overlay.h"
 #include "src/label/label_entry.h"
-#include "src/label/spc_index.h"
 
 /// An immutable, queryable freeze of a dynamic-index generation —
 /// undirected (`DynamicSpcIndex`) or directed (`DynamicDspcIndex`).
@@ -17,7 +15,8 @@
 /// Capture shares the base index (a `shared_ptr`, so a later staleness
 /// rebuild cannot free it while an epoch still reads it) and freezes
 /// the persistent chunked overlay into an `OverlayView` — for the
-/// directed index, one view per label side. A view freeze is one
+/// directed index, one view per label side (out and in); an undirected
+/// capture reads its one view through both sides. A view freeze is one
 /// `shared_ptr` copy of the page directory, under which every vertex
 /// untouched since the previous capture aliases the prior snapshot's
 /// label chunk. Capture cost is therefore O(vertices repaired since
@@ -57,24 +56,13 @@ class IndexSnapshot {
   /// what the `serve.label_bytes.*` metrics record per request.
   SpcResult QueryMeasured(VertexId s, VertexId t, size_t* merged_bytes) const;
 
-  /// True iff this snapshot froze a directed index.
-  bool IsDirected() const { return directed_base_ != nullptr; }
-
-  /// Labels of `v` as of an *undirected* capture, rank-sorted.
-  std::span<const LabelEntry> Labels(VertexId v) const {
-    const LabelChunk* chunk = overlay_.Chunk(v);
-    return chunk != nullptr ? ChunkSpan(*chunk) : base_->Labels(v);
-  }
-
-  /// Out/in labels of `v` as of a *directed* capture, rank-sorted.
+  /// Out/in labels of `v` as of the capture, rank-sorted. An
+  /// undirected capture has one label set, read through both sides.
   std::span<const LabelEntry> OutLabels(VertexId v) const {
-    const LabelChunk* chunk = out_overlay_.Chunk(v);
-    return chunk != nullptr ? ChunkSpan(*chunk)
-                            : directed_base_->OutLabels(v);
+    return out_.Labels(v);
   }
   std::span<const LabelEntry> InLabels(VertexId v) const {
-    const LabelChunk* chunk = overlay_.Chunk(v);
-    return chunk != nullptr ? ChunkSpan(*chunk) : directed_base_->InLabels(v);
+    return in_.Labels(v);
   }
 
   /// Generation counter of the captured index state.
@@ -85,31 +73,36 @@ class IndexSnapshot {
 
   /// Vertices held out-of-line as of the capture (directed: summed
   /// over both label sides).
-  size_t OverlaidVertices() const {
-    return overlay_.OverlaidVertices() + out_overlay_.OverlaidVertices();
-  }
+  size_t OverlaidVertices() const { return overlaid_vertices_; }
 
   /// Vertices whose label chunk was (re)copied since the previous
   /// capture — the publish-cost delta this snapshot actually paid
   /// (directed: summed over both label sides). Everything else aliases
   /// the prior snapshot's chunks.
-  size_t CopiedVertices() const {
-    return overlay_.CopiedVertices() + out_overlay_.CopiedVertices();
-  }
+  size_t CopiedVertices() const { return copied_vertices_; }
 
  private:
+  /// One label side: the base table with the frozen overlay on top.
+  struct Side {
+    BaseLabelMap base;
+    OverlayView overlay;
+    std::span<const LabelEntry> Labels(VertexId v) const {
+      const LabelChunk* chunk = overlay.Chunk(v);
+      return chunk != nullptr ? ChunkSpan(*chunk) : base.Labels(v);
+    }
+  };
+
   IndexSnapshot() = default;
 
-  // Undirected capture: `base_` + `overlay_`.
-  // Directed capture: `directed_base_` + `overlay_` (in side) +
-  // `out_overlay_`.
-  std::shared_ptr<const SpcIndex> base_;
-  std::shared_ptr<const DiSpcIndex> directed_base_;
-  OverlayView overlay_;
-  OverlayView out_overlay_;
+  // Owns the captured base index both sides' tables point into.
+  std::shared_ptr<const void> base_owner_;
+  Side out_;
+  Side in_;
   uint64_t generation_ = 0;
   VertexId num_vertices_ = 0;
   EdgeId num_edges_ = 0;
+  size_t overlaid_vertices_ = 0;
+  size_t copied_vertices_ = 0;
 };
 
 }  // namespace pspc

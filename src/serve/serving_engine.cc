@@ -1,7 +1,6 @@
 #include "src/serve/serving_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <utility>
 
@@ -43,17 +42,7 @@ ServingEngine::ServingEngine(DynamicSpcIndex* index, ServingOptions options)
       traces_(options.slow_trace_capacity, options.slow_trace_us),
       update_traces_(options.update_trace_capacity) {
   BindMetrics(index->Generation());
-  if (options_.enable_compaction) {
-    // Brief writer scope so the GUARDED_BY holds; no worker or
-    // compaction thread exists yet, so this never contends.
-    spc::MutexLock lock(writer_mu_);
-    compactor_ =
-        std::make_unique<OverlayCompactor>(index_, options_.compaction);
-  }
   StartWorkers();
-  if (options_.enable_compaction) {
-    compaction_thread_ = std::thread([this] { CompactionLoop(); });
-  }
 }
 
 ServingEngine::ServingEngine(DynamicDspcIndex* index, ServingOptions options)
@@ -106,13 +95,6 @@ void ServingEngine::BindMetrics(uint64_t generation) {
       metrics_->GetCounter(obs::kServeLabelBytesMergedTotal);
   label_bytes_per_query_ =
       metrics_->GetHistogram(obs::kServeLabelBytesPerQuery);
-  compaction_steps_total_ =
-      metrics_->GetCounter(obs::kServeCompactionStepsTotal);
-  compaction_folds_total_ =
-      metrics_->GetCounter(obs::kServeCompactionFoldsTotal);
-  compaction_entries_pruned_total_ =
-      metrics_->GetCounter(obs::kServeCompactionEntriesPrunedTotal);
-  compaction_step_us_ = metrics_->GetHistogram(obs::kServeCompactionStepUs);
   published_generation_gauge_->Set(static_cast<int64_t>(generation));
   recorder_ = options_.flight_recorder != nullptr
                   ? options_.flight_recorder
@@ -296,68 +278,9 @@ void ServingEngine::Drain() {
 
 void ServingEngine::Stop() {
   if (stopped_.exchange(true)) return;
-  StopCompaction();
   Drain();
   queue_.Close();
   for (std::thread& worker : workers_) worker.join();
-}
-
-void ServingEngine::StopCompaction() {
-  if (!compaction_thread_.joinable()) return;
-  {
-    spc::MutexLock lock(compaction_mu_);
-    compaction_stop_ = true;
-    compaction_cv_.NotifyAll();
-  }
-  compaction_thread_.join();
-}
-
-void ServingEngine::CompactionLoop() {
-  for (;;) {
-    {
-      spc::MutexLock lock(compaction_mu_);
-      if (!compaction_stop_) {
-        compaction_cv_.WaitFor(
-            compaction_mu_,
-            std::chrono::milliseconds(options_.compaction_interval_ms));
-      }
-      if (compaction_stop_) return;
-    }
-    CompactOnce();
-  }
-}
-
-bool ServingEngine::CompactOnce() {
-  spc::MutexLock lock(writer_mu_);
-  if (compactor_ == nullptr) return false;
-  const int64_t step_start_ns = obs::TraceNowNs();
-  const uint64_t pruned_before = compactor_->Stats().entries_pruned;
-  const bool folded = compactor_->FoldIfStale();
-  compaction_steps_total_->Increment();
-  if (folded) {
-    compaction_folds_total_->Increment();
-    compaction_entries_pruned_total_->Increment(
-        compactor_->Stats().entries_pruned - pruned_before);
-    // A fold bumps the index generation; publish the fresh base.
-    const int64_t publish_start_ns = obs::TraceNowNs();
-    snapshots_.Publish(IndexSnapshot::Capture(*index_));
-    publish_us_->Record(
-        static_cast<double>(obs::TraceNowNs() - publish_start_ns) * 1e-3);
-    const uint64_t generation = index_->Generation();
-    published_generation_ = generation;
-    // relaxed: Counters() tally, as in ApplyUpdates.
-    publishes_.fetch_add(1, std::memory_order_relaxed);
-    generations_published_total_->Increment();
-    published_generation_gauge_->Set(static_cast<int64_t>(generation));
-  }
-  compaction_step_us_->Record(
-      static_cast<double>(obs::TraceNowNs() - step_start_ns) * 1e-3);
-  return folded;
-}
-
-CompactionStats ServingEngine::CompactionTotals() {
-  spc::MutexLock lock(writer_mu_);
-  return compactor_ != nullptr ? compactor_->Stats() : CompactionStats{};
 }
 
 ServingCounters ServingEngine::Counters() const {

@@ -13,7 +13,6 @@
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/types.h"
-#include "src/dynamic/compaction.h"
 #include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/label/query_engine.h"
@@ -74,17 +73,6 @@ struct ServingOptions {
   obs::FlightRecorder* flight_recorder = nullptr;
   /// Recent update-batch traces retained for `/tracez`.
   size_t update_trace_capacity = 64;
-  /// Background overlay compaction (undirected indexes only; ignored
-  /// for directed engines). A dedicated thread periodically folds a
-  /// stale overlay into a fresh base, dropping stale entries,
-  /// interleaving with update batches under the writer mutex and
-  /// publishing through the usual snapshot machinery (see
-  /// src/dynamic/compaction.h).
-  bool enable_compaction = false;
-  /// Sleep between background compaction steps.
-  uint64_t compaction_interval_ms = 50;
-  /// Fold policy handed to the OverlayCompactor.
-  CompactionOptions compaction;
 };
 
 /// Monotonic totals since construction (point-in-time copies).
@@ -184,22 +172,9 @@ class ServingEngine {
   /// Deepest the request queue has been (diagnostics).
   size_t QueueHighWater() const { return queue_.HighWater(); }
 
-  /// Cumulative compaction stats (zeros when compaction is disabled).
-  /// Writer-serialized with updates; safe to call from any thread.
-  CompactionStats CompactionTotals() EXCLUDES(writer_mu_);
-
-  /// Runs one synchronous compaction step (fold check) on the
-  /// caller's thread, exactly as the background thread would. Returns
-  /// true if the overlay was folded (and published).
-  /// No-op (false) when compaction is disabled or the index is
-  /// directed. Thread-safe.
-  bool CompactOnce() EXCLUDES(writer_mu_);
-
  private:
   void WorkerLoop();
   void StartWorkers();
-  void CompactionLoop();
-  void StopCompaction();
   /// `generation` is the initial published generation (the ctor's
   /// init-list value of published_generation_, passed by value so the
   /// gauge wiring never reads the writer_mu_-guarded field unlocked).
@@ -227,16 +202,6 @@ class ServingEngine {
   uint64_t published_generation_ GUARDED_BY(writer_mu_);
   std::atomic<uint64_t> updates_applied_{0};
   std::atomic<uint64_t> publishes_{0};
-
-  // Background compaction. The compactor mutates the index, so every
-  // use happens under writer_mu_ (interleaved with update batches);
-  // compaction_mu_ guards only the thread's lifecycle (interval sleep
-  // + stop flag) and never nests with writer_mu_.
-  std::unique_ptr<OverlayCompactor> compactor_ GUARDED_BY(writer_mu_);
-  std::thread compaction_thread_;
-  spc::Mutex compaction_mu_;
-  spc::CondVar compaction_cv_;
-  bool compaction_stop_ GUARDED_BY(compaction_mu_) = false;
 
   // Completion tracking for Drain().
   std::atomic<uint64_t> pending_{0};
@@ -271,10 +236,6 @@ class ServingEngine {
   obs::Histogram* publish_us_;
   obs::Counter* label_bytes_merged_total_;
   obs::Histogram* label_bytes_per_query_;
-  obs::Counter* compaction_steps_total_;
-  obs::Counter* compaction_folds_total_;
-  obs::Counter* compaction_entries_pruned_total_;
-  obs::Histogram* compaction_step_us_;
   obs::Gauge* queue_depth_gauge_;
   obs::Gauge* queue_capacity_gauge_;
   obs::FlightRecorder* recorder_;

@@ -78,9 +78,6 @@ INSTANTIATE_TEST_SUITE_P(
                      {"src/serve/pin_cache.h", "pin-escape", 12},
                      {"src/serve/pin_use.cc", "pin-escape", 6},
                      {"src/serve/pin_use.cc", "pin-escape", 8}}},
-        AnalyzeCase{"must_use",
-                    {{"src/label/store.cc", "must-use", 5},
-                     {"src/label/store.cc", "must-use", 15}}},
         AnalyzeCase{"layering",
                     {{"src/common/util.h", "layer-back-edge", 2},
                      {"src/rogue/thing.h", "layer-unknown", 1},
@@ -145,10 +142,10 @@ TEST(AnalyzeConfigTest, ParsesLockHierarchyAndLayerDag) {
 
 TEST(AnalyzeReportTest, JsonEscapesAndListsEdges) {
   spcanalyze::AnalyzeResult result;
-  result.violations.push_back({"a.cc", 3, "must-use", "say \"hi\""});
+  result.violations.push_back({"a.cc", 3, "pin-escape", "say \"hi\""});
   result.lock_edges.push_back({"A::mu_", "B::mu_", "a.cc", 2});
   const std::string json = spcanalyze::ReportJson(result);
-  EXPECT_NE(json.find("\"rule\":\"must-use\""), std::string::npos);
+  EXPECT_NE(json.find("\"rule\":\"pin-escape\""), std::string::npos);
   EXPECT_NE(json.find("say \\\"hi\\\""), std::string::npos);
   EXPECT_NE(json.find("\"from\":\"A::mu_\""), std::string::npos);
 }

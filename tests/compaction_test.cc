@@ -1,5 +1,3 @@
-#include "src/dynamic/compaction.h"
-
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +10,7 @@
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
 #include "src/graph/generators.h"
+#include "src/serve/index_snapshot.h"
 #include "tests/test_util.h"
 
 namespace pspc {
@@ -86,15 +85,11 @@ TEST(CompactionTest, FoldEmptiesOverlayBumpsGenerationKeepsAnswers) {
     }
   }
 
-  OverlayCompactor compactor(&index);
-  compactor.Fold();
+  EXPECT_EQ(index.Fold(), stale);
 
   EXPECT_EQ(index.Overlay().OverlaidVertices(), 0u);
   EXPECT_EQ(index.StalenessRatio(), 0.0);
   EXPECT_GT(index.Generation(), generation_before);
-  EXPECT_EQ(compactor.Stats().folds, 1u);
-  EXPECT_GT(compactor.Stats().last_fold_entries_folded, 0u);
-  EXPECT_EQ(compactor.Stats().entries_pruned, stale);
   for (VertexId v = 0; v < n; ++v) {
     const auto folded = index.BaseIndex().Labels(v);
     ASSERT_EQ(std::vector<LabelEntry>(folded.begin(), folded.end()),
@@ -117,33 +112,36 @@ TEST(CompactionTest, FoldPrunesStaleEntriesWithoutChangingAnswers) {
     entries_before += index.Labels(v).size();
   }
 
-  OverlayCompactor compactor(&index);
-  compactor.Fold();
+  const uint64_t pruned = index.Fold();
 
-  EXPECT_EQ(index.BaseIndex().TotalEntries(),
-            entries_before - compactor.Stats().entries_pruned);
-  EXPECT_GT(compactor.Stats().entries_pruned, 0u);
+  EXPECT_EQ(index.BaseIndex().TotalEntries(), entries_before - pruned);
+  EXPECT_GT(pruned, 0u);
   ExpectMatchesOracle(index, "after pruning fold");
 }
 
-TEST(CompactionTest, FoldIfStaleHonorsThreshold) {
-  DynamicSpcIndex index(GenerateErdosRenyi(30, 60, 19), SmallBuildOptions(),
+TEST(CompactionTest, SnapshotsOnEitherSideOfFoldAnswerIdentically) {
+  DynamicSpcIndex index(GenerateErdosRenyi(40, 70, 19), SmallBuildOptions(),
                         NoRebuildOptions());
-  Churn(index, 15, 0.5, 304);
-  ASSERT_GT(index.StalenessRatio(), 0.0);
+  Churn(index, 30, 0.7, 304);
+  const auto before = IndexSnapshot::Capture(index);
+  ASSERT_GT(before->OverlaidVertices(), 0u);
+  const auto pairs = testing::AllPairs(index.NumVertices());
+  std::vector<SpcResult> answers;
+  for (const auto& [s, t] : pairs) answers.push_back(index.Query(s, t));
 
-  CompactionOptions never;
-  never.fold_staleness_ratio = 1e18;
-  OverlayCompactor lazy(&index, never);
-  EXPECT_FALSE(lazy.FoldIfStale());
-  EXPECT_EQ(lazy.Stats().folds, 0u);
+  index.Fold();
+  const auto after = IndexSnapshot::Capture(index);
 
-  CompactionOptions always;
-  always.fold_staleness_ratio = 0.0;
-  OverlayCompactor eager(&index, always);
-  EXPECT_TRUE(eager.FoldIfStale());
-  EXPECT_FALSE(eager.FoldIfStale());  // overlay now empty, ratio 0
-  EXPECT_EQ(eager.Stats().folds, 1u);
+  // The pre-fold snapshot keeps the retired base and overlay alive;
+  // the post-fold one reads the fresh base alone.
+  EXPECT_EQ(after->OverlaidVertices(), 0u);
+  EXPECT_GT(after->Generation(), before->Generation());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [s, t] = pairs[i];
+    ASSERT_EQ(before->Query(s, t), answers[i]) << "(" << s << "," << t << ")";
+    ASSERT_EQ(after->Query(s, t), answers[i]) << "(" << s << "," << t << ")";
+  }
+  ExpectMatchesOracle(index, "after fold");
 }
 
 }  // namespace

@@ -54,7 +54,6 @@ TEST(DirectedSnapshotTest, MatchesLiveIndex) {
   auto index = MakeIndex(graph);
   const auto snapshot = IndexSnapshot::Capture(*index);
 
-  EXPECT_TRUE(snapshot->IsDirected());
   EXPECT_EQ(snapshot->NumVertices(), index->NumVertices());
   EXPECT_EQ(snapshot->NumEdges(), index->NumEdges());
   EXPECT_EQ(snapshot->Generation(), index->Generation());

@@ -155,7 +155,7 @@ TEST(IndexSnapshotTest, InsertHeavyPublishCopiesDeltaNotOverlay) {
     const IndexSnapshot& cur = *snaps.back();
     size_t unshared = 0;
     for (VertexId v = 0; v < kN; ++v) {
-      if (cur.Labels(v).data() != prev.Labels(v).data()) ++unshared;
+      if (cur.OutLabels(v).data() != prev.OutLabels(v).data()) ++unshared;
     }
     EXPECT_EQ(unshared, copied.back()) << "batch " << b;
     EXPECT_LE(copied.back(), overlaid.back());

@@ -21,7 +21,7 @@
 /// lightweight semantic model — classes, members, functions, the
 /// GUARDED_BY / REQUIRES / EXCLUDES / ACQUIRE annotations from
 /// src/common/thread_annotations.h, an approximate call graph, and the
-/// #include graph — and runs four *cross-file* passes over it:
+/// #include graph — and runs three *cross-file* passes over it:
 ///
 ///   lock-order        derives the lock acquisition-order graph from
 ///                     nested spc::MutexLock scopes, REQUIRES edges,
@@ -38,10 +38,6 @@
 ///                     member or container, not captured by a lambda —
 ///                     unless the holder explicitly Release()s /
 ///                     Unlock()s it.
-///   must-use          every call to a Status- / Result-returning
-///                     function must consume the result (the static
-///                     complement of [[nodiscard]] on the classes in
-///                     src/common/status.h).
 ///   layering          the declared layer DAG in tools/layer_dag.txt
 ///                     (common -> graph/label/order -> core/digraph/
 ///                     reduce/baseline -> obs -> dynamic ->

@@ -12,7 +12,7 @@
 
 #include "tools/analyze_model.h"
 
-/// The four cross-file passes over spcanalyze::Model (see
+/// The three cross-file passes over spcanalyze::Model (see
 /// tools/analyze_model.h for the model and the pass overview) plus the
 /// tree driver `AnalyzeTree` that spc_analyze and the corpus tests
 /// share. Configuration lives in two checked-in files:
@@ -89,14 +89,6 @@ class SymbolTable {
     return Resolve("", name);
   }
 
-  /// All model functions with this name (overload-conservative checks).
-  std::vector<const FunctionModel*> AllNamed(const std::string& name) const {
-    std::vector<const FunctionModel*> out;
-    auto [lo, hi] = model_.functions_by_name.equal_range(name);
-    for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-    return out;
-  }
-
  private:
   const Model& model_;
   std::map<std::string, std::string> types_;
@@ -153,22 +145,21 @@ struct BodyEvent {
     kLambda,        // lambda introducer; captures in `captures`
     kPinLocal,      // declaration of a pin-typed local
     kPinContainer,  // local whose template args mention a pin type
-    kStatement,     // statement-initial call chain (must-use)
   };
   Kind kind;
   size_t line = 0;
   std::string mutex_name;  // kAcquire/kRelease/kReacquire: canonical name
   std::string lock_var;    // MutexLock variable ("" for direct .Lock())
-  std::string callee;      // kCall/kStatement: function name
-  std::string receiver_type;  // kCall/kStatement: "" if bare
+  std::string callee;      // kCall: function name
+  std::string receiver_type;  // kCall: "" if bare
   bool receiver_typed = false;  // receiver present and resolved
   bool receiver_present = false;
   std::string var;                     // kPin*: variable name
   std::vector<std::string> captures;   // kLambda
 };
 
-/// Walks one function body and emits events. Shared by the lock-order,
-/// pin-escape and must-use passes so they agree on what the body says.
+/// Walks one function body and emits events. Shared by the lock-order
+/// and pin-escape passes so they agree on what the body says.
 inline std::vector<BodyEvent> ScanBody(const Model& model,
                                        const FileModel& file,
                                        const FunctionModel& fn,
@@ -253,10 +244,6 @@ inline std::vector<BodyEvent> ScanBody(const Model& model,
         text(k + 3) == "(") {
       const std::string& receiver = t;
       const std::string& callee = text(k + 2);
-      const bool statement_initial = [&] {
-        const std::string& prev = k > fn.body_begin ? toks[k - 1].text : "{";
-        return prev == ";" || prev == "{" || prev == "}" || prev == ")";
-      }();
 
       if (callee == "Lock" || callee == "Unlock") {
         // MutexLock variable or direct mutex member.
@@ -281,9 +268,8 @@ inline std::vector<BodyEvent> ScanBody(const Model& model,
         continue;
       }
 
-      BodyEvent ev{statement_initial ? BodyEvent::kStatement
-                                     : BodyEvent::kCall,
-                   toks[k].line, "", "", callee, "", false, true, "", {}};
+      BodyEvent ev{BodyEvent::kCall, toks[k].line, "", "", callee, "", false,
+                   true, "", {}};
       if (next == "::") {
         ev.receiver_type = receiver;
         ev.receiver_typed = true;
@@ -295,13 +281,6 @@ inline std::vector<BodyEvent> ScanBody(const Model& model,
         }
       }
       events.push_back(ev);
-      // Also emit a kCall for the statement case so lock summaries see
-      // it uniformly.
-      if (ev.kind == BodyEvent::kStatement) {
-        BodyEvent call = ev;
-        call.kind = BodyEvent::kCall;
-        events.push_back(call);
-      }
       k += 2;  // continue scanning inside the argument list
       continue;
     }
@@ -310,15 +289,8 @@ inline std::vector<BodyEvent> ScanBody(const Model& model,
     if (next == "(" && !detail::IsControlKeyword(t)) {
       const std::string& prev = k > fn.body_begin ? toks[k - 1].text : "{";
       if (prev != "." && prev != "->" && prev != "::") {
-        const bool statement_initial =
-            prev == ";" || prev == "{" || prev == "}" || prev == ")";
-        events.push_back({statement_initial ? BodyEvent::kStatement
-                                            : BodyEvent::kCall,
-                          toks[k].line, "", "", t, "", false, false, "", {}});
-        if (statement_initial) {
-          events.push_back({BodyEvent::kCall, toks[k].line, "", "", t, "",
-                            false, false, "", {}});
-        }
+        events.push_back({BodyEvent::kCall, toks[k].line, "", "", t, "",
+                          false, false, "", {}});
       }
       continue;
     }
@@ -834,58 +806,7 @@ inline void PinEscapePass(const Model& model,
   }
 }
 
-/// Pass 3: must-use on Status / Result returns.
-inline void MustUsePass(const Model& model,
-                        std::vector<Violation>* violations) {
-  const auto returns_status = [](const FunctionModel* fn) {
-    return fn != nullptr &&
-           (fn->return_type == "Status" || fn->return_type == "Result");
-  };
-  for (const FileModel& file : model.files) {
-    for (const FunctionModel& fn : file.functions) {
-      if (fn.body_end <= fn.body_begin) continue;
-      SymbolTable syms(model, fn);
-      const std::vector<BodyEvent> events = ScanBody(model, file, fn, &syms);
-      for (const BodyEvent& ev : events) {
-        if (ev.kind != BodyEvent::kStatement) continue;
-        bool flagged = false;
-        std::string callee_desc;
-        if (ev.receiver_typed) {
-          const FunctionModel* callee =
-              syms.Resolve(ev.receiver_type, ev.callee);
-          if (returns_status(callee)) {
-            flagged = true;
-            callee_desc = ev.receiver_type + "::" + ev.callee;
-          }
-        } else if (!ev.receiver_present) {
-          // Bare name: flag only when every known candidate returns
-          // Status/Result (overload-conservative).
-          const std::vector<const FunctionModel*> candidates =
-              syms.AllNamed(ev.callee);
-          if (!candidates.empty()) {
-            bool all_status = true;
-            for (const FunctionModel* c : candidates) {
-              if (!returns_status(c)) all_status = false;
-            }
-            if (all_status) {
-              flagged = true;
-              callee_desc = ev.callee;
-            }
-          }
-        }
-        if (flagged) {
-          violations->push_back(
-              {file.path, ev.line + 1, "must-use",
-               "result of '" + callee_desc +
-                   "' (Status/Result) is ignored — check it, propagate it, "
-                   "or (void)-cast it with a justification comment"});
-        }
-      }
-    }
-  }
-}
-
-/// Pass 4: layering over the #include graph.
+/// Pass 3: layering over the #include graph.
 inline void LayeringPass(const Model& model, const AnalyzeOptions& options,
                          std::vector<Violation>* violations) {
   std::map<std::string, size_t> level;  // dir prefix -> layer index
@@ -959,7 +880,6 @@ inline AnalyzeResult Analyze(const Model& model,
   AnalyzeResult result;
   LockOrderPass(model, options, &result.violations, &result.lock_edges);
   PinEscapePass(model, &result.violations);
-  MustUsePass(model, &result.violations);
   LayeringPass(model, options, &result.violations);
   std::sort(result.violations.begin(), result.violations.end(),
             [](const Violation& a, const Violation& b) {

@@ -43,9 +43,8 @@
 ///   void-cast         `(void)expr` result discards carry a
 ///                     justification comment on the same line or
 ///                     within the five lines above — the escape hatch
-///                     for `[[nodiscard]]` Status/Result (and the
-///                     spc_analyze must-use pass) must say why the
-///                     value is safe to drop
+///                     for `[[nodiscard]]` Status/Result must say
+///                     why the value is safe to drop
 namespace spclint {
 
 struct Violation {

@@ -13,9 +13,6 @@
 //       SnapshotRef and other ACQUIRE-style RAII capabilities must not
 //       be stored in members, containers, or lambda captures that
 //       outlive the acquiring scope without an explicit Release()
-//   must-use
-//       Status / Result returns must be consumed (the tree-wide twin of
-//       [[nodiscard]] in src/common/status.h)
 //   layer-back-edge / layer-unknown
 //       #include edges must respect the layer DAG in tools/layer_dag.txt
 //
