@@ -5,8 +5,7 @@
 // scratch, plus an oracle spot-check that repaired answers match an
 // online BFS on the live graph.
 //
-// Self-contained (WallTimer-based) so it builds without the
-// google-benchmark dependency the figure benches use:
+// Usage:
 //
 //   ./bench_dynamic_updates [num_updates] [scale_divisor] [--json f]
 //   ./bench_dynamic_updates --batch [batch_size] [scale_divisor] [--json f]
@@ -42,8 +41,8 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_json.h"
 #include "src/baseline/bfs_spc.h"
+#include "src/common/json_writer.h"
 #include "src/common/percentile.h"
 #include "src/common/random.h"
 #include "src/common/timer.h"

@@ -25,8 +25,7 @@
 // (with enough batches for the comparison to mean anything) — the
 // bound the CI smoke asserts.
 //
-// Self-contained (WallTimer-based) so it builds without the
-// google-benchmark dependency the figure benches use:
+// Usage:
 //
 //   ./bench_serving [duration_seconds_per_run] [scale_divisor]
 //                   [required_95_5_speedup] [--json <path>]
@@ -48,8 +47,8 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_json.h"
 #include "src/baseline/bfs_spc.h"
+#include "src/common/json_writer.h"
 #include "src/common/mutex.h"
 #include "src/common/percentile.h"
 #include "src/common/random.h"

@@ -13,13 +13,11 @@
 /// Exact BFS distance tables are precomputed from the `k` *top-ranked*
 /// vertices (which, under the degree order, are the highest-degree
 /// vertices — the paper's landmark definition). During construction a
-/// candidate label `(w, d)` on vertex `u` can be discarded without
-/// scanning any label set if some landmark `l` witnesses
-/// `dist(l,u) + dist(l,w) < d` (triangle inequality gives
-/// `dist(u,w) < d`, i.e., the candidate is not a shortest path). When
-/// the candidate's hub *is* a landmark the test is exact, which is the
-/// common case because high-ranked hubs dominate every iteration's
-/// candidates — the paper's stated motivation.
+/// candidate label `(w, d)` on vertex `u` whose hub `w` is a landmark
+/// is decided from the table alone, without scanning any label set: it
+/// is not a shortest path iff `dist(w, u) < d`. That is the common case
+/// because high-ranked hubs dominate every iteration's candidates — the
+/// paper's stated motivation.
 ///
 /// The filter is a pure accelerator: it never changes the constructed
 /// index (asserted by tests), only how fast candidates die.
@@ -54,21 +52,6 @@ class LandmarkFilter {
     if (hub_rank >= k_) return Verdict::kUnknown;
     const Distance exact = dist_[static_cast<size_t>(u) * k_ + hub_rank];
     return exact < d ? Verdict::kPrune : Verdict::kKeep;
-  }
-
-  /// True iff some landmark proves dist(u, w) < d (triangle
-  /// inequality); never claims a prune for a valid candidate.
-  bool Prunes(VertexId u, VertexId w, Distance d) const {
-    const Distance* du = &dist_[static_cast<size_t>(u) * k_];
-    const Distance* dw = &dist_[static_cast<size_t>(w) * k_];
-    for (uint32_t l = 0; l < k_; ++l) {
-      if (du[l] == kInfDistance || dw[l] == kInfDistance) continue;
-      if (static_cast<uint32_t>(du[l]) + static_cast<uint32_t>(dw[l]) <
-          static_cast<uint32_t>(d)) {
-        return true;
-      }
-    }
-    return false;
   }
 
   uint32_t NumLandmarks() const { return k_; }

@@ -16,39 +16,52 @@ namespace {
 
 // --------------------------------------------------- LandmarkFilter --
 
-TEST(LandmarkFilterTest, EmptyFilterPrunesNothing) {
-  LandmarkFilter filter;
-  EXPECT_EQ(filter.NumLandmarks(), 0u);
-  EXPECT_FALSE(filter.Prunes(0, 1, 5));
+using Verdict = LandmarkFilter::Verdict;
+
+TEST(LandmarkFilterTest, UnknownForEmptyFilterAndNonLandmarkHubs) {
+  const LandmarkFilter empty;
+  EXPECT_EQ(empty.NumLandmarks(), 0u);
+  EXPECT_EQ(empty.Probe(0, 0, 5), Verdict::kUnknown);
+
+  const Graph g = GenerateBarabasiAlbert(40, 3, 7);
+  const LandmarkFilter filter(g, DegreeOrder(g), 4, 1);
+  for (VertexId u = 0; u < 40; ++u) {
+    EXPECT_EQ(filter.Probe(u, 4, 1), Verdict::kUnknown);
+    EXPECT_EQ(filter.Probe(u, 39, 3), Verdict::kUnknown);
+  }
 }
 
 TEST(LandmarkFilterTest, NeverPrunesTrueShortestCandidates) {
-  // Soundness: Prunes(u, w, d) = true must imply dist(u, w) < d.
+  // Soundness: kPrune for hub w must imply dist(u, w) < d.
   const Graph g = GenerateErdosRenyi(60, 150, 3);
   const VertexOrder order = DegreeOrder(g);
   const LandmarkFilter filter(g, order, 8, 2);
-  for (VertexId u = 0; u < 60; ++u) {
-    const auto dist = BfsDistances(g, u);
-    for (VertexId w = 0; w < 60; ++w) {
-      if (dist[w] == kInfDistance) continue;
-      EXPECT_FALSE(filter.Prunes(u, w, dist[w]))
-          << "filter claimed dist(" << u << "," << w << ") < " << dist[w];
+  for (Rank hub_rank = 0; hub_rank < 60; ++hub_rank) {
+    const auto dist = BfsDistances(g, order.VertexAt(hub_rank));
+    for (VertexId u = 0; u < 60; ++u) {
+      if (dist[u] == kInfDistance) continue;
+      EXPECT_NE(filter.Probe(u, hub_rank, dist[u]), Verdict::kPrune)
+          << "filter pruned hub rank " << hub_rank << " at the true dist("
+          << u << ") = " << dist[u];
     }
   }
 }
 
 TEST(LandmarkFilterTest, ExactWhenHubIsLandmark) {
-  // If w is a landmark, dist(w,w) = 0 makes the test exact: any
-  // candidate distance above the true one is pruned.
+  // A landmark hub's table row is its exact BFS distance, so the probe
+  // decides both ways: prune above the true distance, keep at it.
   const Graph g = GenerateBarabasiAlbert(80, 3, 5);
   const VertexOrder order = DegreeOrder(g);
   const LandmarkFilter filter(g, order, 4, 2);
-  const VertexId landmark = order.VertexAt(0);
-  const auto dist = BfsDistances(g, landmark);
-  for (VertexId u = 0; u < 80; ++u) {
-    if (dist[u] == kInfDistance || u == landmark) continue;
-    EXPECT_TRUE(filter.Prunes(u, landmark, dist[u] + 1));
-    EXPECT_FALSE(filter.Prunes(u, landmark, dist[u]));
+  for (Rank hub_rank = 0; hub_rank < 4; ++hub_rank) {
+    const VertexId landmark = order.VertexAt(hub_rank);
+    const auto dist = BfsDistances(g, landmark);
+    for (VertexId u = 0; u < 80; ++u) {
+      if (dist[u] == kInfDistance || u == landmark) continue;
+      EXPECT_EQ(filter.Probe(u, hub_rank, static_cast<Distance>(dist[u] + 1)),
+                Verdict::kPrune);
+      EXPECT_EQ(filter.Probe(u, hub_rank, dist[u]), Verdict::kKeep);
+    }
   }
 }
 
@@ -63,7 +76,10 @@ TEST(LandmarkFilterTest, HandlesDisconnectedPairsSafely) {
   const Graph g = MakeGraph(4, {{0, 1}, {2, 3}});
   const LandmarkFilter filter(g, IdentityOrder(4), 4, 1);
   // No landmark connects the components; no false pruning.
-  EXPECT_FALSE(filter.Prunes(0, 2, 10));
+  for (Rank hub_rank = 2; hub_rank < 4; ++hub_rank) {
+    EXPECT_NE(filter.Probe(0, hub_rank, 10), Verdict::kPrune);
+    EXPECT_NE(filter.Probe(1, hub_rank, 10), Verdict::kPrune);
+  }
 }
 
 // -------------------------------------------------------- Scheduler --
