@@ -47,9 +47,9 @@
 #include "src/common/random.h"
 #include "src/common/timer.h"
 #include "src/core/builder_facade.h"
+#include "src/core/pspc_builder.h"
 #include "src/digraph/dbfs_spc.h"
 #include "src/digraph/digraph.h"
-#include "src/digraph/dpspc_builder.h"
 #include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/graph/generators.h"
@@ -420,7 +420,7 @@ bool RunDirectedCase(size_t num_updates, uint32_t divisor,
               static_cast<unsigned long long>(graph.NumEdges()));
 
   pspc::WallTimer build_timer;
-  pspc::DiPspcBuildResult built = pspc::BuildDirectedPspcIndex(
+  pspc::PspcBuildResult built = pspc::BuildDirectedPspcIndex(
       graph, pspc::DirectedDegreeOrder(graph), pspc::DiPspcOptions{});
   const double rebuild_seconds = build_timer.ElapsedSeconds();
   std::printf("full rebuild: %.3fs (%zu entries)\n", rebuild_seconds,

@@ -91,10 +91,10 @@
 #include "src/common/thread_annotations.h"
 #include "src/common/timer.h"
 #include "src/core/builder_facade.h"
+#include "src/core/pspc_builder.h"
 #include "src/digraph/dbfs_spc.h"
 #include "src/digraph/digraph.h"
 #include "src/digraph/digraph_io.h"
-#include "src/digraph/dpspc_builder.h"
 #include "src/dynamic/closure_churn.h"
 #include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
@@ -263,17 +263,22 @@ bool ParseDoubleFlag(const char* flag, const char* text, double min_value,
   return true;
 }
 
+// Prints why `arg` did not load; returns false for the caller.
+bool LoadFailed(const std::string& arg, const pspc::Status& status) {
+  std::fprintf(stderr, "failed to load %s: %s\n", arg.c_str(),
+               status.ToString().c_str());
+  return false;
+}
+
 bool LoadGraphArg(const std::string& arg, pspc::Graph* out) {
   if (arg.rfind("dataset:", 0) == 0) {
-    *out = pspc::DatasetByCode(arg.substr(8)).build(1);
+    const auto spec = pspc::DatasetByCode(arg.substr(8));
+    if (!spec.ok()) return LoadFailed(arg, spec.status());
+    *out = spec.value().build(1);
     return true;
   }
   auto r = pspc::LoadEdgeList(arg);
-  if (!r.ok()) {
-    std::fprintf(stderr, "failed to load %s: %s\n", arg.c_str(),
-                 r.status().ToString().c_str());
-    return false;
-  }
+  if (!r.ok()) return LoadFailed(arg, r.status());
   *out = std::move(r).value();
   return true;
 }
@@ -282,15 +287,13 @@ bool LoadDiGraphArg(const std::string& arg, pspc::DiGraph* out) {
   if (arg.rfind("dataset:", 0) == 0) {
     // Datasets are undirected; the directed path serves their
     // symmetric closure (directed SPC on it agrees with undirected).
-    *out = pspc::FromUndirected(pspc::DatasetByCode(arg.substr(8)).build(1));
+    pspc::Graph graph;
+    if (!LoadGraphArg(arg, &graph)) return false;
+    *out = pspc::FromUndirected(graph);
     return true;
   }
   auto r = pspc::LoadDirectedEdgeList(arg);
-  if (!r.ok()) {
-    std::fprintf(stderr, "failed to load %s: %s\n", arg.c_str(),
-                 r.status().ToString().c_str());
-    return false;
-  }
+  if (!r.ok()) return LoadFailed(arg, r.status());
   *out = std::move(r).value();
   return true;
 }
@@ -324,8 +327,8 @@ bool ValidateVertexIds(int argc, char** argv, int first, pspc::VertexId n,
 }
 
 // Directed queries: builds the in/out-label index from the graph
-// in-process (DiSpcIndex has no on-disk format) and answers each
-// ordered pair s -> t.
+// in-process (a directed SpcIndex has no on-disk format) and answers
+// each ordered pair s -> t.
 int CmdQueryDirected(int argc, char** argv) {
   if (argc < 6 || (argc - 4) % 2 != 0) return Usage();
   pspc::DiGraph graph;
@@ -335,7 +338,7 @@ int CmdQueryDirected(int argc, char** argv) {
   }
 
   pspc::WallTimer timer;
-  const pspc::DiPspcBuildResult built =
+  const pspc::PspcBuildResult built =
       pspc::BuildDirectedPspcIndex(graph, pspc::DirectedDegreeOrder(graph),
                                    pspc::DiPspcOptions{});
   std::printf("directed index: %u vertices, %llu edges, %zu entries "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include <omp.h>
@@ -40,31 +41,50 @@ struct ThreadScratch {
   }
 };
 
+/// A CSR adjacency: the neighbors a label side pulls from.
+struct Adjacency {
+  const std::vector<EdgeId>& offsets;
+  const std::vector<VertexId>& neighbors;
+
+  std::span<const VertexId> Neighbors(VertexId v) const {
+    return {neighbors.data() + offsets[v], neighbors.data() + offsets[v + 1]};
+  }
+};
+
+/// One label side: iteration d extends `store` with `L_d(u)`, pulled
+/// from the level-(d-1) entries of u's neighbors in `pull`, and prunes
+/// a candidate hub w by pairing u's own committed entries with w's
+/// entries in `witness`. An undirected side is its own witness.
+struct LabelSide {
+  LevelLabelStore* store;
+  const LevelLabelStore* witness;
+  Adjacency pull;
+};
+
 /// Shared state of one construction run.
 struct BuildContext {
-  const Graph& graph;
   const VertexOrder& order;
   const PspcOptions& options;
-  LevelLabelStore store;
+  int num_threads;
   const LandmarkFilter* landmarks = nullptr;  // null: filtering disabled
   std::vector<ThreadScratch> scratch;
   std::vector<std::vector<LabelEntry>> staging;
 
-  BuildContext(const Graph& g, const VertexOrder& o, const PspcOptions& opt,
-               int threads)
-      : graph(g), order(o), options(opt), store(g.NumVertices()),
-        scratch(threads), staging(g.NumVertices()) {
-    for (auto& s : scratch) s.Init(g.NumVertices());
+  BuildContext(const VertexOrder& o, const PspcOptions& opt)
+      : order(o), options(opt),
+        num_threads(opt.num_threads > 0 ? opt.num_threads : MaxThreads()),
+        scratch(num_threads), staging(o.Size()) {
+    for (auto& s : scratch) s.Init(o.Size());
   }
 };
 
 /// Applies Lemma 4 (+ landmark fast path) to the merged candidates in
 /// `s.cand_hubs` and stages the survivors as `L_d(u)`. Candidate hub
 /// ranks are sorted first, so staged levels are deterministic.
-void PruneAndStage(BuildContext& ctx, ThreadScratch& s, VertexId u,
-                   Distance d) {
+void PruneAndStage(BuildContext& ctx, const LabelSide& side, ThreadScratch& s,
+                   VertexId u, Distance d) {
   std::sort(s.cand_hubs.begin(), s.cand_hubs.end());
-  const auto my_labels = ctx.store.Entries(u);
+  const auto my_labels = side.store->Entries(u);
   for (const LabelEntry& e : my_labels) s.tmp_dist[e.hub_rank] = e.dist;
 
   s.pending.clear();
@@ -90,7 +110,7 @@ void PruneAndStage(BuildContext& ctx, ThreadScratch& s, VertexId u,
     // sides). Entries of w are committed level by level, hence sorted
     // by distance: once e.dist >= d no witness < d can follow.
     uint32_t q = kInfDistance;
-    for (const LabelEntry& e : ctx.store.Entries(w)) {
+    for (const LabelEntry& e : side.witness->Entries(w)) {
       if (e.dist >= d) break;
       const Distance ud = s.tmp_dist[e.hub_rank];
       if (ud == kInfDistance) continue;
@@ -110,19 +130,19 @@ void PruneAndStage(BuildContext& ctx, ThreadScratch& s, VertexId u,
 
 /// PULL iteration body for one vertex: gather neighbors' level-(d-1)
 /// labels, merge counts per hub (Label Merging), then prune and stage.
-void ProcessVertexPull(BuildContext& ctx, ThreadScratch& s, VertexId u,
-                       Distance d) {
+void ProcessVertexPull(BuildContext& ctx, const LabelSide& side,
+                       ThreadScratch& s, VertexId u, Distance d) {
   const Rank my_rank = ctx.order.RankOf(u);
   const std::span<const Count> weights = ctx.options.vertex_weights;
   ++s.epoch;
   s.cand_hubs.clear();
-  for (VertexId v : ctx.graph.Neighbors(u)) {
+  for (VertexId v : side.pull.Neighbors(u)) {
     // Extending a neighbor's path makes v an internal vertex, so its
     // multiplicity applies — except at d == 1, where the only level-0
     // entry is v's own hub (v stays an endpoint).
     const Count factor =
         (weights.empty() || d == 1) ? Count{1} : weights[v];
-    for (const LabelEntry& e : ctx.store.Level(v, d - 1)) {
+    for (const LabelEntry& e : side.store->Level(v, d - 1)) {
       // Level entries are sorted by hub rank; every hub from here on
       // ranks below u (Lemma 3), so stop scanning this neighbor.
       if (e.hub_rank >= my_rank) break;
@@ -138,7 +158,7 @@ void ProcessVertexPull(BuildContext& ctx, ThreadScratch& s, VertexId u,
     }
   }
   if (!s.cand_hubs.empty()) {
-    PruneAndStage(ctx, s, u, d);
+    PruneAndStage(ctx, side, s, u, d);
   }
 }
 
@@ -155,19 +175,38 @@ void RunPlanned(const SchedulePlan& plan, int num_threads, const Body& body) {
   }
 }
 
-/// One PULL iteration at distance d; returns entries committed.
-size_t PullIteration(BuildContext& ctx, Distance d, int num_threads) {
-  const VertexId n = ctx.graph.NumVertices();
+/// Commit phase: appends each vertex's staged level to `store`
+/// (possibly empty so level offsets stay aligned across vertices);
+/// returns entries committed.
+size_t CommitStaged(BuildContext& ctx, LevelLabelStore& store) {
+  std::atomic<size_t> committed{0};
+  ParallelForStatic(store.NumVertices(), ctx.num_threads, [&](size_t ui) {
+    const auto u = static_cast<VertexId>(ui);
+    store.CommitLevel(u, ctx.staging[u]);
+    if (!ctx.staging[u].empty()) {
+      // relaxed: per-thread tally; the parallel-for join orders it
+      // before the final load.
+      committed.fetch_add(ctx.staging[u].size(), std::memory_order_relaxed);
+      ctx.staging[u].clear();
+    }
+  });
+  return committed.load();
+}
+
+/// One PULL iteration of `side` at distance d; returns entries
+/// committed.
+size_t PullIteration(BuildContext& ctx, const LabelSide& side, Distance d) {
+  const VertexId n = side.store->NumVertices();
   // Active vertices: those with a neighbor that committed level d-1
   // entries. Also collect the Def.-11 cost estimate when needed.
   const bool need_costs = ctx.options.schedule == ScheduleKind::kCostAware;
   std::vector<uint8_t> active_flag(n, 0);
   std::vector<uint64_t> vertex_cost(need_costs ? n : 0, 0);
-  ParallelForStatic(n, num_threads, [&](size_t ui) {
+  ParallelForStatic(n, ctx.num_threads, [&](size_t ui) {
     const auto u = static_cast<VertexId>(ui);
     uint64_t cost = 0;
-    for (VertexId v : ctx.graph.Neighbors(u)) {
-      const size_t len = ctx.store.Level(v, d - 1).size();
+    for (VertexId v : side.pull.Neighbors(u)) {
+      const size_t len = side.store->Level(v, d - 1).size();
       if (len != 0) {
         active_flag[u] = 1;
         if (!need_costs) break;
@@ -187,24 +226,10 @@ size_t PullIteration(BuildContext& ctx, Distance d, int num_threads) {
   }
   const SchedulePlan plan = PlanIteration(ctx.options.schedule, active, costs,
                                           ctx.order.VertexToRank());
-  RunPlanned(plan, num_threads, [&](VertexId u) {
-    ProcessVertexPull(ctx, ctx.scratch[omp_get_thread_num()], u, d);
+  RunPlanned(plan, ctx.num_threads, [&](VertexId u) {
+    ProcessVertexPull(ctx, side, ctx.scratch[omp_get_thread_num()], u, d);
   });
-
-  // Commit phase: append each vertex's staged level (possibly empty so
-  // level offsets stay aligned across vertices).
-  std::atomic<size_t> committed{0};
-  ParallelForStatic(n, num_threads, [&](size_t ui) {
-    const auto u = static_cast<VertexId>(ui);
-    ctx.store.CommitLevel(u, ctx.staging[u]);
-    if (!ctx.staging[u].empty()) {
-      // relaxed: per-thread tally; the parallel-for join orders it
-      // before the final load.
-      committed.fetch_add(ctx.staging[u].size(), std::memory_order_relaxed);
-      ctx.staging[u].clear();
-    }
-  });
-  return committed.load();
+  return CommitStaged(ctx, *side.store);
 }
 
 /// One PUSH iteration at distance d (paper Def. 9 / Fig. 3c): sources
@@ -212,20 +237,22 @@ size_t PullIteration(BuildContext& ctx, Distance d, int num_threads) {
 /// grouping pass then merges per target. Same math as PULL — the merge
 /// is SatAdd, which is associative and commutative, so the final index
 /// is identical — but the scattered tuples must be materialized, which
-/// is the paradigm's inherent extra cost.
-size_t PushIteration(BuildContext& ctx, Distance d, int num_threads) {
-  const VertexId n = ctx.graph.NumVertices();
+/// is the paradigm's inherent extra cost. Sources scatter along
+/// `side.pull`, which is its own transpose only on an undirected graph;
+/// directed builds run PULL.
+size_t PushIteration(BuildContext& ctx, const LabelSide& side, Distance d) {
+  const VertexId n = side.store->NumVertices();
   const std::vector<Rank>& rank_of = ctx.order.VertexToRank();
 
   // Pass 1: count incoming tuples per target.
   std::unique_ptr<std::atomic<uint64_t>[]> incoming(
       new std::atomic<uint64_t>[n]);
   for (VertexId u = 0; u < n; ++u) incoming[u].store(0);
-  ParallelForDynamic(n, num_threads, 64, [&](size_t vi) {
+  ParallelForDynamic(n, ctx.num_threads, 64, [&](size_t vi) {
     const auto v = static_cast<VertexId>(vi);
-    const auto level = ctx.store.Level(v, d - 1);
+    const auto level = side.store->Level(v, d - 1);
     if (level.empty()) return;
-    for (VertexId u : ctx.graph.Neighbors(v)) {
+    for (VertexId u : side.pull.Neighbors(v)) {
       const Rank ru = rank_of[u];
       // Entries sorted by hub rank: count how many outrank u.
       size_t cnt = 0;
@@ -257,14 +284,14 @@ size_t PushIteration(BuildContext& ctx, Distance d, int num_threads) {
   // Pass 2: scatter. Order within a target region is nondeterministic,
   // but the per-hub merge below is order-insensitive.
   const std::span<const Count> weights = ctx.options.vertex_weights;
-  ParallelForDynamic(n, num_threads, 64, [&](size_t vi) {
+  ParallelForDynamic(n, ctx.num_threads, 64, [&](size_t vi) {
     const auto v = static_cast<VertexId>(vi);
-    const auto level = ctx.store.Level(v, d - 1);
+    const auto level = side.store->Level(v, d - 1);
     if (level.empty()) return;
     // Same internal-vertex multiplicity rule as the PULL paradigm.
     const Count factor =
         (weights.empty() || d == 1) ? Count{1} : weights[v];
-    for (VertexId u : ctx.graph.Neighbors(v)) {
+    for (VertexId u : side.pull.Neighbors(v)) {
       const Rank ru = rank_of[u];
       for (const LabelEntry& e : level) {
         if (e.hub_rank >= ru) break;
@@ -289,7 +316,7 @@ size_t PushIteration(BuildContext& ctx, Distance d, int num_threads) {
   }
   const SchedulePlan plan = PlanIteration(ctx.options.schedule, active, costs,
                                           rank_of);
-  RunPlanned(plan, num_threads, [&](VertexId u) {
+  RunPlanned(plan, ctx.num_threads, [&](VertexId u) {
     ThreadScratch& s = ctx.scratch[omp_get_thread_num()];
     ++s.epoch;
     s.cand_hubs.clear();
@@ -303,21 +330,49 @@ size_t PushIteration(BuildContext& ctx, Distance d, int num_threads) {
         s.cand_count[t.hub] = SatAdd(s.cand_count[t.hub], t.count);
       }
     }
-    if (!s.cand_hubs.empty()) PruneAndStage(ctx, s, u, d);
+    if (!s.cand_hubs.empty()) PruneAndStage(ctx, side, s, u, d);
   });
+  return CommitStaged(ctx, *side.store);
+}
 
-  std::atomic<size_t> committed{0};
-  ParallelForStatic(n, num_threads, [&](size_t ui) {
-    const auto u = static_cast<VertexId>(ui);
-    ctx.store.CommitLevel(u, ctx.staging[u]);
-    if (!ctx.staging[u].empty()) {
-      // relaxed: per-thread tally; the parallel-for join orders it
-      // before the final load.
-      committed.fetch_add(ctx.staging[u].size(), std::memory_order_relaxed);
-      ctx.staging[u].clear();
+/// Phase LC over `sides`: level 0 makes every vertex its own hub with
+/// one empty trough path, then iteration d runs each side in turn until
+/// an iteration commits nothing. A side committed earlier in iteration
+/// d cannot change a later side's verdicts: pruning scans stop at
+/// distance d, and level-d entries follow every shorter one.
+void ConstructLabels(BuildContext& ctx, std::span<const LabelSide> sides,
+                     BuildStats& stats) {
+  const VertexId n = ctx.order.Size();
+  for (const LabelSide& side : sides) {
+    for (VertexId v = 0; v < n; ++v) {
+      const LabelEntry self{ctx.order.RankOf(v), 0, 1};
+      side.store->CommitLevel(v, {&self, 1});
     }
-  });
-  return committed.load();
+  }
+  stats.entries_per_level.push_back(sides.size() * n);
+  stats.num_iterations = 1;
+
+  for (Distance d = 1; d < kInfDistance; ++d) {
+    size_t committed = 0;
+    for (const LabelSide& side : sides) {
+      committed += ctx.options.paradigm == Paradigm::kPull
+                       ? PullIteration(ctx, side, d)
+                       : PushIteration(ctx, side, d);
+    }
+    if (committed == 0) break;
+    stats.entries_per_level.push_back(committed);
+    ++stats.num_iterations;
+  }
+
+  for (const ThreadScratch& s : ctx.scratch) {
+    stats.candidates_after_merge += s.candidates;
+    stats.pruned_by_landmark += s.pruned_landmark;
+    stats.pruned_by_query += s.pruned_query;
+  }
+  for (const LabelSide& side : sides) {
+    stats.total_entries += side.store->TotalEntries();
+  }
+  stats.labels_inserted = stats.total_entries;
 }
 
 }  // namespace
@@ -330,56 +385,69 @@ PspcBuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
              options.vertex_weights.size() == n);
   PspcBuildResult result;
 
-  int num_threads = options.num_threads;
-  if (num_threads <= 0) num_threads = MaxThreads();
-
   // Phase LL: landmark distance tables (paper §III-H, Fig. 13 "LL").
   LandmarkFilter landmarks;
   {
     WallTimer timer;
     if (options.use_landmark_filter && options.num_landmarks > 0 && n > 0) {
-      landmarks =
-          LandmarkFilter(graph, order, options.num_landmarks, num_threads);
+      landmarks = LandmarkFilter(graph, order, options.num_landmarks,
+                                 options.num_threads);
     }
     result.stats.landmark_seconds = timer.ElapsedSeconds();
   }
 
   // Phase LC: distance-iteration label construction (Fig. 13 "LC").
   WallTimer timer;
-  BuildContext ctx(graph, order, options, num_threads);
+  BuildContext ctx(order, options);
   if (options.use_landmark_filter && landmarks.NumLandmarks() > 0) {
     ctx.landmarks = &landmarks;
   }
-
-  // Level 0: every vertex is its own hub with one empty trough path.
-  for (VertexId v = 0; v < n; ++v) {
-    const LabelEntry self{order.RankOf(v), 0, 1};
-    ctx.store.CommitLevel(v, {&self, 1});
-  }
-  result.stats.entries_per_level.push_back(n);
-  result.stats.num_iterations = 1;
-
-  for (Distance d = 1; d < kInfDistance; ++d) {
-    const size_t committed =
-        options.paradigm == Paradigm::kPull
-            ? PullIteration(ctx, d, num_threads)
-            : PushIteration(ctx, d, num_threads);
-    if (committed == 0) break;
-    result.stats.entries_per_level.push_back(committed);
-    ++result.stats.num_iterations;
-  }
-
-  for (const ThreadScratch& s : ctx.scratch) {
-    result.stats.candidates_after_merge += s.candidates;
-    result.stats.pruned_by_landmark += s.pruned_landmark;
-    result.stats.pruned_by_query += s.pruned_query;
-  }
-  result.stats.total_entries = ctx.store.TotalEntries();
-  result.stats.labels_inserted = result.stats.total_entries;
+  LevelLabelStore store(n);
+  const LabelSide side{&store, &store,
+                       {graph.Offsets(), graph.NeighborArray()}};
+  ConstructLabels(ctx, {&side, 1}, result.stats);
   result.stats.construction_seconds = timer.ElapsedSeconds();
 
-  result.index = SpcIndex(order, ctx.store.TakeEntries());
+  result.index = SpcIndex(order, store.TakeEntries());
   return result;
+}
+
+PspcBuildResult BuildDirectedPspcIndex(const DiGraph& graph,
+                                       const VertexOrder& order,
+                                       const DiPspcOptions& options) {
+  const VertexId n = graph.NumVertices();
+  PSPC_CHECK(order.Size() == n);
+  PspcBuildResult result;
+  // PULL under the cost-aware schedule; the landmark tables hold
+  // undirected distances, so they stay off.
+  PspcOptions pull;
+  pull.num_threads = options.num_threads;
+  pull.use_landmark_filter = false;
+
+  WallTimer timer;
+  BuildContext ctx(order, pull);
+  LevelLabelStore in_store(n), out_store(n);
+  const LabelSide sides[] = {
+      {&in_store, &out_store, {graph.InOffsets(), graph.InNeighborArray()}},
+      {&out_store, &in_store, {graph.OutOffsets(), graph.OutNeighborArray()}},
+  };
+  ConstructLabels(ctx, sides, result.stats);
+  result.stats.construction_seconds = timer.ElapsedSeconds();
+
+  result.index =
+      SpcIndex(order, out_store.TakeEntries(), in_store.TakeEntries());
+  return result;
+}
+
+VertexOrder DirectedDegreeOrder(const DiGraph& graph) {
+  std::vector<VertexId> order(graph.NumVertices());
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&graph](VertexId a, VertexId b) {
+                     return graph.InDegree(a) + graph.OutDegree(a) >
+                            graph.InDegree(b) + graph.OutDegree(b);
+                   });
+  return VertexOrder(std::move(order));
 }
 
 }  // namespace pspc

@@ -5,6 +5,7 @@
 
 #include "src/core/build_options.h"
 #include "src/core/build_stats.h"
+#include "src/digraph/digraph.h"
 #include "src/graph/graph.h"
 #include "src/label/spc_index.h"
 #include "src/order/vertex_order.h"
@@ -37,6 +38,12 @@
 /// gathers neighbors' last-level labels; duplicates merge in-place) and
 /// PUSH (each vertex scatters; a grouping pass merges). They produce
 /// bit-identical indexes.
+///
+/// A directed graph (§II-A) runs the same iteration over two label
+/// sides: `Lin(u)` pulls from in-neighbors and is pruned against `Lout`
+/// (a witness `h -> z -> u` splits into `(z, ·)` in `Lout(h)` and in
+/// `Lin(u)`), and `Lout` is the mirror image. An undirected graph has
+/// one side, which witnesses its own prunes.
 namespace pspc {
 
 struct PspcOptions {
@@ -63,6 +70,21 @@ struct PspcBuildResult {
 /// to entry ordering (both are the unique ESPC label set of the order).
 PspcBuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
                                const PspcOptions& options);
+
+struct DiPspcOptions {
+  int num_threads = 0;  ///< <= 0: all available cores
+};
+
+/// Builds the directed ESPC index (`result.index.Directed()`) with PULL
+/// under the cost-aware schedule, without landmarks or vertex weights.
+/// Like the undirected build, the index is independent of thread count.
+PspcBuildResult BuildDirectedPspcIndex(const DiGraph& graph,
+                                       const VertexOrder& order,
+                                       const DiPspcOptions& options);
+
+/// Degree order for directed graphs: rank by total degree (in + out),
+/// descending; ties by id.
+VertexOrder DirectedDegreeOrder(const DiGraph& graph);
 
 }  // namespace pspc
 

@@ -11,8 +11,8 @@
 /// Directed simple graph in dual-CSR form (both out- and in-adjacency,
 /// each sorted ascending). The paper's §II-A formalizes hub labeling
 /// for SPC on directed graphs — each vertex carries an in-label and an
-/// out-label — and this module provides that variant; the evaluation
-/// (and the optimized undirected path) lives in src/core/.
+/// out-label; `BuildDirectedPspcIndex` (src/core/) builds that index
+/// over this graph.
 namespace pspc {
 
 class DiGraph {
@@ -50,6 +50,16 @@ class DiGraph {
   }
 
   bool HasEdge(VertexId u, VertexId v) const;
+
+  /// Raw CSR arrays of each direction (the builder pulls through them).
+  const std::vector<EdgeId>& OutOffsets() const { return out_offsets_; }
+  const std::vector<VertexId>& OutNeighborArray() const {
+    return out_neighbors_;
+  }
+  const std::vector<EdgeId>& InOffsets() const { return in_offsets_; }
+  const std::vector<VertexId>& InNeighborArray() const {
+    return in_neighbors_;
+  }
 
   friend bool operator==(const DiGraph&, const DiGraph&) = default;
 

@@ -13,10 +13,9 @@
 
 /// Persistent (copy-on-write, structurally shared) per-vertex label
 /// overlay on top of an immutable base label table (`BaseLabelMap`:
-/// the undirected `SpcIndex`, or one side of the directed
-/// `DiSpcIndex`) — the writer-side label store of the dynamic indexes
-/// and, through `OverlayView`, the label store of every published
-/// `IndexSnapshot`.
+/// one label side of an `SpcIndex`) — the writer-side label store of
+/// the dynamic indexes and, through `OverlayView`, the label store of
+/// every published `IndexSnapshot`.
 ///
 /// Label repair rewrites whole per-vertex entry lists, so the overlay
 /// holds a private rank-sorted `LabelChunk` for exactly the vertices a
@@ -107,8 +106,8 @@ class ChunkedOverlay {
  public:
   /// `base` views an index that must outlive the overlay (the owning
   /// index rebases on rebuild). The overlay is direction-agnostic: the
-  /// base map may be the undirected `SpcIndex` label table or either
-  /// side (out/in) of the directed `DiSpcIndex`.
+  /// base map may be either label side (out/in) of an undirected or a
+  /// directed `SpcIndex`.
   explicit ChunkedOverlay(BaseLabelMap base) { Rebase(base); }
 
   /// Swaps in a freshly built base and drops every overlaid vertex.

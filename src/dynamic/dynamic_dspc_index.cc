@@ -11,19 +11,20 @@
 
 namespace pspc {
 
-DynamicDspcIndex::DynamicDspcIndex(DiGraph graph, DiSpcIndex index,
+DynamicDspcIndex::DynamicDspcIndex(DiGraph graph, SpcIndex index,
                                    DynamicDiOptions options)
     : base_graph_(std::move(graph)),
-      base_(std::make_shared<const DiSpcIndex>(std::move(index))),
+      base_(std::make_shared<const SpcIndex>(std::move(index))),
       order_(base_->Order()),
       graph_(&base_graph_),
-      out_overlay_(base_->OutLabelMap()),
+      out_overlay_(base_->LabelMap()),
       in_overlay_(base_->InLabelMap()),
       options_(options),
       obs_(options.metrics),
       recorder_(options.flight_recorder != nullptr
                     ? options.flight_recorder
                     : &obs::FlightRecorder::Global()) {
+  PSPC_CHECK_MSG(base_->Directed(), "DynamicDspcIndex needs a directed index");
   PSPC_CHECK_MSG(base_->NumVertices() == base_graph_.NumVertices(),
                  "index (" << base_->NumVertices() << " vertices) does not "
                  "match graph (" << base_graph_.NumVertices() << ")");
@@ -79,15 +80,15 @@ void DynamicDspcIndex::Rebuild() {
                     out_overlay_.OverlaidEntries() +
                         in_overlay_.OverlaidEntries());
   DiGraph current = graph_.Materialize();
-  DiPspcBuildResult result = BuildDirectedPspcIndex(
+  PspcBuildResult result = BuildDirectedPspcIndex(
       current, DirectedDegreeOrder(current), options_.rebuild_options);
   base_graph_ = std::move(current);
   // A fresh shared base: snapshots captured from the old generation
   // keep the retired label arrays alive through their shared_ptr.
-  base_ = std::make_shared<const DiSpcIndex>(std::move(result.index));
+  base_ = std::make_shared<const SpcIndex>(std::move(result.index));
   order_ = base_->Order();
   graph_.Rebase(&base_graph_);
-  out_overlay_.Rebase(base_->OutLabelMap());
+  out_overlay_.Rebase(base_->LabelMap());
   in_overlay_.Rebase(base_->InLabelMap());
   ++generation_;
   ++stats_.rebuilds;

@@ -9,24 +9,24 @@
 
 #include "src/common/status.h"
 #include "src/common/types.h"
+#include "src/core/pspc_builder.h"
 #include "src/digraph/digraph.h"
-#include "src/digraph/dpspc_builder.h"
-#include "src/digraph/dspc_index.h"
 #include "src/dynamic/chunked_overlay.h"
 #include "src/dynamic/dynamic_digraph.h"
 #include "src/dynamic/edge_update.h"
 #include "src/dynamic/repair_core.h"
 #include "src/obs/flight_recorder.h"
 #include "src/dynamic/stats_export.h"
+#include "src/label/spc_index.h"
 #include "src/order/vertex_order.h"
 
 /// Incremental maintenance of the directed 2-hop SPC index (paper
 /// §II-A) under edge churn — the directed instantiation of the
 /// direction-generic repair kernels in repair_core.h.
 ///
-/// `DynamicDspcIndex` wraps an immutable `DiSpcIndex` with two
-/// persistent chunked label overlays (one per label side) and repairs
-/// both sides in place:
+/// `DynamicDspcIndex` wraps an immutable directed `SpcIndex` over a
+/// `DiGraph` with two persistent chunked label overlays (one per label
+/// side) and repairs both sides in place:
 ///
 ///  * **Insertion** `u -> v` — every changed out-reach pair `(h, y)`
 ///    gains a new shortest trough path `h .. u -> v .. y`, whose
@@ -142,9 +142,9 @@ struct DirectedRepairView {
 
 class DynamicDspcIndex {
  public:
-  /// Wraps a prebuilt index. `graph` must be the exact graph `index`
-  /// was built from.
-  DynamicDspcIndex(DiGraph graph, DiSpcIndex index,
+  /// Wraps a prebuilt directed index (`index.Directed()`). `graph` must
+  /// be the exact graph `index` was built from.
+  DynamicDspcIndex(DiGraph graph, SpcIndex index,
                    DynamicDiOptions options = {});
 
   /// Builds the initial index for `graph` through the directed
@@ -203,7 +203,7 @@ class DynamicDspcIndex {
   /// Shared ownership of the current immutable base. Snapshots hold
   /// this so a later Rebuild cannot free the label arrays out from
   /// under an epoch still reading them.
-  std::shared_ptr<const DiSpcIndex> SharedBaseIndex() const { return base_; }
+  std::shared_ptr<const SpcIndex> SharedBaseIndex() const { return base_; }
 
   /// Freezes one overlay side into a structurally shared view and
   /// advances its capture boundary. Writer thread only —
@@ -215,7 +215,7 @@ class DynamicDspcIndex {
   const ChunkedOverlay& OutOverlay() const { return out_overlay_; }
   const ChunkedOverlay& InOverlay() const { return in_overlay_; }
 
-  const DiSpcIndex& BaseIndex() const { return *base_; }
+  const SpcIndex& BaseIndex() const { return *base_; }
   const VertexOrder& Order() const { return order_; }
   const DynamicStats& Stats() const { return stats_; }
   const DynamicDiOptions& Options() const { return options_; }
@@ -245,7 +245,7 @@ class DynamicDspcIndex {
   void RepairDeletion(VertexId u, VertexId v);
 
   DiGraph base_graph_;
-  std::shared_ptr<const DiSpcIndex> base_;
+  std::shared_ptr<const SpcIndex> base_;
   VertexOrder order_;
   DynamicDiGraph graph_;
   ChunkedOverlay out_overlay_;

@@ -43,6 +43,8 @@ DynamicSpcIndex::DynamicSpcIndex(Graph graph, SpcIndex index,
       recorder_(options.flight_recorder != nullptr
                     ? options.flight_recorder
                     : &obs::FlightRecorder::Global()) {
+  PSPC_CHECK_MSG(!base_->Directed(),
+                 "DynamicSpcIndex needs an undirected index");
   PSPC_CHECK_MSG(base_->NumVertices() == base_graph_.NumVertices(),
                  "index (" << base_->NumVertices() << " vertices) does not "
                  "match graph (" << base_graph_.NumVertices() << ")");

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "src/common/logging.h"
 #include "src/graph/generators.h"
 
 namespace pspc {
@@ -94,12 +93,14 @@ const std::vector<DatasetSpec>& AllDatasets() {
   return *kDatasets;
 }
 
-const DatasetSpec& DatasetByCode(const std::string& code) {
+Result<DatasetSpec> DatasetByCode(const std::string& code) {
+  std::string known;
   for (const auto& spec : AllDatasets()) {
     if (spec.code == code) return spec;
+    known += known.empty() ? spec.code : ", " + spec.code;
   }
-  PSPC_CHECK_MSG(false, "unknown dataset code: " << code);
-  __builtin_unreachable();
+  return Status::NotFound("unknown dataset code '" + code + "' (known: " +
+                          known + ")");
 }
 
 VertexId BenchScaleDivisor() {

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/graph/graph.h"
 
@@ -33,8 +34,9 @@ struct DatasetSpec {
 /// All registered datasets in the paper's Table III order (+ RD last).
 const std::vector<DatasetSpec>& AllDatasets();
 
-/// Finds a dataset by code ("FB"); aborts if unknown (bench-tool use).
-const DatasetSpec& DatasetByCode(const std::string& code);
+/// Finds a dataset by code ("FB"); NotFound, naming the known codes,
+/// if there is none.
+Result<DatasetSpec> DatasetByCode(const std::string& code);
 
 /// Reads `PSPC_BENCH_SCALE_DIVISOR` from the environment (default 1).
 /// Benchmarks divide dataset sizes by this, enabling fast smoke runs.

@@ -42,11 +42,11 @@ inline size_t FindHubEntry(std::span<const LabelEntry> list, Rank hub_rank) {
 }
 
 /// Non-owning view of an immutable, CSR-flattened base label table —
-/// per-vertex entry spans behind `offsets` / `entries`. The undirected
-/// `SpcIndex` exposes one (`LabelMap()`), and the directed `DiSpcIndex`
-/// exposes one per label side (`OutLabelMap()` / `InLabelMap()`), which
-/// is what lets the dynamic layer's `ChunkedOverlay` sit on top of any
-/// of them without knowing which index variant it belongs to.
+/// per-vertex entry spans behind `offsets` / `entries`. `SpcIndex`
+/// exposes one per label side (`LabelMap()` / `InLabelMap()`, the same
+/// table when undirected), which is what lets the dynamic layer's
+/// `ChunkedOverlay` sit on top of any of them without knowing which
+/// side or graph kind it belongs to.
 struct BaseLabelMap {
   const uint64_t* offsets = nullptr;
   const LabelEntry* entries = nullptr;

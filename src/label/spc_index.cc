@@ -19,55 +19,74 @@ constexpr uint64_t kEntryBytes = sizeof(Rank) + sizeof(Distance) +
 
 }  // namespace
 
+SpcIndex::Side SpcIndex::Flatten(
+    std::vector<std::vector<LabelEntry>> labels) {
+  Side side;
+  side.offsets.assign(labels.size() + 1, 0);
+  size_t total = 0;
+  for (size_t v = 0; v < labels.size(); ++v) {
+    total += labels[v].size();
+    side.offsets[v + 1] = total;
+  }
+  side.entries.reserve(total);
+  for (auto& vec : labels) {
+    std::sort(vec.begin(), vec.end(), ByHubRank);
+    side.entries.insert(side.entries.end(), vec.begin(), vec.end());
+  }
+  return side;
+}
+
 SpcIndex::SpcIndex(VertexOrder order,
                    std::vector<std::vector<LabelEntry>> labels)
     : order_(std::move(order)) {
   PSPC_CHECK(labels.size() == order_.Size());
-  offsets_.assign(labels.size() + 1, 0);
-  size_t total = 0;
-  for (size_t v = 0; v < labels.size(); ++v) {
-    total += labels[v].size();
-    offsets_[v + 1] = total;
-  }
-  entries_.reserve(total);
-  for (auto& vec : labels) {
-    std::sort(vec.begin(), vec.end(), ByHubRank);
-    entries_.insert(entries_.end(), vec.begin(), vec.end());
-  }
+  out_ = Flatten(std::move(labels));
+}
+
+SpcIndex::SpcIndex(VertexOrder order, std::vector<std::vector<LabelEntry>> out,
+                   std::vector<std::vector<LabelEntry>> in)
+    : order_(std::move(order)) {
+  PSPC_CHECK(out.size() == order_.Size());
+  PSPC_CHECK(in.size() == order_.Size());
+  out_ = Flatten(std::move(out));
+  in_ = Flatten(std::move(in));
 }
 
 SpcResult SpcIndex::Query(VertexId s, VertexId t) const {
   PSPC_CHECK_MSG(s < NumVertices() && t < NumVertices(),
                  "query (" << s << "," << t << ") out of range");
   if (s == t) return {0, 1};
-  return MergeLabelCountsBranchFree(Labels(s), Labels(t));
+  return MergeLabelCountsBranchFree(Labels(s), InLabels(t));
 }
 
 double SpcIndex::AverageLabelSize() const {
   const VertexId n = NumVertices();
   if (n == 0) return 0.0;
-  return static_cast<double>(entries_.size()) / n;
+  return static_cast<double>(TotalEntries()) / n;
 }
 
 size_t SpcIndex::SizeBytes() const {
-  return entries_.size() * sizeof(LabelEntry) +
-         offsets_.size() * sizeof(uint64_t);
+  return TotalEntries() * sizeof(LabelEntry) +
+         (out_.offsets.size() + in_.offsets.size()) * sizeof(uint64_t);
 }
 
 Status SpcIndex::Save(const std::string& path) const {
+  if (Directed()) {
+    return Status::InvalidArgument("a directed index has no on-disk format");
+  }
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IOError("cannot open " + path + " for writing");
   auto put = [&out](const void* p, size_t bytes) {
     out.write(static_cast<const char*>(p), static_cast<std::streamsize>(bytes));
   };
   const uint64_t n = NumVertices();
-  const uint64_t total = entries_.size();
+  const uint64_t total = out_.entries.size();
   put(&kIndexMagic, sizeof(kIndexMagic));
   put(&n, sizeof(n));
   put(&total, sizeof(total));
   put(order_.OrderToVertex().data(), n * sizeof(VertexId));
-  put(offsets_.data(), offsets_.size() * sizeof(uint64_t));
-  for (const LabelEntry& e : entries_) {
+  put(out_.offsets.data(), out_.offsets.size() * sizeof(uint64_t));
+  for (const LabelEntry& e : out_.entries) {
     put(&e.hub_rank, sizeof(e.hub_rank));
     put(&e.dist, sizeof(e.dist));
     put(&e.count, sizeof(e.count));
@@ -125,20 +144,22 @@ Result<SpcIndex> SpcIndex::Load(const std::string& path) {
   }
   SpcIndex index;
   index.order_ = VertexOrder(std::move(order_vec));
-  index.offsets_.resize(n + 1);
-  if (!get(index.offsets_.data(), index.offsets_.size() * sizeof(uint64_t))) {
+  std::vector<uint64_t>& offsets = index.out_.offsets;
+  std::vector<LabelEntry>& entries = index.out_.entries;
+  offsets.resize(n + 1);
+  if (!get(offsets.data(), offsets.size() * sizeof(uint64_t))) {
     return Status::Corruption("truncated offsets in " + path);
   }
-  if (index.offsets_.front() != 0 || index.offsets_.back() != total) {
+  if (offsets.front() != 0 || offsets.back() != total) {
     return Status::Corruption("inconsistent offsets in " + path);
   }
-  for (size_t v = 0; v + 1 < index.offsets_.size(); ++v) {
-    if (index.offsets_[v] > index.offsets_[v + 1]) {
+  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
+    if (offsets[v] > offsets[v + 1]) {
       return Status::Corruption("non-monotonic offsets in " + path);
     }
   }
-  index.entries_.resize(total);
-  for (LabelEntry& e : index.entries_) {
+  entries.resize(total);
+  for (LabelEntry& e : entries) {
     if (!get(&e.hub_rank, sizeof(e.hub_rank)) ||
         !get(&e.dist, sizeof(e.dist)) || !get(&e.count, sizeof(e.count))) {
       return Status::Corruption("truncated entries in " + path);
@@ -147,10 +168,9 @@ Result<SpcIndex> SpcIndex::Load(const std::string& path) {
   // Per-vertex lists must be strictly rank-sorted with in-range hubs —
   // the invariant Query's sorted merge relies on.
   for (uint64_t v = 0; v < n; ++v) {
-    for (uint64_t i = index.offsets_[v]; i < index.offsets_[v + 1]; ++i) {
-      if (index.entries_[i].hub_rank >= n ||
-          (i > index.offsets_[v] &&
-           index.entries_[i - 1].hub_rank >= index.entries_[i].hub_rank)) {
+    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      if (entries[i].hub_rank >= n ||
+          (i > offsets[v] && entries[i - 1].hub_rank >= entries[i].hub_rank)) {
         return Status::Corruption("unsorted or out-of-range labels in " +
                                   path);
       }

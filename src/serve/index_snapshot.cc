@@ -25,7 +25,7 @@ std::unique_ptr<const IndexSnapshot> IndexSnapshot::Capture(
     DynamicDspcIndex& index) {
   auto snapshot = std::unique_ptr<IndexSnapshot>(new IndexSnapshot());
   snapshot->base_owner_ = index.SharedBaseIndex();
-  snapshot->out_ = {index.BaseIndex().OutLabelMap(), index.CaptureOutOverlay()};
+  snapshot->out_ = {index.BaseIndex().LabelMap(), index.CaptureOutOverlay()};
   snapshot->in_ = {index.BaseIndex().InLabelMap(), index.CaptureInOverlay()};
   snapshot->generation_ = index.Generation();
   snapshot->num_vertices_ = index.NumVertices();

@@ -1,12 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/core/pspc_builder.h"
 #include "src/digraph/dbfs_spc.h"
 #include "src/digraph/digraph.h"
-#include "src/digraph/dpspc_builder.h"
-#include "src/digraph/dspc_index.h"
 #include "src/graph/generators.h"
 #include "src/order/degree_order.h"
 #include "tests/test_util.h"
@@ -78,7 +77,7 @@ TEST(DiBfsSpcTest, ParallelBranchesMultiply) {
   EXPECT_EQ(DiBfsSpcPair(g, 0, 6), (SpcResult{4, 4}));
 }
 
-// ------------------------------------------------------ DiSpcIndex --
+// ------------------------------------------------- directed SpcIndex --
 
 TEST(DirectedPspcTest, DagAllPairs) {
   const DiGraph g = MakeDiGraph(
@@ -117,14 +116,25 @@ TEST(DirectedPspcTest, RandomDigraphsMatchOracle) {
 
 TEST(DirectedPspcTest, SymmetricClosureMatchesUndirectedIndex) {
   // Directed SPC on the symmetric closure must agree with the
-  // undirected PSPC index on the original graph.
+  // undirected PSPC index on the original graph. The two orders
+  // coincide, so both label sides equal the undirected labels.
   const Graph u = GenerateErdosRenyi(60, 150, 9);
   const DiGraph d = FromUndirected(u);
   PspcOptions uopts;
   uopts.num_landmarks = 4;
   const SpcIndex undirected = BuildPspcIndex(u, DegreeOrder(u), uopts).index;
+  ASSERT_EQ(DirectedDegreeOrder(d), DegreeOrder(u));
   const auto directed =
       BuildDirectedPspcIndex(d, DirectedDegreeOrder(d), Defaults());
+  ASSERT_TRUE(directed.index.Directed());
+  for (VertexId v = 0; v < 60; ++v) {
+    ASSERT_TRUE(std::ranges::equal(directed.index.Labels(v),
+                                   undirected.Labels(v)))
+        << "Lout(" << v << ")";
+    ASSERT_TRUE(std::ranges::equal(directed.index.InLabels(v),
+                                   undirected.Labels(v)))
+        << "Lin(" << v << ")";
+  }
   for (const auto& [s, t] : AllPairs(60)) {
     ASSERT_EQ(directed.index.Query(s, t), undirected.Query(s, t))
         << "pair (" << s << "," << t << ")";
@@ -159,9 +169,9 @@ TEST(DirectedPspcTest, DirectedPathLabelStructure) {
   const DiGraph g = MakeDiGraph(3, {{0, 1}, {1, 2}});
   const auto built =
       BuildDirectedPspcIndex(g, IdentityOrder(3), DiPspcOptions{});
-  EXPECT_EQ(built.index.InLabels(2).size(), 3u);   // hubs 0, 1, 2
-  EXPECT_EQ(built.index.OutLabels(2).size(), 1u);  // self only
-  EXPECT_EQ(built.index.OutLabels(0).size(), 1u);  // self only
+  EXPECT_EQ(built.index.InLabels(2).size(), 3u);  // hubs 0, 1, 2
+  EXPECT_EQ(built.index.Labels(2).size(), 1u);    // self only
+  EXPECT_EQ(built.index.Labels(0).size(), 1u);    // self only
   EXPECT_EQ(built.index.InLabels(0).size(), 1u);
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/core/builder_facade.h"
 #include "src/digraph/dbfs_spc.h"
 #include "src/digraph/digraph.h"
 #include "src/dynamic/dynamic_dspc_index.h"
@@ -153,6 +154,15 @@ TEST(DynamicDspcTest, ErrorsLeaveIndexUntouched) {
   EXPECT_EQ(index.DeleteEdge(1, 0).code(), Status::Code::kNotFound);
   EXPECT_EQ(index.Generation(), gen0);
   ExpectAllPairsExact(index, g, "after rejected updates");
+}
+
+TEST(DynamicDspcIndexDeathTest, RejectsUndirectedIndex) {
+  const Graph g = GeneratePath(4);
+  BuildOptions options;
+  options.num_threads = 1;
+  SpcIndex undirected = BuildIndex(g, options).index;
+  EXPECT_DEATH(DynamicDspcIndex(FromUndirected(g), std::move(undirected)),
+               "needs a directed index");
 }
 
 // -------------------------------------------------- randomized streams

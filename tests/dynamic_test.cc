@@ -9,6 +9,8 @@
 #include "src/baseline/bfs_spc.h"
 #include "src/common/random.h"
 #include "src/core/builder_facade.h"
+#include "src/core/pspc_builder.h"
+#include "src/digraph/digraph.h"
 #include "src/dynamic/dynamic_graph.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
@@ -324,6 +326,17 @@ TEST(DynamicSpcIndexTest, WrapsPrebuiltIndex) {
                 g.HasEdge(0, 47) ? EdgeUpdateKind::kDelete
                                  : EdgeUpdateKind::kInsert});
   ExpectAllPairsMatchOracle(index, mirror.Materialize(), "prebuilt wrap");
+}
+
+TEST(DynamicSpcIndexDeathTest, RejectsDirectedIndex) {
+  const Graph g = GeneratePath(4);
+  const DiGraph closure = FromUndirected(g);
+  SpcIndex directed =
+      BuildDirectedPspcIndex(closure, DirectedDegreeOrder(closure),
+                             DiPspcOptions{.num_threads = 1})
+          .index;
+  EXPECT_DEATH(DynamicSpcIndex(g, std::move(directed)),
+               "needs an undirected index");
 }
 
 // ------------------------------------------------------ dynamic graph

@@ -111,12 +111,19 @@ TEST(DatasetsTest, SweepSetMatchesPaperFigures) {
   int sweep = 0;
   for (const auto& spec : AllDatasets()) sweep += spec.in_sweep_set;
   EXPECT_EQ(sweep, 4);
-  EXPECT_TRUE(DatasetByCode("GO").in_sweep_set);
-  EXPECT_FALSE(DatasetByCode("IN").in_sweep_set);
+  EXPECT_TRUE(DatasetByCode("GO").value().in_sweep_set);
+  EXPECT_FALSE(DatasetByCode("IN").value().in_sweep_set);
+}
+
+TEST(DatasetsTest, UnknownCodeIsNotFound) {
+  const auto spec = DatasetByCode("NOPE");
+  ASSERT_EQ(spec.status().code(), Status::Code::kNotFound);
+  EXPECT_NE(spec.status().message().find("'NOPE'"), std::string::npos);
+  EXPECT_NE(spec.status().message().find("FB, GW"), std::string::npos);
 }
 
 TEST(DatasetsTest, BuildersAreDeterministic) {
-  const auto& fb = DatasetByCode("FB");
+  const DatasetSpec fb = DatasetByCode("FB").value();
   const Graph a = fb.build(64);  // heavy shrink for test speed
   const Graph b = fb.build(64);
   EXPECT_EQ(a, b);
@@ -124,7 +131,7 @@ TEST(DatasetsTest, BuildersAreDeterministic) {
 }
 
 TEST(DatasetsTest, ScaleDivisorShrinks) {
-  const auto& gw = DatasetByCode("GW");
+  const DatasetSpec gw = DatasetByCode("GW").value();
   EXPECT_GT(gw.build(1).NumVertices(), gw.build(16).NumVertices());
 }
 

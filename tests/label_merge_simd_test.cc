@@ -245,7 +245,7 @@ TEST(LabelMergeTest, EveryQueryPathMatchesReferenceDirected) {
             0u);
   const auto snapshot = IndexSnapshot::Capture(index);
 
-  const DiSpcIndex& base = index.BaseIndex();
+  const SpcIndex& base = index.BaseIndex();
   for (VertexId s = 0; s < n; ++s) {
     for (VertexId t = 0; t < n; ++t) {
       if (s == t) continue;
@@ -259,7 +259,7 @@ TEST(LabelMergeTest, EveryQueryPathMatchesReferenceDirected) {
                 index.OutLabels(s).size_bytes() + index.InLabels(t).size_bytes())
           << s << "->" << t;
       ASSERT_EQ(base.Query(s, t),
-                MergeLabelCounts(base.OutLabels(s), base.InLabels(t)))
+                MergeLabelCounts(base.Labels(s), base.InLabels(t)))
           << s << "->" << t;
     }
   }

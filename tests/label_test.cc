@@ -71,6 +71,19 @@ SpcIndex MakeTinyIndex() {
   return SpcIndex(IdentityOrder(3), std::move(labels));
 }
 
+SpcIndex MakeTinyDirectedIndex() {
+  // Directed path 0 -> 1 -> 2 under identity order: every Lout(v) is
+  // v alone; Lin(v) holds v's ancestors, like L(v) of the path above.
+  std::vector<std::vector<LabelEntry>> out(3), in(3);
+  out[0] = {{0, 0, 1}};
+  out[1] = {{1, 0, 1}};
+  out[2] = {{2, 0, 1}};
+  in[0] = {{0, 0, 1}};
+  in[1] = {{0, 1, 1}, {1, 0, 1}};
+  in[2] = {{0, 2, 1}, {1, 1, 1}, {2, 0, 1}};
+  return SpcIndex(IdentityOrder(3), std::move(out), std::move(in));
+}
+
 TEST(SpcIndexTest, QueriesPathDistances) {
   const SpcIndex index = MakeTinyIndex();
   EXPECT_EQ(index.Query(0, 1), (SpcResult{1, 1}));
@@ -115,10 +128,19 @@ TEST(SpcIndexTest, ConstructorSortsEntriesByRank) {
 
 TEST(SpcIndexTest, SizeAccounting) {
   const SpcIndex index = MakeTinyIndex();
+  EXPECT_FALSE(index.Directed());
   EXPECT_EQ(index.TotalEntries(), 6u);
   EXPECT_DOUBLE_EQ(index.AverageLabelSize(), 2.0);
   EXPECT_EQ(index.SizeBytes(),
             6 * sizeof(LabelEntry) + 4 * sizeof(uint64_t));
+
+  // A directed index counts both sides: 3 + 6 entries, 2 x 4 offsets.
+  const SpcIndex directed = MakeTinyDirectedIndex();
+  EXPECT_TRUE(directed.Directed());
+  EXPECT_EQ(directed.TotalEntries(), 9u);
+  EXPECT_DOUBLE_EQ(directed.AverageLabelSize(), 3.0);
+  EXPECT_EQ(directed.SizeBytes(),
+            9 * sizeof(LabelEntry) + 8 * sizeof(uint64_t));
 }
 
 TEST(SpcIndexTest, SaveLoadRoundTrip) {

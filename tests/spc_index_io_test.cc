@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/core/builder_facade.h"
+#include "src/core/pspc_builder.h"
+#include "src/digraph/digraph.h"
 #include "src/graph/generators.h"
 #include "src/label/spc_index.h"
 
@@ -145,6 +148,19 @@ TEST(SpcIndexIoTest, UnsortedLabelsAreCorruption) {
   const std::string path = ::testing::TempDir() + "/bad_entries.idx";
   WriteAll(path, bytes);
   EXPECT_EQ(SpcIndex::Load(path).status().code(), Status::Code::kCorruption);
+}
+
+TEST(SpcIndexIoTest, DirectedSaveIsInvalidArgumentAndWritesNothing) {
+  // The v1 format holds one label side; writing only Lout would load
+  // back as a wrong undirected index.
+  const DiGraph g = MakeDiGraph(3, {{0, 1}, {1, 2}});
+  const SpcIndex directed =
+      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), DiPspcOptions{})
+          .index;
+  const std::string path = ::testing::TempDir() + "/directed.idx";
+  std::remove(path.c_str());
+  EXPECT_EQ(directed.Save(path).code(), Status::Code::kInvalidArgument);
+  EXPECT_FALSE(std::ifstream(path).good());
 }
 
 }  // namespace

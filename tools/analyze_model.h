@@ -39,7 +39,7 @@
 ///                     unless the holder explicitly Release()s /
 ///                     Unlock()s it.
 ///   layering          the declared layer DAG in tools/layer_dag.txt
-///                     (common -> graph/label/order -> core/digraph/
+///                     (common -> graph/digraph/label/order -> core/
 ///                     reduce/baseline -> obs -> dynamic ->
 ///                     serve/analytics -> tools/bench/examples) fails
 ///                     on any back-edge #include.
