@@ -420,7 +420,7 @@ bool RunDirectedCase(size_t num_updates, uint32_t divisor,
               static_cast<unsigned long long>(graph.NumEdges()));
 
   pspc::WallTimer build_timer;
-  pspc::PspcBuildResult built = pspc::BuildDirectedPspcIndex(
+  pspc::BuildResult built = pspc::BuildDirectedPspcIndex(
       graph, pspc::DirectedDegreeOrder(graph), pspc::DiPspcOptions{});
   const double rebuild_seconds = build_timer.ElapsedSeconds();
   std::printf("full rebuild: %.3fs (%zu entries)\n", rebuild_seconds,

@@ -298,6 +298,28 @@ bool LoadDiGraphArg(const std::string& arg, pspc::DiGraph* out) {
   return true;
 }
 
+// Loads the graph argument and the index saved from it. A graph or
+// index that does not load, or an index over another vertex count,
+// prints one message and returns false.
+bool LoadGraphAndIndex(const char* graph_arg, const char* index_path,
+                       pspc::Graph* graph, pspc::SpcIndex* index) {
+  if (!LoadGraphArg(graph_arg, graph)) return false;
+  auto loaded = pspc::SpcIndex::Load(index_path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "failed to load index %s: %s\n", index_path,
+                 loaded.status().ToString().c_str());
+    return false;
+  }
+  if (loaded.value().NumVertices() != graph->NumVertices()) {
+    std::fprintf(stderr, "index %s has %u vertices but graph %s has %u\n",
+                 index_path, loaded.value().NumVertices(), graph_arg,
+                 graph->NumVertices());
+    return false;
+  }
+  *index = std::move(loaded).value();
+  return true;
+}
+
 // Validates the id arguments `argv[first..argc)` against `n` vertices
 // of the named container ("graph" / "index"); malformed or
 // out-of-range ids are usage errors (exit 2) on every front-end.
@@ -338,7 +360,7 @@ int CmdQueryDirected(int argc, char** argv) {
   }
 
   pspc::WallTimer timer;
-  const pspc::PspcBuildResult built =
+  const pspc::BuildResult built =
       pspc::BuildDirectedPspcIndex(graph, pspc::DirectedDegreeOrder(graph),
                                    pspc::DiPspcOptions{});
   std::printf("directed index: %u vertices, %llu edges, %zu entries "
@@ -848,13 +870,9 @@ int CmdBuild(int argc, char** argv) {
 int CmdQuery(int argc, char** argv) {
   if (DirectedMode(argc, argv)) return CmdQueryDirected(argc, argv);
   if (argc < 6 || (argc - 4) % 2 != 0) return Usage();
-  auto loaded = pspc::SpcIndex::Load(argv[3]);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "failed to load index %s: %s\n", argv[3],
-                 loaded.status().ToString().c_str());
-    return 1;
-  }
-  const pspc::SpcIndex& index = loaded.value();
+  pspc::Graph graph;
+  pspc::SpcIndex index;
+  if (!LoadGraphAndIndex(argv[2], argv[3], &graph, &index)) return 1;
   // Validate every id up front: a malformed or out-of-range vertex id
   // is a usage error, not a per-pair answer.
   if (!ValidateVertexIds(argc, argv, 4, index.NumVertices(), "index")) {
@@ -898,13 +916,8 @@ int CmdStats(int argc, char** argv) {
 int CmdIndexStats(int argc, char** argv) {
   if (argc < 4) return Usage();
   pspc::Graph graph;
-  if (!LoadGraphArg(argv[2], &graph)) return 1;
-  auto loaded = pspc::SpcIndex::Load(argv[3]);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "failed to load index %s: %s\n", argv[3],
-                 loaded.status().ToString().c_str());
-    return 1;
-  }
+  pspc::SpcIndex loaded;
+  if (!LoadGraphAndIndex(argv[2], argv[3], &graph, &loaded)) return 1;
 
   std::string stream_path;
   for (int i = 4; i < argc; ++i) {
@@ -915,7 +928,7 @@ int CmdIndexStats(int argc, char** argv) {
     }
   }
 
-  const pspc::IndexProfile profile = pspc::ProfileIndex(loaded.value());
+  const pspc::IndexProfile profile = pspc::ProfileIndex(loaded);
   std::printf("%s\n", profile.ToString().c_str());
   std::printf("label bytes: raw %zu (%.2f B/entry), packed %zu "
               "(%.2f B/entry), %.2fx smaller\n",
@@ -933,14 +946,9 @@ int CmdIndexStats(int argc, char** argv) {
                  stream_path.c_str(), stream.status().ToString().c_str());
     return 1;
   }
-  if (loaded.value().NumVertices() != graph.NumVertices()) {
-    std::fprintf(stderr, "index (%u vertices) does not match graph (%u)\n",
-                 loaded.value().NumVertices(), graph.NumVertices());
-    return 1;
-  }
   pspc::DynamicOptions options;
   options.rebuild_threshold = 1e18;  // repair-only until the Fold() below
-  pspc::DynamicSpcIndex index(std::move(graph), std::move(loaded).value(),
+  pspc::DynamicSpcIndex index(std::move(graph), std::move(loaded),
                               options);
   size_t applied = 0;
   for (const pspc::EdgeUpdate& up : stream.value()) {
@@ -978,13 +986,8 @@ int CmdUpdate(int argc, char** argv) {
   if (DirectedMode(argc, argv)) return CmdUpdateDirected(argc, argv);
   if (argc < 4) return Usage();
   pspc::Graph graph;
-  if (!LoadGraphArg(argv[2], &graph)) return 1;
-  auto loaded = pspc::SpcIndex::Load(argv[3]);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "failed to load index %s: %s\n", argv[3],
-                 loaded.status().ToString().c_str());
-    return 1;
-  }
+  pspc::SpcIndex loaded;
+  if (!LoadGraphAndIndex(argv[2], argv[3], &graph, &loaded)) return 1;
 
   std::string stream_path, save_path, metrics_json, metrics_prom;
   pspc::DynamicOptions options;
@@ -1021,12 +1024,7 @@ int CmdUpdate(int argc, char** argv) {
     return 1;
   }
 
-  if (loaded.value().NumVertices() != graph.NumVertices()) {
-    std::fprintf(stderr, "index has %u vertices but graph has %u\n",
-                 loaded.value().NumVertices(), graph.NumVertices());
-    return 1;
-  }
-  pspc::DynamicSpcIndex index(std::move(graph), std::move(loaded).value(),
+  pspc::DynamicSpcIndex index(std::move(graph), std::move(loaded),
                               options);
   std::printf("replaying %zu updates against %u vertices / %llu edges "
               "(batch size %zu)\n",
@@ -1112,18 +1110,8 @@ int CmdServe(int argc, char** argv) {
   if (DirectedMode(argc, argv)) return CmdServeDirected(argc, argv);
   if (argc < 4) return Usage();
   pspc::Graph graph;
-  if (!LoadGraphArg(argv[2], &graph)) return 1;
-  auto loaded = pspc::SpcIndex::Load(argv[3]);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "failed to load index %s: %s\n", argv[3],
-                 loaded.status().ToString().c_str());
-    return 1;
-  }
-  if (loaded.value().NumVertices() != graph.NumVertices()) {
-    std::fprintf(stderr, "index has %u vertices but graph has %u\n",
-                 loaded.value().NumVertices(), graph.NumVertices());
-    return 1;
-  }
+  pspc::SpcIndex loaded;
+  if (!LoadGraphAndIndex(argv[2], argv[3], &graph, &loaded)) return 1;
 
   ServeParams params;
   if (!ParseServeFlags(argc, argv, 4, &params)) return Usage();
@@ -1138,7 +1126,7 @@ int CmdServe(int argc, char** argv) {
   // Synthetic churn pools (shared with bench_serving).
   pspc::ClosureChurn churn(graph);
 
-  pspc::DynamicSpcIndex index(std::move(graph), std::move(loaded).value());
+  pspc::DynamicSpcIndex index(std::move(graph), std::move(loaded));
   pspc::ServingOptions serving_options;
   serving_options.num_workers = params.workers;
   if (params.no_cache) serving_options.cache_capacity_per_shard = 0;

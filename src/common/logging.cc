@@ -1,47 +1,10 @@
 #include "src/common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace pspc {
-namespace {
-
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  // relaxed: the level is an independent config word; no data is
-  // published through it.
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
-
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& message) {
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), file, line,
-               message.c_str());
-}
 
 void CheckFailed(const char* file, int line, const char* condition,
                  const std::string& message) {

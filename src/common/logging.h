@@ -4,21 +4,11 @@
 #include <sstream>
 #include <string>
 
-/// Minimal logging + invariant checking. `PSPC_CHECK` guards internal
-/// invariants (programmer errors) and aborts with a message on failure;
+/// Invariant checking. `PSPC_CHECK` guards internal invariants
+/// (programmer errors) and aborts with a message on failure;
 /// recoverable conditions use Status instead.
 namespace pspc {
-
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Global log threshold; messages below it are dropped. Default: kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal {
-
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& message);
 
 [[noreturn]] void CheckFailed(const char* file, int line,
                               const char* condition,
@@ -26,17 +16,6 @@ void LogMessage(LogLevel level, const char* file, int line,
 
 }  // namespace internal
 }  // namespace pspc
-
-#define PSPC_LOG(level, msg_expr)                                          \
-  do {                                                                     \
-    if (static_cast<int>(::pspc::LogLevel::level) >=                       \
-        static_cast<int>(::pspc::GetLogLevel())) {                         \
-      std::ostringstream _oss;                                             \
-      _oss << msg_expr;                                                    \
-      ::pspc::internal::LogMessage(::pspc::LogLevel::level, __FILE__,      \
-                                   __LINE__, _oss.str());                  \
-    }                                                                      \
-  } while (0)
 
 #define PSPC_CHECK(cond)                                                   \
   do {                                                                     \

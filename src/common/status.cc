@@ -17,10 +17,6 @@ const char* CodeName(Status::Code code) {
       return "Corruption";
     case Status::Code::kOutOfRange:
       return "OutOfRange";
-    case Status::Code::kUnimplemented:
-      return "Unimplemented";
-    case Status::Code::kInternal:
-      return "Internal";
   }
   return "Unknown";
 }

@@ -20,8 +20,6 @@ class [[nodiscard]] Status {
     kIOError,
     kCorruption,
     kOutOfRange,
-    kUnimplemented,
-    kInternal,
   };
 
   /// Default-constructed Status is OK.
@@ -42,12 +40,6 @@ class [[nodiscard]] Status {
   }
   static Status OutOfRange(std::string msg) {
     return Status(Code::kOutOfRange, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(Code::kUnimplemented, std::move(msg));
-  }
-  static Status Internal(std::string msg) {
-    return Status(Code::kInternal, std::move(msg));
   }
 
   bool ok() const { return code_ == Code::kOk; }

@@ -6,11 +6,12 @@
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/label/spc_index.h"
 
 /// Instrumentation collected during index construction. The phase split
 /// (ordering / landmark labeling / label construction) reproduces the
 /// paper's Fig. 13 breakdown; candidate/prune counters feed tests and
-/// the ablation benches.
+/// the ablation benches. `BuildResult` is what every builder returns.
 namespace pspc {
 
 struct BuildStats {
@@ -46,6 +47,11 @@ struct BuildStats {
 
   /// Human-readable multi-line summary.
   std::string ToString() const;
+};
+
+struct BuildResult {
+  SpcIndex index;
+  BuildStats stats;
 };
 
 }  // namespace pspc

@@ -28,33 +28,23 @@ VertexOrder ComputeOrder(const Graph& graph, OrderingScheme scheme,
 }
 
 BuildResult BuildIndexWithOrder(const Graph& graph, const VertexOrder& order,
-                                const BuildOptions& options) {
-  BuildResult result;
+                                const BuildOptions& options,
+                                std::span<const Count> vertex_weights) {
   if (options.algorithm == Algorithm::kHpSpc) {
-    HpSpcBuildResult hp = BuildHpSpcIndex(graph, order);
-    result.index = std::move(hp.index);
-    result.stats = std::move(hp.stats);
-  } else {
-    PspcOptions popts;
-    popts.paradigm = options.paradigm;
-    popts.schedule = options.schedule;
-    popts.num_threads = options.num_threads;
-    popts.num_landmarks = options.num_landmarks;
-    popts.use_landmark_filter = options.use_landmark_filter;
-    PspcBuildResult ps = BuildPspcIndex(graph, order, popts);
-    result.index = std::move(ps.index);
-    result.stats = std::move(ps.stats);
+    return BuildHpSpcIndex(graph, order, vertex_weights);
   }
-  return result;
+  return BuildPspcIndex(graph, order, options, vertex_weights);
 }
 
-BuildResult BuildIndex(const Graph& graph, const BuildOptions& options) {
+BuildResult BuildIndex(const Graph& graph, const BuildOptions& options,
+                       std::span<const Count> vertex_weights) {
   WallTimer order_timer;
   const VertexOrder order =
       ComputeOrder(graph, options.ordering, options.hybrid_delta);
   const double ordering_seconds = order_timer.ElapsedSeconds();
 
-  BuildResult result = BuildIndexWithOrder(graph, order, options);
+  BuildResult result =
+      BuildIndexWithOrder(graph, order, options, vertex_weights);
   result.stats.ordering_seconds = ordering_seconds;
   return result;
 }

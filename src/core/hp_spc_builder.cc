@@ -9,8 +9,8 @@
 
 namespace pspc {
 
-HpSpcBuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
-                                 std::span<const Count> vertex_weights) {
+BuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
+                            std::span<const Count> vertex_weights) {
   const VertexId n = graph.NumVertices();
   PSPC_CHECK(order.Size() == n);
   PSPC_CHECK(vertex_weights.empty() || vertex_weights.size() == n);
@@ -19,7 +19,7 @@ HpSpcBuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
   auto mu = [&vertex_weights](VertexId v) -> Count {
     return vertex_weights.empty() ? Count{1} : vertex_weights[v];
   };
-  HpSpcBuildResult result;
+  BuildResult result;
   WallTimer timer;
 
   // labels[v] accumulates entries in ascending hub-rank order (hubs are

@@ -27,11 +27,6 @@
 /// for PSPC.
 namespace pspc {
 
-struct HpSpcBuildResult {
-  SpcIndex index;
-  BuildStats stats;
-};
-
 /// Builds the full ESPC index for `graph` under `order`.
 ///
 /// `vertex_weights` (optional; empty = all 1) assigns each vertex a
@@ -39,8 +34,8 @@ struct HpSpcBuildResult {
 /// *internal* vertices. This is the hook the neighborhood-equivalence
 /// reduction (paper §IV-B) uses so that one representative vertex
 /// counts the paths of its whole class.
-HpSpcBuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
-                                 std::span<const Count> vertex_weights = {});
+BuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
+                            std::span<const Count> vertex_weights = {});
 
 }  // namespace pspc
 

@@ -64,14 +64,16 @@ struct LabelSide {
 /// Shared state of one construction run.
 struct BuildContext {
   const VertexOrder& order;
-  const PspcOptions& options;
+  const BuildOptions& options;
+  std::span<const Count> vertex_weights;  // empty: all 1
   int num_threads;
   const LandmarkFilter* landmarks = nullptr;  // null: filtering disabled
   std::vector<ThreadScratch> scratch;
   std::vector<std::vector<LabelEntry>> staging;
 
-  BuildContext(const VertexOrder& o, const PspcOptions& opt)
-      : order(o), options(opt),
+  BuildContext(const VertexOrder& o, const BuildOptions& opt,
+               std::span<const Count> weights)
+      : order(o), options(opt), vertex_weights(weights),
         num_threads(opt.num_threads > 0 ? opt.num_threads : MaxThreads()),
         scratch(num_threads), staging(o.Size()) {
     for (auto& s : scratch) s.Init(o.Size());
@@ -133,7 +135,7 @@ void PruneAndStage(BuildContext& ctx, const LabelSide& side, ThreadScratch& s,
 void ProcessVertexPull(BuildContext& ctx, const LabelSide& side,
                        ThreadScratch& s, VertexId u, Distance d) {
   const Rank my_rank = ctx.order.RankOf(u);
-  const std::span<const Count> weights = ctx.options.vertex_weights;
+  const std::span<const Count> weights = ctx.vertex_weights;
   ++s.epoch;
   s.cand_hubs.clear();
   for (VertexId v : side.pull.Neighbors(u)) {
@@ -283,7 +285,7 @@ size_t PushIteration(BuildContext& ctx, const LabelSide& side, Distance d) {
 
   // Pass 2: scatter. Order within a target region is nondeterministic,
   // but the per-hub merge below is order-insensitive.
-  const std::span<const Count> weights = ctx.options.vertex_weights;
+  const std::span<const Count> weights = ctx.vertex_weights;
   ParallelForDynamic(n, ctx.num_threads, 64, [&](size_t vi) {
     const auto v = static_cast<VertexId>(vi);
     const auto level = side.store->Level(v, d - 1);
@@ -377,13 +379,13 @@ void ConstructLabels(BuildContext& ctx, std::span<const LabelSide> sides,
 
 }  // namespace
 
-PspcBuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
-                               const PspcOptions& options) {
+BuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
+                           const BuildOptions& options,
+                           std::span<const Count> vertex_weights) {
   const VertexId n = graph.NumVertices();
   PSPC_CHECK(order.Size() == n);
-  PSPC_CHECK(options.vertex_weights.empty() ||
-             options.vertex_weights.size() == n);
-  PspcBuildResult result;
+  PSPC_CHECK(vertex_weights.empty() || vertex_weights.size() == n);
+  BuildResult result;
 
   // Phase LL: landmark distance tables (paper §III-H, Fig. 13 "LL").
   LandmarkFilter landmarks;
@@ -398,7 +400,7 @@ PspcBuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
 
   // Phase LC: distance-iteration label construction (Fig. 13 "LC").
   WallTimer timer;
-  BuildContext ctx(order, options);
+  BuildContext ctx(order, options, vertex_weights);
   if (options.use_landmark_filter && landmarks.NumLandmarks() > 0) {
     ctx.landmarks = &landmarks;
   }
@@ -412,20 +414,19 @@ PspcBuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
   return result;
 }
 
-PspcBuildResult BuildDirectedPspcIndex(const DiGraph& graph,
-                                       const VertexOrder& order,
-                                       const DiPspcOptions& options) {
+BuildResult BuildDirectedPspcIndex(const DiGraph& graph,
+                                   const VertexOrder& order,
+                                   const DiPspcOptions& options) {
   const VertexId n = graph.NumVertices();
   PSPC_CHECK(order.Size() == n);
-  PspcBuildResult result;
+  BuildResult result;
   // PULL under the cost-aware schedule; the landmark tables hold
-  // undirected distances, so they stay off.
-  PspcOptions pull;
+  // undirected distances, so none are built.
+  BuildOptions pull;
   pull.num_threads = options.num_threads;
-  pull.use_landmark_filter = false;
 
   WallTimer timer;
-  BuildContext ctx(order, pull);
+  BuildContext ctx(order, pull, {});
   LevelLabelStore in_store(n), out_store(n);
   const LabelSide sides[] = {
       {&in_store, &out_store, {graph.InOffsets(), graph.InNeighborArray()}},

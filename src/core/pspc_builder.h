@@ -46,30 +46,24 @@
 /// one side, which witnesses its own prunes.
 namespace pspc {
 
-struct PspcOptions {
-  Paradigm paradigm = Paradigm::kPull;
-  ScheduleKind schedule = ScheduleKind::kCostAware;
-  int num_threads = 0;  ///< <= 0: all available cores
-  uint32_t num_landmarks = 100;
-  bool use_landmark_filter = true;
-  /// Optional per-vertex multiplicities (empty = all 1): a path's count
-  /// is multiplied by the weights of its internal vertices. Used by the
-  /// neighborhood-equivalence reduction (paper §IV-B) so a single
-  /// representative counts the paths of its merged class. Must outlive
-  /// the build call.
-  std::span<const Count> vertex_weights = {};
-};
-
-struct PspcBuildResult {
-  SpcIndex index;
-  BuildStats stats;
-};
-
 /// Builds the ESPC index for `graph` under `order` in parallel. The
-/// resulting index is identical to `BuildHpSpcIndex(graph, order)` up
-/// to entry ordering (both are the unique ESPC label set of the order).
-PspcBuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
-                               const PspcOptions& options);
+/// resulting index is identical to `BuildHpSpcIndex(graph, order,
+/// vertex_weights)` up to entry ordering (both are the unique ESPC
+/// label set of the order).
+///
+/// Reads the PSPC fields of `options`: `paradigm`, `schedule`,
+/// `num_threads`, `num_landmarks` and `use_landmark_filter`. The
+/// caller passes the order, so `algorithm`, `ordering` and
+/// `hybrid_delta` are not read.
+///
+/// `vertex_weights` (optional; empty = all 1) assigns each vertex a
+/// multiplicity: a path's count is multiplied by the weights of its
+/// internal vertices. The neighborhood-equivalence reduction (paper
+/// §IV-B) uses it so a single representative counts the paths of its
+/// merged class.
+BuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
+                           const BuildOptions& options,
+                           std::span<const Count> vertex_weights = {});
 
 struct DiPspcOptions {
   int num_threads = 0;  ///< <= 0: all available cores
@@ -78,9 +72,9 @@ struct DiPspcOptions {
 /// Builds the directed ESPC index (`result.index.Directed()`) with PULL
 /// under the cost-aware schedule, without landmarks or vertex weights.
 /// Like the undirected build, the index is independent of thread count.
-PspcBuildResult BuildDirectedPspcIndex(const DiGraph& graph,
-                                       const VertexOrder& order,
-                                       const DiPspcOptions& options);
+BuildResult BuildDirectedPspcIndex(const DiGraph& graph,
+                                   const VertexOrder& order,
+                                   const DiPspcOptions& options);
 
 /// Degree order for directed graphs: rank by total degree (in + out),
 /// descending; ties by id.

@@ -80,7 +80,7 @@ void DynamicDspcIndex::Rebuild() {
                     out_overlay_.OverlaidEntries() +
                         in_overlay_.OverlaidEntries());
   DiGraph current = graph_.Materialize();
-  PspcBuildResult result = BuildDirectedPspcIndex(
+  BuildResult result = BuildDirectedPspcIndex(
       current, DirectedDegreeOrder(current), options_.rebuild_options);
   base_graph_ = std::move(current);
   // A fresh shared base: snapshots captured from the old generation

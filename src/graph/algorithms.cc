@@ -1,7 +1,6 @@
 #include "src/graph/algorithms.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "src/common/logging.h"
 #include "src/common/random.h"
@@ -55,63 +54,6 @@ std::vector<VertexId> ConnectedComponents(const Graph& graph,
   }
   if (num_components != nullptr) *num_components = next_id;
   return component;
-}
-
-std::vector<VertexId> CoreNumbers(const Graph& graph) {
-  const VertexId n = graph.NumVertices();
-  std::vector<VertexId> degree(n);
-  VertexId max_degree = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    degree[v] = graph.Degree(v);
-    max_degree = std::max(max_degree, degree[v]);
-  }
-  // Bucket sort by degree (Batagelj–Zaveršnik peeling).
-  std::vector<VertexId> bucket_start(max_degree + 2, 0);
-  for (VertexId v = 0; v < n; ++v) ++bucket_start[degree[v] + 1];
-  for (size_t i = 1; i < bucket_start.size(); ++i) {
-    bucket_start[i] += bucket_start[i - 1];
-  }
-  std::vector<VertexId> order(n), position(n);
-  {
-    std::vector<VertexId> cursor(bucket_start.begin(), bucket_start.end() - 1);
-    for (VertexId v = 0; v < n; ++v) {
-      position[v] = cursor[degree[v]];
-      order[position[v]] = v;
-      ++cursor[degree[v]];
-    }
-  }
-  std::vector<VertexId> core(n);
-  std::vector<VertexId> deg = degree;
-  for (VertexId i = 0; i < n; ++i) {
-    const VertexId v = order[i];
-    core[v] = deg[v];
-    for (VertexId u : graph.Neighbors(v)) {
-      if (deg[u] > deg[v]) {
-        // Move u to the front of its bucket, then shrink its degree.
-        const VertexId du = deg[u];
-        const VertexId pu = position[u];
-        const VertexId pw = bucket_start[du];
-        const VertexId w = order[pw];
-        if (u != w) {
-          std::swap(order[pu], order[pw]);
-          position[u] = pw;
-          position[w] = pu;
-        }
-        ++bucket_start[du];
-        --deg[u];
-      }
-    }
-  }
-  return core;
-}
-
-std::vector<VertexId> KCoreVertices(const Graph& graph, VertexId k) {
-  std::vector<VertexId> core = CoreNumbers(graph);
-  std::vector<VertexId> result;
-  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-    if (core[v] >= k) result.push_back(v);
-  }
-  return result;
 }
 
 Distance Eccentricity(const Graph& graph, VertexId source) {

@@ -7,9 +7,10 @@
 #include "src/graph/graph.h"
 
 /// Classic graph algorithms used as substrates: BFS distance maps feed
-/// the landmark filter (paper §III-H), connected components and k-core
-/// feed the reductions (paper §IV), and the diameter bound caps the
-/// PSPC distance-iteration count (paper Theorem 3: D iterations).
+/// the landmark filter (paper §III-H); connected components and the
+/// diameter estimate describe a graph (`spc_cli stats`), and the exact
+/// diameter bounds the PSPC distance-iteration count in tests (paper
+/// Theorem 3: D iterations).
 namespace pspc {
 
 /// Single-source BFS distances; unreachable vertices get kInfDistance.
@@ -20,13 +21,6 @@ std::vector<Distance> BfsDistances(const Graph& graph, VertexId source);
 /// `num_components`.
 std::vector<VertexId> ConnectedComponents(const Graph& graph,
                                           VertexId* num_components);
-
-/// Core number of every vertex (largest k such that the vertex survives
-/// in the k-core). Peeling algorithm, O(m).
-std::vector<VertexId> CoreNumbers(const Graph& graph);
-
-/// Vertices of the k-core (core number >= k).
-std::vector<VertexId> KCoreVertices(const Graph& graph, VertexId k);
 
 /// Exact eccentricity of `source` (max finite BFS distance).
 Distance Eccentricity(const Graph& graph, VertexId source);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,8 +11,6 @@
 
 namespace pspc {
 namespace {
-
-constexpr uint64_t kBinaryMagic = 0x5053'5043'4752'4601ull;  // "PSPCGRF" v1
 
 Result<std::vector<std::pair<uint64_t, uint64_t>>> ParseRawEdges(
     std::istream& in) {
@@ -44,39 +40,13 @@ Result<Graph> ParseEdgeStream(std::istream& in) {
   }
   if (!raw.value().empty() && max_id >= kInvalidVertex) {
     return Status::OutOfRange("vertex id " + std::to_string(max_id) +
-                              " exceeds the 32-bit id space; use the "
-                              "Remapped loader");
+                              " exceeds the 32-bit id space");
   }
   GraphBuilder builder(
       raw.value().empty() ? 0 : static_cast<VertexId>(max_id + 1));
   for (const auto& [u, v] : raw.value()) {
     builder.AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));
   }
-  return builder.Build();
-}
-
-Result<Graph> ParseEdgeStreamRemapped(std::istream& in) {
-  auto raw = ParseRawEdges(in);
-  if (!raw.ok()) return raw.status();
-  std::unordered_map<uint64_t, VertexId> remap;
-  auto intern = [&remap](uint64_t id) {
-    auto [it, inserted] =
-        remap.emplace(id, static_cast<VertexId>(remap.size()));
-    // Structured-binding field is unused on this path.
-    (void)inserted;
-    return it->second;
-  };
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  edges.reserve(raw.value().size());
-  for (const auto& [u, v] : raw.value()) {
-    // Sequence the interning explicitly: first-appearance order must
-    // not depend on the compiler's argument evaluation order.
-    const VertexId iu = intern(u);
-    const VertexId iv = intern(v);
-    edges.emplace_back(iu, iv);
-  }
-  GraphBuilder builder(static_cast<VertexId>(remap.size()));
-  for (const auto& [u, v] : edges) builder.AddEdge(u, v);
   return builder.Build();
 }
 
@@ -93,17 +63,6 @@ Result<Graph> ParseEdgeList(const std::string& text) {
   return ParseEdgeStream(in);
 }
 
-Result<Graph> LoadEdgeListRemapped(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  return ParseEdgeStreamRemapped(in);
-}
-
-Result<Graph> ParseEdgeListRemapped(const std::string& text) {
-  std::istringstream in(text);
-  return ParseEdgeStreamRemapped(in);
-}
-
 Status SaveEdgeList(const Graph& graph, const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open " + path + " for writing");
@@ -116,57 +75,6 @@ Status SaveEdgeList(const Graph& graph, const std::string& path) {
   }
   if (!out) return Status::IOError("write failed for " + path);
   return Status::OK();
-}
-
-Status SaveBinary(const Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  auto put = [&out](const void* p, size_t bytes) {
-    out.write(static_cast<const char*>(p), static_cast<std::streamsize>(bytes));
-  };
-  const uint64_t n = graph.NumVertices();
-  const uint64_t deg_sum = graph.NeighborArray().size();
-  put(&kBinaryMagic, sizeof(kBinaryMagic));
-  put(&n, sizeof(n));
-  put(&deg_sum, sizeof(deg_sum));
-  put(graph.Offsets().data(), graph.Offsets().size() * sizeof(EdgeId));
-  put(graph.NeighborArray().data(), deg_sum * sizeof(VertexId));
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
-}
-
-Result<Graph> LoadBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  auto get = [&in](void* p, size_t bytes) {
-    in.read(static_cast<char*>(p), static_cast<std::streamsize>(bytes));
-    return static_cast<bool>(in);
-  };
-  uint64_t magic = 0, n = 0, deg_sum = 0;
-  if (!get(&magic, sizeof(magic)) || magic != kBinaryMagic) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  if (!get(&n, sizeof(n)) || !get(&deg_sum, sizeof(deg_sum))) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  std::vector<EdgeId> offsets(n + 1);
-  std::vector<VertexId> neighbors(deg_sum);
-  if (!get(offsets.data(), offsets.size() * sizeof(EdgeId)) ||
-      !get(neighbors.data(), neighbors.size() * sizeof(VertexId))) {
-    return Status::Corruption("truncated payload in " + path);
-  }
-  if (offsets.front() != 0 || offsets.back() != deg_sum) {
-    return Status::Corruption("inconsistent CSR offsets in " + path);
-  }
-  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-    if (offsets[i] > offsets[i + 1]) {
-      return Status::Corruption("non-monotone CSR offsets in " + path);
-    }
-  }
-  for (VertexId v : neighbors) {
-    if (v >= n) return Status::Corruption("neighbor id out of range in " + path);
-  }
-  return Graph(std::move(offsets), std::move(neighbors));
 }
 
 }  // namespace pspc

@@ -6,11 +6,12 @@
 #include "src/common/status.h"
 #include "src/graph/graph.h"
 
-/// Text and binary graph persistence.
+/// Edge-list text persistence for undirected graphs.
 ///
-/// The text format is the SNAP edge-list dialect the paper's datasets
-/// ship in: one `u v` pair per line, `#`-prefixed comment lines,
-/// directed duplicates tolerated (the loader symmetrizes).
+/// The format is the SNAP edge-list dialect the paper's datasets ship
+/// in: one `u v` pair per line, `#`-prefixed comment lines, directed
+/// duplicates tolerated (the loader symmetrizes). Vertex ids are kept
+/// as they are, so they must fit the 32-bit id space.
 namespace pspc {
 
 /// Loads an edge-list text file, preserving numeric vertex ids
@@ -21,19 +22,9 @@ Result<Graph> LoadEdgeList(const std::string& path);
 /// Parses edge-list text from a string (same dialect as LoadEdgeList).
 Result<Graph> ParseEdgeList(const std::string& text);
 
-/// Variants for sparse id spaces (e.g. raw SNAP crawls): ids are
-/// densified to `[0, n)` in first-appearance order.
-Result<Graph> LoadEdgeListRemapped(const std::string& path);
-Result<Graph> ParseEdgeListRemapped(const std::string& text);
-
 /// Writes `graph` as an edge-list text file (each undirected edge once,
 /// smaller endpoint first).
 Status SaveEdgeList(const Graph& graph, const std::string& path);
-
-/// Binary snapshot of the CSR arrays; loads are validated against a
-/// magic number and structural invariants (Corruption on mismatch).
-Status SaveBinary(const Graph& graph, const std::string& path);
-Result<Graph> LoadBinary(const std::string& path);
 
 }  // namespace pspc
 

@@ -12,6 +12,20 @@ namespace obs {
 
 namespace {
 
+// Rule thresholds. Tick counts are consecutive Evaluate() calls on
+// which the rule's condition held; a reclaim backlog at or below the
+// floor is too small to report.
+constexpr double kQueueDegradedFill = 0.75;
+constexpr double kQueueUnhealthyFill = 0.95;
+constexpr uint64_t kQueueUnhealthyTicks = 3;
+constexpr int64_t kReclaimBacklogFloor = 4;
+constexpr uint64_t kReclaimDegradedTicks = 2;
+constexpr uint64_t kReclaimUnhealthyTicks = 4;
+constexpr uint64_t kOverflowDegradedTicks = 2;
+constexpr uint64_t kOverflowUnhealthyTicks = 5;
+constexpr uint64_t kPublishStallDegradedTicks = 3;
+constexpr uint64_t kPublishStallUnhealthyTicks = 6;
+
 std::string Percent(double fill) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.0f%%", fill * 100.0);
@@ -143,10 +157,10 @@ HealthReport HealthWatchdog::Evaluate() {
             ? static_cast<double>(queue_depth) /
                   static_cast<double>(queue_capacity)
             : 0.0;
-    if (fill >= options_.queue_degraded_fill) {
+    if (fill >= kQueueDegradedFill) {
       ++queue_ticks_;
-      const bool hard = fill >= options_.queue_unhealthy_fill &&
-                        queue_ticks_ >= options_.queue_unhealthy_ticks;
+      const bool hard = fill >= kQueueUnhealthyFill &&
+                        queue_ticks_ >= kQueueUnhealthyTicks;
       rule.status = hard ? HealthStatus::kUnhealthy : HealthStatus::kDegraded;
       rule.reason = "request queue at " + std::to_string(queue_depth) + "/" +
                     std::to_string(queue_capacity) + " (" + Percent(fill) +
@@ -163,12 +177,11 @@ HealthReport HealthWatchdog::Evaluate() {
     HealthRuleState rule;
     rule.id = HealthRuleId::kReclaimBacklog;
     const bool growing = have_prev_ && retired > prev_retired_;
-    if (growing &&
-        retired > static_cast<int64_t>(options_.reclaim_backlog_floor)) {
+    if (growing && retired > kReclaimBacklogFloor) {
       ++reclaim_ticks_;
-      if (reclaim_ticks_ >= options_.reclaim_unhealthy_ticks) {
+      if (reclaim_ticks_ >= kReclaimUnhealthyTicks) {
         rule.status = HealthStatus::kUnhealthy;
-      } else if (reclaim_ticks_ >= options_.reclaim_degraded_ticks) {
+      } else if (reclaim_ticks_ >= kReclaimDegradedTicks) {
         rule.status = HealthStatus::kDegraded;
       }
       if (rule.status != HealthStatus::kOk) {
@@ -192,9 +205,9 @@ HealthReport HealthWatchdog::Evaluate() {
     const bool pinning = have_prev_ && overflow_total > prev_overflow_total_;
     if (pinning) {
       ++overflow_ticks_;
-      if (overflow_ticks_ >= options_.overflow_unhealthy_ticks) {
+      if (overflow_ticks_ >= kOverflowUnhealthyTicks) {
         rule.status = HealthStatus::kUnhealthy;
-      } else if (overflow_ticks_ >= options_.overflow_degraded_ticks) {
+      } else if (overflow_ticks_ >= kOverflowDegradedTicks) {
         rule.status = HealthStatus::kDegraded;
       }
       if (rule.status != HealthStatus::kOk) {
@@ -218,9 +231,9 @@ HealthReport HealthWatchdog::Evaluate() {
                          published_total == prev_published_total_;
     if (stalled) {
       ++stall_ticks_;
-      if (stall_ticks_ >= options_.publish_stall_unhealthy_ticks) {
+      if (stall_ticks_ >= kPublishStallUnhealthyTicks) {
         rule.status = HealthStatus::kUnhealthy;
-      } else if (stall_ticks_ >= options_.publish_stall_degraded_ticks) {
+      } else if (stall_ticks_ >= kPublishStallDegradedTicks) {
         rule.status = HealthStatus::kDegraded;
       }
       if (rule.status != HealthStatus::kOk) {

@@ -24,7 +24,7 @@
 /// overall status is the worst rule, and `/healthz` serves it as
 /// 200/503 + reason.
 ///
-/// Rules (thresholds in `HealthOptions`):
+/// Rules (thresholds are the constants at the top of health.cc):
 ///   - `queue_saturation`: request-queue fill ratio
 ///     (serve.queue_depth / serve.queue_capacity) above the degraded
 ///     bar; persistently above the unhealthy bar for N ticks.
@@ -95,18 +95,6 @@ struct HealthOptions {
   /// Written on each transition to UNHEALTHY; empty keeps the bundle
   /// in memory only (`LastBundle()`).
   std::string bundle_path;
-
-  // -- thresholds -----------------------------------------------------
-  double queue_degraded_fill = 0.75;
-  double queue_unhealthy_fill = 0.95;
-  uint64_t queue_unhealthy_ticks = 3;   ///< consecutive ticks above bar
-  uint64_t reclaim_backlog_floor = 4;   ///< ignore tiny backlogs
-  uint64_t reclaim_degraded_ticks = 2;  ///< consecutive growth ticks
-  uint64_t reclaim_unhealthy_ticks = 4;
-  uint64_t overflow_degraded_ticks = 2;
-  uint64_t overflow_unhealthy_ticks = 5;
-  uint64_t publish_stall_degraded_ticks = 3;
-  uint64_t publish_stall_unhealthy_ticks = 6;
 };
 
 class HealthWatchdog {

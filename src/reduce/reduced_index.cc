@@ -5,10 +5,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/saturating.h"
-#include "src/common/timer.h"
 #include "src/core/builder_facade.h"
-#include "src/core/hp_spc_builder.h"
-#include "src/core/pspc_builder.h"
 
 namespace pspc {
 
@@ -31,28 +28,9 @@ ReducedSpcIndex ReducedSpcIndex::Build(const Graph& graph,
     weights = r.equiv_.Weights();
   }
 
-  WallTimer order_timer;
-  const VertexOrder order = ComputeOrder(*current, options.build.ordering,
-                                         options.build.hybrid_delta);
-  const double ordering_seconds = order_timer.ElapsedSeconds();
-
-  if (options.build.algorithm == Algorithm::kHpSpc) {
-    HpSpcBuildResult hp = BuildHpSpcIndex(*current, order, weights);
-    r.index_ = std::move(hp.index);
-    r.stats_ = std::move(hp.stats);
-  } else {
-    PspcOptions popts;
-    popts.paradigm = options.build.paradigm;
-    popts.schedule = options.build.schedule;
-    popts.num_threads = options.build.num_threads;
-    popts.num_landmarks = options.build.num_landmarks;
-    popts.use_landmark_filter = options.build.use_landmark_filter;
-    popts.vertex_weights = weights;
-    PspcBuildResult ps = BuildPspcIndex(*current, order, popts);
-    r.index_ = std::move(ps.index);
-    r.stats_ = std::move(ps.stats);
-  }
-  r.stats_.ordering_seconds = ordering_seconds;
+  BuildResult built = BuildIndex(*current, options.build, weights);
+  r.index_ = std::move(built.index);
+  r.stats_ = std::move(built.stats);
   return r;
 }
 

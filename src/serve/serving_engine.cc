@@ -9,6 +9,16 @@
 #include "src/obs/metric_names.h"
 
 namespace pspc {
+namespace {
+
+// Bounded request queue; full = producer back-pressure.
+constexpr size_t kQueueCapacity = 1 << 16;
+// Result-cache shards (a power of two).
+constexpr size_t kCacheShards = 16;
+// Recent update-batch traces retained for `/tracez`.
+constexpr size_t kUpdateTraceCapacity = 64;
+
+}  // namespace
 
 std::string ServingCounters::ToString() const {
   std::ostringstream oss;
@@ -35,12 +45,12 @@ ServingEngine::ServingEngine(DynamicSpcIndex* index, ServingOptions options)
                        : static_cast<size_t>(MaxThreads())),
       snapshots_(IndexSnapshot::Capture(*index), options.metrics,
                  options.flight_recorder),
-      queue_(options.queue_capacity),
-      cache_(options.cache_shards, options.cache_capacity_per_shard),
+      queue_(kQueueCapacity),
+      cache_(kCacheShards, options.cache_capacity_per_shard),
       published_generation_(index->Generation()),
       sampler_(options.trace_sample_every_n, options.trace_seed),
       traces_(options.slow_trace_capacity, options.slow_trace_us),
-      update_traces_(options.update_trace_capacity) {
+      update_traces_(kUpdateTraceCapacity) {
   BindMetrics(index->Generation());
   StartWorkers();
 }
@@ -54,15 +64,15 @@ ServingEngine::ServingEngine(DynamicDspcIndex* index, ServingOptions options)
                        : static_cast<size_t>(MaxThreads())),
       snapshots_(IndexSnapshot::Capture(*index), options.metrics,
                  options.flight_recorder),
-      queue_(options.queue_capacity),
+      queue_(kQueueCapacity),
       // Ordered-pair keys: directed SPC(s -> t) must never be answered
       // from a cached SPC(t -> s).
-      cache_(options.cache_shards, options.cache_capacity_per_shard,
+      cache_(kCacheShards, options.cache_capacity_per_shard,
              /*symmetric=*/false),
       published_generation_(index->Generation()),
       sampler_(options.trace_sample_every_n, options.trace_seed),
       traces_(options.slow_trace_capacity, options.slow_trace_us),
-      update_traces_(options.update_trace_capacity) {
+      update_traces_(kUpdateTraceCapacity) {
   BindMetrics(index->Generation());
   StartWorkers();
 }

@@ -48,11 +48,7 @@ struct ServingOptions {
   int num_workers = 0;
   /// Micro-batch cap: the most queries one epoch pin spans.
   size_t max_batch = 64;
-  /// Bounded request queue; full = producer back-pressure.
-  size_t queue_capacity = 1 << 16;
-  /// Result-cache geometry; shard count rounds up to a power of two,
-  /// zero capacity disables caching.
-  size_t cache_shards = 16;
+  /// Result-cache entries per shard; zero disables caching.
   size_t cache_capacity_per_shard = 1 << 14;
   /// Registry receiving the `serve.*` metrics (latency histograms,
   /// counters, publication gauges). Null selects the process-global
@@ -71,8 +67,6 @@ struct ServingOptions {
   /// Flight recorder receiving publish / reclaim / batch-apply /
   /// queue-high-water events. Null selects the process-global one.
   obs::FlightRecorder* flight_recorder = nullptr;
-  /// Recent update-batch traces retained for `/tracez`.
-  size_t update_trace_capacity = 64;
 };
 
 /// Monotonic totals since construction (point-in-time copies).
@@ -168,9 +162,6 @@ class ServingEngine {
   /// health watchdog's reclaim_backlog rule watches for; tests use
   /// this as the reclaim-stall fault injection.
   SnapshotRef PinSnapshot() const { return snapshots_.Acquire(); }
-
-  /// Deepest the request queue has been (diagnostics).
-  size_t QueueHighWater() const { return queue_.HighWater(); }
 
  private:
   void WorkerLoop();

@@ -37,32 +37,6 @@ TEST(ComponentsTest, CountsComponents) {
   EXPECT_NE(comp[3], comp[5]);
 }
 
-// ----------------------------------------------------------- k-core --
-
-TEST(CoreTest, TreeIsOneCore) {
-  const Graph g = GenerateTree(20, 2);
-  const auto core = CoreNumbers(g);
-  for (VertexId v = 0; v < 20; ++v) EXPECT_LE(core[v], 1u);
-}
-
-TEST(CoreTest, CliqueCoreNumbers) {
-  const Graph g = GenerateComplete(5);
-  const auto core = CoreNumbers(g);
-  for (VertexId v = 0; v < 5; ++v) EXPECT_EQ(core[v], 4u);
-}
-
-TEST(CoreTest, LollipopSplitsCore) {
-  // Triangle with a tail: triangle is 2-core, tail is 1-shell.
-  const Graph g = MakeGraph(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}});
-  const auto core = CoreNumbers(g);
-  EXPECT_EQ(core[0], 2u);
-  EXPECT_EQ(core[1], 2u);
-  EXPECT_EQ(core[2], 2u);
-  EXPECT_EQ(core[3], 1u);
-  EXPECT_EQ(core[4], 1u);
-  EXPECT_EQ(KCoreVertices(g, 2).size(), 3u);
-}
-
 // --------------------------------------------------------- Diameter --
 
 TEST(DiameterTest, ExactOnPath) {

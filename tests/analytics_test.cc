@@ -15,7 +15,7 @@ namespace pspc {
 namespace {
 
 SpcIndex MakeIndex(const Graph& g) {
-  PspcOptions o;
+  BuildOptions o;
   o.num_landmarks = 4;
   return BuildPspcIndex(g, DegreeOrder(g), o).index;
 }

@@ -34,8 +34,6 @@ TEST(StatusTest, AllConstructorsProduceMatchingCodes) {
   EXPECT_EQ(Status::IOError("x").code(), Status::Code::kIOError);
   EXPECT_EQ(Status::Corruption("x").code(), Status::Code::kCorruption);
   EXPECT_EQ(Status::OutOfRange("x").code(), Status::Code::kOutOfRange);
-  EXPECT_EQ(Status::Unimplemented("x").code(), Status::Code::kUnimplemented);
-  EXPECT_EQ(Status::Internal("x").code(), Status::Code::kInternal);
 }
 
 TEST(ResultTest, HoldsValue) {

@@ -120,7 +120,7 @@ TEST(DirectedPspcTest, SymmetricClosureMatchesUndirectedIndex) {
   // coincide, so both label sides equal the undirected labels.
   const Graph u = GenerateErdosRenyi(60, 150, 9);
   const DiGraph d = FromUndirected(u);
-  PspcOptions uopts;
+  BuildOptions uopts;
   uopts.num_landmarks = 4;
   const SpcIndex undirected = BuildPspcIndex(u, DegreeOrder(u), uopts).index;
   ASSERT_EQ(DirectedDegreeOrder(d), DegreeOrder(u));

@@ -123,22 +123,6 @@ TEST(GraphIoTest, ParsePreservesNumericIds) {
   EXPECT_EQ(g.Degree(3), 0u);
 }
 
-TEST(GraphIoTest, ParseRemapsSparseIds) {
-  // SNAP files have arbitrary ids; the Remapped variant densifies in
-  // first-seen order: 100 -> 0, 7 -> 1, 42 -> 2.
-  const auto r = ParseEdgeListRemapped("100 7\n7 42\n");
-  ASSERT_TRUE(r.ok());
-  const Graph& g = r.value();
-  EXPECT_EQ(g.NumVertices(), 3u);
-  EXPECT_TRUE(g.HasEdge(0, 1));
-  EXPECT_TRUE(g.HasEdge(1, 2));
-  EXPECT_FALSE(g.HasEdge(0, 2));
-}
-
-TEST(GraphIoTest, RemappedRejectsGarbageToo) {
-  EXPECT_FALSE(ParseEdgeListRemapped("0 1\nbad line\n").ok());
-}
-
 TEST(GraphIoTest, ParseSymmetrizesDirectedDuplicates) {
   const auto r = ParseEdgeList("0 1\n1 0\n");
   ASSERT_TRUE(r.ok());
@@ -170,52 +154,6 @@ TEST(GraphIoTest, EdgeListRoundTrip) {
   const auto r = LoadEdgeList(path);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), g);
-  std::remove(path.c_str());
-}
-
-// ------------------------------------------------------ Binary I/O --
-
-TEST(GraphIoTest, BinaryRoundTrip) {
-  const Graph g = MakeGraph(6, {{0, 1}, {0, 2}, {3, 4}, {4, 5}, {3, 5}});
-  const std::string path = TempPath("graph.bin");
-  ASSERT_TRUE(SaveBinary(g, path).ok());
-  const auto r = LoadBinary(path);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), g);
-  std::remove(path.c_str());
-}
-
-TEST(GraphIoTest, BinaryRejectsBadMagic) {
-  const std::string path = TempPath("bad_magic.bin");
-  {
-    FILE* f = fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const char junk[32] = "this is not a pspc graph file";
-    fwrite(junk, 1, sizeof(junk), f);
-    fclose(f);
-  }
-  const auto r = LoadBinary(path);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(GraphIoTest, BinaryRejectsTruncation) {
-  const Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 3}});
-  const std::string path = TempPath("trunc.bin");
-  ASSERT_TRUE(SaveBinary(g, path).ok());
-  // Truncate the payload.
-  {
-    FILE* f = fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    fseek(f, 0, SEEK_END);
-    const long size = ftell(f);
-    ASSERT_EQ(0, ftruncate(fileno(f), size - 8));
-    fclose(f);
-  }
-  const auto r = LoadBinary(path);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
   std::remove(path.c_str());
 }
 

@@ -20,7 +20,7 @@ namespace {
 using pspc::testing::AllPairs;
 
 SpcIndex MakeIndex(const Graph& g) {
-  PspcOptions o;
+  BuildOptions o;
   o.num_landmarks = 4;
   return BuildPspcIndex(g, DegreeOrder(g), o).index;
 }

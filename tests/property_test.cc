@@ -73,7 +73,7 @@ class SpcPropertyTest
 TEST_P(SpcPropertyTest, PspcMatchesHpSpcStructurally) {
   const Graph g = Case().make();
   const VertexOrder order = ComputeOrder(g, Ordering(), 4);
-  PspcOptions opts;
+  BuildOptions opts;
   opts.num_landmarks = 4;
   EXPECT_EQ(BuildPspcIndex(g, order, opts).index,
             BuildHpSpcIndex(g, order).index);
@@ -82,7 +82,7 @@ TEST_P(SpcPropertyTest, PspcMatchesHpSpcStructurally) {
 TEST_P(SpcPropertyTest, QueriesMatchBfsOracle) {
   const Graph g = Case().make();
   const VertexOrder order = ComputeOrder(g, Ordering(), 4);
-  PspcOptions opts;
+  BuildOptions opts;
   opts.num_landmarks = 4;
   const SpcIndex index = BuildPspcIndex(g, order, opts).index;
   const QueryBatch batch = MakeRandomQueries(g.NumVertices(), 300, 999);
@@ -95,10 +95,10 @@ TEST_P(SpcPropertyTest, QueriesMatchBfsOracle) {
 TEST_P(SpcPropertyTest, PushEqualsPull) {
   const Graph g = Case().make();
   const VertexOrder order = ComputeOrder(g, Ordering(), 4);
-  PspcOptions pull;
+  BuildOptions pull;
   pull.paradigm = Paradigm::kPull;
   pull.num_landmarks = 4;
-  PspcOptions push = pull;
+  BuildOptions push = pull;
   push.paradigm = Paradigm::kPush;
   EXPECT_EQ(BuildPspcIndex(g, order, pull).index,
             BuildPspcIndex(g, order, push).index);
@@ -107,10 +107,10 @@ TEST_P(SpcPropertyTest, PushEqualsPull) {
 TEST_P(SpcPropertyTest, ThreadCountInvariance) {
   const Graph g = Case().make();
   const VertexOrder order = ComputeOrder(g, Ordering(), 4);
-  PspcOptions one;
+  BuildOptions one;
   one.num_threads = 1;
   one.num_landmarks = 4;
-  PspcOptions many = one;
+  BuildOptions many = one;
   many.num_threads = 7;  // deliberately awkward thread count
   EXPECT_EQ(BuildPspcIndex(g, order, one).index,
             BuildPspcIndex(g, order, many).index);
@@ -165,7 +165,7 @@ TEST(SignificantPathPropertyTest, ExactOnScaleFreeGraph) {
   const Graph g = GenerateBarabasiAlbert(64, 3, 301);
   const VertexOrder order =
       ComputeOrder(g, OrderingScheme::kSignificantPath, 4);
-  PspcOptions opts;
+  BuildOptions opts;
   opts.num_landmarks = 4;
   const SpcIndex index = BuildPspcIndex(g, order, opts).index;
   for (const auto& [s, t] : pspc::testing::AllPairs(64)) {

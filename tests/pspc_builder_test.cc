@@ -3,6 +3,7 @@
 #include <numeric>
 #include <vector>
 
+#include "src/core/builder_facade.h"
 #include "src/core/hp_spc_builder.h"
 #include "src/core/pspc_builder.h"
 #include "src/graph/algorithms.h"
@@ -22,8 +23,8 @@ VertexOrder PaperFigure2Order() {
   return VertexOrder(std::vector<VertexId>{0, 6, 3, 9, 2, 4, 5, 1, 7, 8});
 }
 
-PspcOptions Defaults() {
-  PspcOptions o;
+BuildOptions Defaults() {
+  BuildOptions o;
   o.num_landmarks = 4;
   return o;
 }
@@ -69,11 +70,11 @@ TEST(PspcBuilderTest, MatchesHpSpcOnRoadGrid) {
 TEST(PspcBuilderTest, IndexIdenticalAcrossThreadCounts) {
   const Graph g = GenerateBarabasiAlbert(200, 4, 11);
   const VertexOrder order = DegreeOrder(g);
-  PspcOptions base = Defaults();
+  BuildOptions base = Defaults();
   base.num_threads = 1;
   const auto reference = BuildPspcIndex(g, order, base);
   for (int threads : {2, 3, 4, 8}) {
-    PspcOptions o = Defaults();
+    BuildOptions o = Defaults();
     o.num_threads = threads;
     EXPECT_EQ(BuildPspcIndex(g, order, o).index, reference.index)
         << threads << " threads";
@@ -84,9 +85,9 @@ TEST(PspcBuilderTest, PushAndPullProduceSameIndex) {
   for (uint64_t seed : {2u, 9u}) {
     const Graph g = GenerateErdosRenyi(90, 250, seed);
     const VertexOrder order = DegreeOrder(g);
-    PspcOptions pull = Defaults();
+    BuildOptions pull = Defaults();
     pull.paradigm = Paradigm::kPull;
-    PspcOptions push = Defaults();
+    BuildOptions push = Defaults();
     push.paradigm = Paradigm::kPush;
     EXPECT_EQ(BuildPspcIndex(g, order, pull).index,
               BuildPspcIndex(g, order, push).index)
@@ -97,10 +98,10 @@ TEST(PspcBuilderTest, PushAndPullProduceSameIndex) {
 TEST(PspcBuilderTest, LandmarkFilterNeverChangesTheIndex) {
   const Graph g = GenerateBarabasiAlbert(120, 3, 13);
   const VertexOrder order = DegreeOrder(g);
-  PspcOptions with = Defaults();
+  BuildOptions with = Defaults();
   with.use_landmark_filter = true;
   with.num_landmarks = 16;
-  PspcOptions without = Defaults();
+  BuildOptions without = Defaults();
   without.use_landmark_filter = false;
   const auto a = BuildPspcIndex(g, order, with);
   const auto b = BuildPspcIndex(g, order, without);
@@ -115,11 +116,11 @@ TEST(PspcBuilderTest, LandmarkFilterNeverChangesTheIndex) {
 TEST(PspcBuilderTest, AllSchedulesProduceSameIndex) {
   const Graph g = GenerateErdosRenyi(100, 300, 23);
   const VertexOrder order = DegreeOrder(g);
-  PspcOptions s = Defaults();
+  BuildOptions s = Defaults();
   s.schedule = ScheduleKind::kStatic;
-  PspcOptions d = Defaults();
+  BuildOptions d = Defaults();
   d.schedule = ScheduleKind::kDynamic;
-  PspcOptions c = Defaults();
+  BuildOptions c = Defaults();
   c.schedule = ScheduleKind::kCostAware;
   const auto is = BuildPspcIndex(g, order, s).index;
   const auto id = BuildPspcIndex(g, order, d).index;
@@ -165,10 +166,15 @@ TEST(PspcBuilderTest, WeightedCountsMatchHpSpcWeighted) {
   const VertexOrder order = DegreeOrder(g);
   std::vector<Count> weights(50);
   for (VertexId v = 0; v < 50; ++v) weights[v] = 1 + v % 3;
-  PspcOptions o = Defaults();
-  o.vertex_weights = weights;
-  EXPECT_EQ(BuildPspcIndex(g, order, o).index,
-            BuildHpSpcIndex(g, order, weights).index);
+  const SpcIndex expected = BuildHpSpcIndex(g, order, weights).index;
+  EXPECT_EQ(BuildPspcIndex(g, order, Defaults(), weights).index, expected);
+  // The facade hands the weights to whichever builder it dispatches to.
+  for (Algorithm algorithm : {Algorithm::kPspc, Algorithm::kHpSpc}) {
+    BuildOptions o = Defaults();
+    o.algorithm = algorithm;
+    EXPECT_EQ(BuildIndexWithOrder(g, order, o, weights).index, expected)
+        << ToString(algorithm);
+  }
 }
 
 // ------------------------------------------------------------ Stats --

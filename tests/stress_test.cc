@@ -17,8 +17,8 @@
 namespace pspc {
 namespace {
 
-PspcOptions Defaults() {
-  PspcOptions o;
+BuildOptions Defaults() {
+  BuildOptions o;
   o.num_landmarks = 8;
   return o;
 }
