@@ -421,13 +421,13 @@ bool RunDirectedCase(size_t num_updates, uint32_t divisor,
 
   pspc::WallTimer build_timer;
   pspc::BuildResult built = pspc::BuildDirectedPspcIndex(
-      graph, pspc::DirectedDegreeOrder(graph), pspc::DiPspcOptions{});
+      graph, pspc::DirectedDegreeOrder(graph), pspc::BuildOptions{});
   const double rebuild_seconds = build_timer.ElapsedSeconds();
   std::printf("full rebuild: %.3fs (%zu entries)\n", rebuild_seconds,
               built.index.TotalEntries());
 
   pspc::DynamicDspcIndex index(graph, std::move(built.index),
-                               pspc::DynamicDiOptions{});
+                               pspc::DynamicOptions{});
 
   // Live directed edge list so deletions actually occur.
   std::vector<std::pair<pspc::VertexId, pspc::VertexId>> edges;
@@ -515,12 +515,12 @@ bool RunDirectedCase(size_t num_updates, uint32_t divisor,
   // capture path (both overlay sides freeze).
   constexpr size_t kPublishBatches = 32;
   constexpr size_t kPerBatch = 8;
-  pspc::DynamicDiOptions repair_only;
+  pspc::DynamicOptions repair_only;
   repair_only.rebuild_threshold = 1e18;
   pspc::DynamicDspcIndex publisher(
       graph,
       pspc::BuildDirectedPspcIndex(graph, pspc::DirectedDegreeOrder(graph),
-                                   pspc::DiPspcOptions{})
+                                   pspc::BuildOptions{})
           .index,
       repair_only);
   (void)pspc::IndexSnapshot::Capture(publisher);  // capture boundary 0

@@ -86,13 +86,13 @@ const BuildOptions kPspc{.num_threads = 1};
 const BuildOptions kPspcPlus{};
 
 /// Names a configuration by what changes the build: thread count 0 means
-/// all cores, and without the filter the landmark count is unused.
+/// all cores.
 std::string Key(const BuildOptions& o) {
   const int threads = o.num_threads <= 0 ? pspc::MaxThreads() : o.num_threads;
   return ToString(o.algorithm) + "/" + ToString(o.ordering) + "/" +
          std::to_string(o.hybrid_delta) + "/" + ToString(o.paradigm) + "/" +
          ToString(o.schedule) + "/t" + std::to_string(threads) + "/l" +
-         (o.use_landmark_filter ? std::to_string(o.num_landmarks) : "-");
+         std::to_string(o.num_landmarks);
 }
 
 /// The paper uses 1e5 random queries; scaled with the dataset divisor.
@@ -255,7 +255,7 @@ void Fig9(Dataset& d, Report& r) {
 // plan and (c) the node order, ordering time included.
 void Fig10(Dataset& d, Report& r) {
   if (!d.spec.in_sweep_set) return;
-  const BuildOptions nll{.use_landmark_filter = false};
+  const BuildOptions nll{.num_landmarks = 0};
   r.Check(d.spec.code, "PSPC+ index with landmark filter == without",
           d.Build(kPspcPlus).index.value() == d.Build(nll).index.value());
   using enum pspc::ScheduleKind;
@@ -304,8 +304,7 @@ void Fig11(Dataset& d, Report& r) {
 void Fig12(Dataset& d, Report& r) {
   if (!d.spec.in_sweep_set) return;
   for (const uint32_t k : {0, 8, 16, 32, 64, 100, 150, 250}) {
-    const Built& b =
-        d.Build({.num_landmarks = k, .use_landmark_filter = k > 0});
+    const Built& b = d.Build({.num_landmarks = k});
     r.Add("fig12/landmark_count", d.spec.code, "k:" + std::to_string(k),
           b.seconds,
           {{"landmarks", k}, {"landmark_s", b.stats.landmark_seconds},

@@ -33,7 +33,8 @@
 // to the given path — once at exit for `update`, and additionally
 // every `--metrics-interval-ms` while `serve` runs (atomic
 // rename-free overwrite; scrape by re-reading the file).
-// `--metrics-prom` does the same in Prometheus text format.
+// `--metrics-prom` does the same in Prometheus text format. A final
+// snapshot that cannot be written makes the command exit 1.
 // `--trace-sample N` traces one in N queries; traced queries slower
 // than `--slow-trace-ms` end-to-end are dumped as JSON at exit.
 //
@@ -49,14 +50,16 @@
 // winds down, the final metrics snapshots still flush, and the
 // process exits through the normal reporting path.
 //
-// Directed variants (paper §II-A; the index is built in-process from
-// the graph, each edge-list line read as one directed edge u -> v; a
-// dataset: code loads the symmetric closure of the undirected graph):
+// Directed variants (paper §II-A): `--directed <graph-or-dataset>`
+// stands where `<graph-or-dataset> <index.bin>` does, and the ids and
+// flags that follow are the undirected ones. The index is built
+// in-process from the graph (a directed index has no on-disk format,
+// so `update` takes no `--save`), each edge-list line read as one
+// directed edge u -> v; a dataset: code loads the symmetric closure of
+// the undirected graph.
 //
 //   ./spc_cli query  --directed <graph-or-dataset> <s> <t> [s t ...]
-//   ./spc_cli update --directed <graph-or-dataset>
-//                    --update-stream <updates.txt>
-//                    [--batch-size N] [--rebuild-threshold R]
+//   ./spc_cli update --directed <graph-or-dataset> [the update flags]
 //   ./spc_cli serve  --directed <graph-or-dataset> [the serve flags]
 //
 // `--batch-size N` groups writes: `update` replays the stream N
@@ -77,10 +80,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -140,10 +143,10 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
 }
 
 // Periodic metrics exporter: rewrites `json_path` (JSON snapshot) and
-// `prom_path` (Prometheus text) every `interval_ms` until stopped,
-// plus one final write from the destructor — which also runs on a
-// signal-driven wind-down, so an interrupted run still leaves a
-// current snapshot behind. Interval 0 = no thread, final write only.
+// `prom_path` (Prometheus text) every `interval_ms` until `Finish()`,
+// which writes the final snapshots — also on a signal-driven
+// wind-down, so an interrupted run still leaves a current snapshot
+// behind. Interval 0 = no thread, final write only.
 class MetricsReporter {
  public:
   MetricsReporter(pspc::obs::MetricsRegistry* registry, std::string json_path,
@@ -163,30 +166,45 @@ class MetricsReporter {
           if (stop_) return;
         }
         // Outside mu_: snapshot serialization has no business blocking
-        // the destructor's stop handshake.
+        // the stop handshake. A failed periodic write is retried on the
+        // next tick; only the final one decides the exit code.
         WriteSnapshots();
       }
     });
   }
 
-  ~MetricsReporter() {
-    if (thread_.joinable()) {
-      {
-        pspc::spc::MutexLock lock(mu_);
-        stop_ = true;
-      }
-      cv_.NotifyAll();
-      thread_.join();
-    }
-    WriteSnapshots();
+  MetricsReporter(const MetricsReporter&) = delete;
+  MetricsReporter& operator=(const MetricsReporter&) = delete;
+
+  ~MetricsReporter() { StopThread(); }
+
+  // Stops the periodic writes and writes the final snapshots; false
+  // (the reason printed) if a file could not be written.
+  bool Finish() {
+    StopThread();
+    return WriteSnapshots();
   }
 
  private:
-  void WriteSnapshots() {
-    if (!json_path_.empty()) WriteTextFile(json_path_, registry_->ToJson());
-    if (!prom_path_.empty()) {
-      WriteTextFile(prom_path_, registry_->ToPrometheusText());
+  void StopThread() {
+    if (!thread_.joinable()) return;
+    {
+      pspc::spc::MutexLock lock(mu_);
+      stop_ = true;
     }
+    cv_.NotifyAll();
+    thread_.join();
+  }
+
+  bool WriteSnapshots() {
+    bool ok = true;
+    if (!json_path_.empty()) {
+      ok = WriteTextFile(json_path_, registry_->ToJson());
+    }
+    if (!prom_path_.empty()) {
+      ok = WriteTextFile(prom_path_, registry_->ToPrometheusText()) && ok;
+    }
+    return ok;
   }
 
   pspc::obs::MetricsRegistry* registry_;
@@ -218,13 +236,8 @@ int Usage() {
                "[--metrics-json <path>] [--metrics-prom <path>] "
                "[--metrics-interval-ms N] [--obs-port N] [--bundle <path>] "
                "[--trace-sample N] [--slow-trace-ms X]\n"
-               "  spc_cli query --directed <graph-or-dataset> <s> <t> ...\n"
-               "  spc_cli update --directed <graph-or-dataset> "
-               "--update-stream <updates.txt> [--batch-size N] "
-               "[--rebuild-threshold R] [--metrics-json <path>] "
-               "[--metrics-prom <path>]\n"
-               "  spc_cli serve --directed <graph-or-dataset> "
-               "[the serve flags]\n");
+               "  spc_cli query|update|serve --directed <graph-or-dataset> "
+               "[the ids and flags above; update takes no --save]\n");
   return 2;
 }
 
@@ -298,11 +311,15 @@ bool LoadDiGraphArg(const std::string& arg, pspc::DiGraph* out) {
   return true;
 }
 
-// Loads the graph argument and the index saved from it. A graph or
-// index that does not load, or an index over another vertex count,
-// prints one message and returns false.
-bool LoadGraphAndIndex(const char* graph_arg, const char* index_path,
-                       pspc::Graph* graph, pspc::SpcIndex* index) {
+// Loads the graph and index a command runs on, named by argv[2..3];
+// the ids and flags of query, update and serve start at argv[4].
+// Undirected: `<graph-or-dataset> <index.bin>`. A graph or index that
+// does not load, or an index over another vertex count, prints one
+// message and returns false.
+bool LoadCommandIndex(char** argv, pspc::Graph* graph,
+                      pspc::SpcIndex* index) {
+  const char* graph_arg = argv[2];
+  const char* index_path = argv[3];
   if (!LoadGraphArg(graph_arg, graph)) return false;
   auto loaded = pspc::SpcIndex::Load(index_path);
   if (!loaded.ok()) {
@@ -320,11 +337,43 @@ bool LoadGraphAndIndex(const char* graph_arg, const char* index_path,
   return true;
 }
 
-// Validates the id arguments `argv[first..argc)` against `n` vertices
-// of the named container ("graph" / "index"); malformed or
-// out-of-range ids are usage errors (exit 2) on every front-end.
-bool ValidateVertexIds(int argc, char** argv, int first, pspc::VertexId n,
-                       const char* noun) {
+// Directed: `--directed <graph-or-dataset>`, the index built in-process
+// because a directed SpcIndex has no on-disk format.
+bool LoadCommandIndex(char** argv, pspc::DiGraph* graph,
+                      pspc::SpcIndex* index) {
+  if (!LoadDiGraphArg(argv[3], graph)) return false;
+  pspc::WallTimer timer;
+  *index = pspc::BuildDirectedPspcIndex(
+               *graph, pspc::DirectedDegreeOrder(*graph), pspc::BuildOptions{})
+               .index;
+  std::printf("directed index: %u vertices, %llu edges, %zu entries "
+              "(built in %.3fs)\n",
+              graph->NumVertices(),
+              static_cast<unsigned long long>(graph->NumEdges()),
+              index->TotalEntries(), timer.ElapsedSeconds());
+  return true;
+}
+
+// The dynamic index and BFS oracle of each edge direction.
+template <typename GraphT>
+using DynamicIndexFor =
+    std::conditional_t<std::is_same_v<GraphT, pspc::DiGraph>,
+                       pspc::DynamicDspcIndex, pspc::DynamicSpcIndex>;
+
+pspc::SpcResult OracleSpc(const pspc::Graph& graph, pspc::VertexId s,
+                          pspc::VertexId t) {
+  return pspc::BfsSpcPair(graph, s, t);
+}
+
+pspc::SpcResult OracleSpc(const pspc::DiGraph& graph, pspc::VertexId s,
+                          pspc::VertexId t) {
+  return pspc::DiBfsSpcPair(graph, s, t);
+}
+
+// Validates the id arguments `argv[first..argc)` against an index of
+// `n` vertices; malformed or out-of-range ids are usage errors (exit 2)
+// in both directions.
+bool ValidateVertexIds(int argc, char** argv, int first, pspc::VertexId n) {
   for (int i = first; i < argc; ++i) {
     char* end = nullptr;
     const long long id = std::strtoll(argv[i], &end, 10);
@@ -334,13 +383,13 @@ bool ValidateVertexIds(int argc, char** argv, int first, pspc::VertexId n,
     }
     if (id < 0 || static_cast<unsigned long long>(id) >= n) {
       if (n == 0) {
-        std::fprintf(stderr, "vertex id %s out of range: %s is empty\n",
-                     argv[i], noun);
+        std::fprintf(stderr, "vertex id %s out of range: index is empty\n",
+                     argv[i]);
       } else {
         std::fprintf(stderr,
-                     "vertex id %s out of range: %s has %u vertices "
+                     "vertex id %s out of range: index has %u vertices "
                      "(valid ids are 0..%u)\n",
-                     argv[i], noun, n, n - 1);
+                     argv[i], n, n - 1);
       }
       return false;
     }
@@ -348,145 +397,7 @@ bool ValidateVertexIds(int argc, char** argv, int first, pspc::VertexId n,
   return true;
 }
 
-// Directed queries: builds the in/out-label index from the graph
-// in-process (a directed SpcIndex has no on-disk format) and answers
-// each ordered pair s -> t.
-int CmdQueryDirected(int argc, char** argv) {
-  if (argc < 6 || (argc - 4) % 2 != 0) return Usage();
-  pspc::DiGraph graph;
-  if (!LoadDiGraphArg(argv[3], &graph)) return 1;
-  if (!ValidateVertexIds(argc, argv, 4, graph.NumVertices(), "graph")) {
-    return 2;
-  }
-
-  pspc::WallTimer timer;
-  const pspc::BuildResult built =
-      pspc::BuildDirectedPspcIndex(graph, pspc::DirectedDegreeOrder(graph),
-                                   pspc::DiPspcOptions{});
-  std::printf("directed index: %u vertices, %llu edges, %zu entries "
-              "(built in %.3fs)\n",
-              graph.NumVertices(),
-              static_cast<unsigned long long>(graph.NumEdges()),
-              built.index.TotalEntries(), timer.ElapsedSeconds());
-  for (int i = 4; i + 1 < argc; i += 2) {
-    const auto s = static_cast<pspc::VertexId>(std::atoll(argv[i]));
-    const auto t = static_cast<pspc::VertexId>(std::atoll(argv[i + 1]));
-    const pspc::SpcResult r = built.index.Query(s, t);
-    if (r.distance == pspc::kInfSpcDistance) {
-      std::printf("SPC(%u -> %u): unreachable\n", s, t);
-    } else {
-      std::printf("SPC(%u -> %u): distance %u, %llu shortest paths\n", s, t,
-                  r.distance, static_cast<unsigned long long>(r.count));
-    }
-  }
-  return 0;
-}
-
-// Directed update replay: the dynamic directed index repairs in/out
-// labels in place instead of rebuilding per change.
-int CmdUpdateDirected(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  pspc::DiGraph graph;
-  if (!LoadDiGraphArg(argv[3], &graph)) return 1;
-
-  std::string stream_path, metrics_json, metrics_prom;
-  pspc::DynamicDiOptions options;
-  size_t batch_size = 1;
-  for (int i = 4; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--update-stream" && i + 1 < argc) {
-      stream_path = argv[++i];
-    } else if (flag == "--rebuild-threshold" && i + 1 < argc) {
-      if (!ParseDoubleFlag("--rebuild-threshold", argv[++i], 0.0,
-                           &options.rebuild_threshold)) {
-        return Usage();
-      }
-    } else if (flag == "--batch-size" && i + 1 < argc) {
-      long long value = 0;
-      if (!ParseIntFlag("--batch-size", argv[++i], 1, &value)) return Usage();
-      batch_size = static_cast<size_t>(value);
-    } else if (flag == "--metrics-json" && i + 1 < argc) {
-      metrics_json = argv[++i];
-    } else if (flag == "--metrics-prom" && i + 1 < argc) {
-      metrics_prom = argv[++i];
-    } else {
-      return Usage();
-    }
-  }
-  if (stream_path.empty()) return Usage();
-
-  auto stream = pspc::LoadUpdateStream(stream_path);
-  if (!stream.ok()) {
-    std::fprintf(stderr, "failed to load updates %s: %s\n",
-                 stream_path.c_str(), stream.status().ToString().c_str());
-    return 1;
-  }
-
-  pspc::WallTimer build_timer;
-  pspc::DynamicDspcIndex index(std::move(graph), pspc::DiPspcOptions{},
-                               options);
-  std::printf("directed index built in %.3fs; replaying %zu updates "
-              "against %u vertices / %llu edges (batch size %zu)\n",
-              build_timer.ElapsedSeconds(), stream.value().Size(),
-              index.NumVertices(),
-              static_cast<unsigned long long>(index.NumEdges()), batch_size);
-
-  InstallStopHandlers();
-  pspc::WallTimer timer;
-  size_t applied = 0;
-  if (batch_size <= 1) {
-    for (const pspc::EdgeUpdate& up : stream.value()) {
-      if (g_interrupted != 0) break;
-      const pspc::Status st = index.Apply(up);
-      if (!st.ok()) {
-        std::fprintf(stderr, "update %zu (%c %u %u) failed: %s\n", applied,
-                     up.kind == pspc::EdgeUpdateKind::kInsert ? 'i' : 'd',
-                     up.u, up.v, st.ToString().c_str());
-        return 1;
-      }
-      ++applied;
-    }
-  } else {
-    const auto& updates = stream.value().Updates();
-    for (size_t pos = 0; pos < updates.size() && g_interrupted == 0;
-         pos += batch_size) {
-      pspc::EdgeUpdateBatch chunk;
-      const size_t end = std::min(pos + batch_size, updates.size());
-      for (size_t i = pos; i < end; ++i) chunk.Add(updates[i]);
-      if (const pspc::Status st = index.ApplyBatch(chunk); !st.ok()) {
-        std::fprintf(stderr, "batch at update %zu failed: %s\n", pos,
-                     st.ToString().c_str());
-        return 1;
-      }
-      applied = end;
-    }
-  }
-  const double total = timer.ElapsedSeconds();
-  if (g_interrupted != 0) {
-    std::printf("interrupted after %zu updates; flushing metrics\n", applied);
-  }
-
-  std::printf("applied %zu updates in %.3fs (%.3f ms/update)\n%s\n", applied,
-              total, applied == 0 ? 0.0 : total * 1e3 / applied,
-              index.Stats().ToString().c_str());
-  std::printf("staleness: %.4f (threshold %.4f), edges now %llu\n",
-              index.StalenessRatio(), options.rebuild_threshold,
-              static_cast<unsigned long long>(index.NumEdges()));
-  if (!metrics_json.empty() &&
-      !WriteTextFile(metrics_json,
-                     pspc::obs::MetricsRegistry::Global().ToJson())) {
-    return 1;
-  }
-  if (!metrics_prom.empty() &&
-      !WriteTextFile(metrics_prom,
-                     pspc::obs::MetricsRegistry::Global().ToPrometheusText())) {
-    return 1;
-  }
-  return 0;
-}
-
-// Shared configuration of the serve front-ends (undirected and
-// directed take the identical flag set).
+// The serve flags (the same in both directions).
 struct ServeParams {
   double duration_seconds = 5.0;
   double write_share = 0.05;
@@ -595,20 +506,36 @@ bool LoadServeStream(const ServeParams& params,
   return true;
 }
 
-// Drives the mixed read/write workload shared by `serve` and
-// `serve --directed`: loader threads submit random query batches
-// (closed loop) while this thread applies edge updates — from the
-// replayed stream when given, otherwise closure churn — self-paced
-// toward `write_share` of total operations. After the drain,
-// `quiesce_check` runs the oracle spot-check and returns its mismatch
-// count (the drained engine + idle writer make it a quiesce point).
-// Returns the process exit code.
-int RunServeWorkload(pspc::ServingEngine& engine, pspc::VertexId n,
-                     const ServeParams& params, pspc::EdgeUpdateBatch stream,
-                     pspc::ClosureChurn& churn,
-                     const std::function<size_t()>& quiesce_check) {
+// Serves `index` through a ServingEngine under a mixed read/write
+// workload: loader threads submit random query batches (closed loop)
+// while this thread applies edge updates — from the replayed stream
+// when given, otherwise closure churn — self-paced toward
+// `write_share` of total operations. After the drain, served answers
+// are spot-checked against the BFS oracle on the live graph (the
+// drained engine + idle writer make it a quiesce point). Returns the
+// process exit code: 1 on an oracle mismatch or a failed final
+// metrics write.
+template <typename DynamicIndex>
+int RunServeWorkload(DynamicIndex& index, const ServeParams& params,
+                     pspc::EdgeUpdateBatch stream, pspc::ClosureChurn& churn) {
+  const pspc::VertexId n = index.NumVertices();
+  pspc::ServingOptions serving_options;
+  serving_options.num_workers = params.workers;
+  if (params.no_cache) serving_options.cache_capacity_per_shard = 0;
+  serving_options.trace_sample_every_n =
+      static_cast<uint64_t>(params.trace_sample);
+  serving_options.trace_seed = params.seed;
+  serving_options.slow_trace_us = params.slow_trace_ms * 1000.0;
+  pspc::ServingEngine engine(&index, serving_options);
+  std::printf("serving %s%u vertices / %llu edges: %d loaders x batch %zu, "
+              "write share %.2f (batch size %zu), %.1fs\n",
+              index.BaseIndex().Directed() ? "directed " : "", n,
+              static_cast<unsigned long long>(index.NumEdges()),
+              params.loaders, params.batch, params.write_share,
+              params.write_batch, params.duration_seconds);
+
   InstallStopHandlers();
-  // Periodic metrics exporter (and final snapshot on scope exit).
+  // Periodic metrics exporter; Finish() below writes the final snapshot.
   MetricsReporter reporter(&engine.Metrics(), params.metrics_json,
                            params.metrics_prom, params.metrics_interval_ms);
 
@@ -753,66 +680,20 @@ int RunServeWorkload(pspc::ServingEngine& engine, pspc::VertexId n,
     }
   }
 
-  const size_t mismatches = quiesce_check();
-  return mismatches == 0 ? 0 : 1;
-}
-
-// Directed mixed-workload serving: loader threads query the published
-// directed snapshots while the writer repairs in/out labels.
-int CmdServeDirected(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  pspc::DiGraph graph;
-  if (!LoadDiGraphArg(argv[3], &graph)) return 1;
-  ServeParams params;
-  if (!ParseServeFlags(argc, argv, 4, &params)) return Usage();
-  pspc::EdgeUpdateBatch stream;
-  if (!LoadServeStream(params, &stream)) return 1;
-
-  const pspc::VertexId n = graph.NumVertices();
-  if (n == 0) {
-    std::fprintf(stderr, "cannot serve an empty graph\n");
-    return 1;
-  }
-  pspc::ClosureChurn churn(graph);
-
-  pspc::WallTimer build_timer;
-  pspc::DynamicDspcIndex index(std::move(graph), pspc::DiPspcOptions{});
-  pspc::ServingOptions serving_options;
-  serving_options.num_workers = params.workers;
-  if (params.no_cache) serving_options.cache_capacity_per_shard = 0;
-  serving_options.trace_sample_every_n =
-      static_cast<uint64_t>(params.trace_sample);
-  serving_options.trace_seed = params.seed;
-  serving_options.slow_trace_us = params.slow_trace_ms * 1000.0;
-  pspc::ServingEngine engine(&index, serving_options);
-
-  std::printf("serving directed %u vertices / %llu edges (index built in "
-              "%.3fs): %d loaders x batch %zu, write share %.2f (batch size "
-              "%zu), %.1fs\n",
-              n, static_cast<unsigned long long>(index.NumEdges()),
-              build_timer.ElapsedSeconds(), params.loaders, params.batch,
-              params.write_share, params.write_batch,
-              params.duration_seconds);
-
-  return RunServeWorkload(engine, n, params, std::move(stream), churn, [&] {
-    // Quiesce exactness spot-check against the directed BFS oracle.
-    const pspc::DiGraph current = index.MaterializeGraph();
-    pspc::QueryBatch checks =
-        pspc::MakeRandomQueries(n, 16, params.seed ^ 0x5eed);
-    const std::vector<pspc::SpcResult> served =
-        engine.SubmitBatch(checks).get();
-    size_t mismatches = 0;
-    for (size_t i = 0; i < checks.size(); ++i) {
-      if (served[i] != pspc::DiBfsSpcPair(current, checks[i].first,
-                                          checks[i].second)) {
-        ++mismatches;
-      }
+  const auto current = index.MaterializeGraph();
+  pspc::QueryBatch checks =
+      pspc::MakeRandomQueries(n, 16, params.seed ^ 0x5eed);
+  const std::vector<pspc::SpcResult> served = engine.SubmitBatch(checks).get();
+  size_t mismatches = 0;
+  for (size_t i = 0; i < checks.size(); ++i) {
+    if (served[i] != OracleSpc(current, checks[i].first, checks[i].second)) {
+      ++mismatches;
     }
-    std::printf("quiesce oracle: %zu/%zu exact%s\n",
-                checks.size() - mismatches, checks.size(),
-                mismatches == 0 ? "" : "  <-- CORRECTNESS BUG");
-    return mismatches;
-  });
+  }
+  std::printf("quiesce oracle: %zu/%zu exact%s\n", checks.size() - mismatches,
+              checks.size(), mismatches == 0 ? "" : "  <-- CORRECTNESS BUG");
+  const bool metrics_written = reporter.Finish();
+  return mismatches == 0 && metrics_written ? 0 : 1;
 }
 
 int CmdBuild(int argc, char** argv) {
@@ -867,26 +748,28 @@ int CmdBuild(int argc, char** argv) {
   return 0;
 }
 
+template <typename GraphT>
 int CmdQuery(int argc, char** argv) {
-  if (DirectedMode(argc, argv)) return CmdQueryDirected(argc, argv);
   if (argc < 6 || (argc - 4) % 2 != 0) return Usage();
-  pspc::Graph graph;
+  GraphT graph;
   pspc::SpcIndex index;
-  if (!LoadGraphAndIndex(argv[2], argv[3], &graph, &index)) return 1;
+  if (!LoadCommandIndex(argv, &graph, &index)) return 1;
   // Validate every id up front: a malformed or out-of-range vertex id
   // is a usage error, not a per-pair answer.
-  if (!ValidateVertexIds(argc, argv, 4, index.NumVertices(), "index")) {
+  if (!ValidateVertexIds(argc, argv, 4, index.NumVertices())) {
     return 2;
   }
+  const char* separator = index.Directed() ? " ->" : ",";
   for (int i = 4; i + 1 < argc; i += 2) {
     const auto s = static_cast<pspc::VertexId>(std::atoll(argv[i]));
     const auto t = static_cast<pspc::VertexId>(std::atoll(argv[i + 1]));
     const pspc::SpcResult r = index.Query(s, t);
     if (r.distance == pspc::kInfSpcDistance) {
-      std::printf("SPC(%u, %u): unreachable\n", s, t);
+      std::printf("SPC(%u%s %u): unreachable\n", s, separator, t);
     } else {
-      std::printf("SPC(%u, %u): distance %u, %llu shortest paths\n", s, t,
-                  r.distance, static_cast<unsigned long long>(r.count));
+      std::printf("SPC(%u%s %u): distance %u, %llu shortest paths\n", s,
+                  separator, t, r.distance,
+                  static_cast<unsigned long long>(r.count));
     }
   }
   return 0;
@@ -917,7 +800,7 @@ int CmdIndexStats(int argc, char** argv) {
   if (argc < 4) return Usage();
   pspc::Graph graph;
   pspc::SpcIndex loaded;
-  if (!LoadGraphAndIndex(argv[2], argv[3], &graph, &loaded)) return 1;
+  if (!LoadCommandIndex(argv, &graph, &loaded)) return 1;
 
   std::string stream_path;
   for (int i = 4; i < argc; ++i) {
@@ -979,15 +862,66 @@ int CmdIndexStats(int argc, char** argv) {
   return 0;
 }
 
+// Replays `stream` against `index`, `batch_size` updates per atomic
+// coalesced ApplyBatch (1 = update by update), and prints the repair
+// report. A failed update stops the replay with the prior ones (or
+// prior batches) applied and returns false.
+template <typename DynamicIndex>
+bool ReplayUpdates(DynamicIndex& index, const pspc::EdgeUpdateBatch& stream,
+                   size_t batch_size) {
+  InstallStopHandlers();
+  pspc::WallTimer timer;
+  size_t applied = 0;
+  if (batch_size <= 1) {
+    for (const pspc::EdgeUpdate& up : stream) {
+      if (g_interrupted != 0) break;
+      const pspc::Status st = index.Apply(up);
+      if (!st.ok()) {
+        std::fprintf(stderr, "update %zu (%c %u %u) failed: %s\n", applied,
+                     up.kind == pspc::EdgeUpdateKind::kInsert ? 'i' : 'd',
+                     up.u, up.v, st.ToString().c_str());
+        return false;
+      }
+      ++applied;
+    }
+  } else {
+    const auto& updates = stream.Updates();
+    for (size_t pos = 0; pos < updates.size() && g_interrupted == 0;
+         pos += batch_size) {
+      pspc::EdgeUpdateBatch chunk;
+      const size_t end = std::min(pos + batch_size, updates.size());
+      for (size_t i = pos; i < end; ++i) chunk.Add(updates[i]);
+      if (const pspc::Status st = index.ApplyBatch(chunk); !st.ok()) {
+        std::fprintf(stderr, "batch at update %zu failed: %s\n", pos,
+                     st.ToString().c_str());
+        return false;
+      }
+      applied = end;
+    }
+  }
+  const double total = timer.ElapsedSeconds();
+  if (g_interrupted != 0) {
+    std::printf("interrupted after %zu updates; flushing metrics\n", applied);
+  }
+
+  std::printf("applied %zu updates in %.3fs (%.3f ms/update)\n%s\n", applied,
+              total, applied == 0 ? 0.0 : total * 1e3 / applied,
+              index.Stats().ToString().c_str());
+  std::printf("staleness: %.4f (threshold %.4f), edges now %llu\n",
+              index.StalenessRatio(), index.Options().rebuild_threshold,
+              static_cast<unsigned long long>(index.NumEdges()));
+  return true;
+}
+
 // Replays an update stream against the dynamic index: per-update
 // repair latency, staleness growth, and optionally a rebuilt index
 // written back to disk.
+template <typename GraphT>
 int CmdUpdate(int argc, char** argv) {
-  if (DirectedMode(argc, argv)) return CmdUpdateDirected(argc, argv);
   if (argc < 4) return Usage();
-  pspc::Graph graph;
+  GraphT graph;
   pspc::SpcIndex loaded;
-  if (!LoadGraphAndIndex(argv[2], argv[3], &graph, &loaded)) return 1;
+  if (!LoadCommandIndex(argv, &graph, &loaded)) return 1;
 
   std::string stream_path, save_path, metrics_json, metrics_prom;
   pspc::DynamicOptions options;
@@ -1005,7 +939,8 @@ int CmdUpdate(int argc, char** argv) {
       long long value = 0;
       if (!ParseIntFlag("--batch-size", argv[++i], 1, &value)) return Usage();
       batch_size = static_cast<size_t>(value);
-    } else if (flag == "--save" && i + 1 < argc) {
+    } else if (flag == "--save" && i + 1 < argc && !loaded.Directed()) {
+      // A directed index has no on-disk format: --save is a usage error.
       save_path = argv[++i];
     } else if (flag == "--metrics-json" && i + 1 < argc) {
       metrics_json = argv[++i];
@@ -1024,56 +959,12 @@ int CmdUpdate(int argc, char** argv) {
     return 1;
   }
 
-  pspc::DynamicSpcIndex index(std::move(graph), std::move(loaded),
-                              options);
+  DynamicIndexFor<GraphT> index(std::move(graph), std::move(loaded), options);
   std::printf("replaying %zu updates against %u vertices / %llu edges "
               "(batch size %zu)\n",
               stream.value().Size(), index.NumVertices(),
               static_cast<unsigned long long>(index.NumEdges()), batch_size);
-
-  InstallStopHandlers();
-  pspc::WallTimer timer;
-  size_t applied = 0;
-  if (batch_size <= 1) {
-    for (const pspc::EdgeUpdate& up : stream.value()) {
-      if (g_interrupted != 0) break;
-      const pspc::Status st = index.Apply(up);
-      if (!st.ok()) {
-        std::fprintf(stderr, "update %zu (%c %u %u) failed: %s\n", applied,
-                     up.kind == pspc::EdgeUpdateKind::kInsert ? 'i' : 'd',
-                     up.u, up.v, st.ToString().c_str());
-        return 1;
-      }
-      ++applied;
-    }
-  } else {
-    // Atomic coalesced batches: a failure rejects its whole batch (and
-    // stops the replay) with the prior batches applied.
-    const auto& updates = stream.value().Updates();
-    for (size_t pos = 0; pos < updates.size() && g_interrupted == 0;
-         pos += batch_size) {
-      pspc::EdgeUpdateBatch chunk;
-      const size_t end = std::min(pos + batch_size, updates.size());
-      for (size_t i = pos; i < end; ++i) chunk.Add(updates[i]);
-      if (const pspc::Status st = index.ApplyBatch(chunk); !st.ok()) {
-        std::fprintf(stderr, "batch at update %zu failed: %s\n", pos,
-                     st.ToString().c_str());
-        return 1;
-      }
-      applied = end;
-    }
-  }
-  const double total = timer.ElapsedSeconds();
-  if (g_interrupted != 0) {
-    std::printf("interrupted after %zu updates; flushing metrics\n", applied);
-  }
-
-  std::printf("applied %zu updates in %.3fs (%.3f ms/update)\n%s\n", applied,
-              total, applied == 0 ? 0.0 : total * 1e3 / applied,
-              index.Stats().ToString().c_str());
-  std::printf("staleness: %.4f (threshold %.4f), edges now %llu\n",
-              index.StalenessRatio(), options.rebuild_threshold,
-              static_cast<unsigned long long>(index.NumEdges()));
+  if (!ReplayUpdates(index, stream.value(), batch_size)) return 1;
 
   if (!save_path.empty()) {
     index.Rebuild();  // re-construct from the current graph, then save
@@ -1084,97 +975,61 @@ int CmdUpdate(int argc, char** argv) {
     std::printf("rebuilt + saved to %s (%.1f MB)\n", save_path.c_str(),
                 static_cast<double>(index.BaseIndex().SizeBytes()) / 1048576.0);
   }
-  if (!metrics_json.empty() &&
-      !WriteTextFile(metrics_json,
-                     pspc::obs::MetricsRegistry::Global().ToJson())) {
-    return 1;
-  }
-  if (!metrics_prom.empty() &&
-      !WriteTextFile(metrics_prom,
-                     pspc::obs::MetricsRegistry::Global().ToPrometheusText())) {
-    return 1;
-  }
-  return 0;
+  MetricsReporter reporter(&pspc::obs::MetricsRegistry::Global(),
+                           metrics_json, metrics_prom, 0);
+  return reporter.Finish() ? 0 : 1;
 }
 
 // Drives a mixed read/write workload through the concurrent serving
-// engine: loader threads submit random query batches (closed loop)
-// while the main thread applies edge updates — from a replayed stream
-// when given, otherwise synthetic closure churn (close a live edge /
-// reopen a closed one, which keeps the graph near its initial shape).
-// The writer self-paces toward `--write-share` of total operations;
-// since one repair costs thousands of query times, shares beyond a few
+// engine (see RunServeWorkload): the writer replays a stream when
+// given, otherwise synthetic closure churn (close a live edge / reopen
+// a closed one, which keeps the graph near its initial shape). Since
+// one repair costs thousands of query times, write shares beyond a few
 // percent leave the writer saturated and merely measure how well reads
 // survive a continuously writing index — which is the point.
+template <typename GraphT>
 int CmdServe(int argc, char** argv) {
-  if (DirectedMode(argc, argv)) return CmdServeDirected(argc, argv);
   if (argc < 4) return Usage();
-  pspc::Graph graph;
+  GraphT graph;
   pspc::SpcIndex loaded;
-  if (!LoadGraphAndIndex(argv[2], argv[3], &graph, &loaded)) return 1;
+  if (!LoadCommandIndex(argv, &graph, &loaded)) return 1;
 
   ServeParams params;
   if (!ParseServeFlags(argc, argv, 4, &params)) return Usage();
   pspc::EdgeUpdateBatch stream;
   if (!LoadServeStream(params, &stream)) return 1;
 
-  const pspc::VertexId n = graph.NumVertices();
-  if (n == 0) {
+  if (graph.NumVertices() == 0) {
     std::fprintf(stderr, "cannot serve an empty graph\n");
     return 1;
   }
   // Synthetic churn pools (shared with bench_serving).
   pspc::ClosureChurn churn(graph);
-
-  pspc::DynamicSpcIndex index(std::move(graph), std::move(loaded));
-  pspc::ServingOptions serving_options;
-  serving_options.num_workers = params.workers;
-  if (params.no_cache) serving_options.cache_capacity_per_shard = 0;
-  serving_options.trace_sample_every_n =
-      static_cast<uint64_t>(params.trace_sample);
-  serving_options.trace_seed = params.seed;
-  serving_options.slow_trace_us = params.slow_trace_ms * 1000.0;
-  pspc::ServingEngine engine(&index, serving_options);
-
-  std::printf("serving %u vertices / %llu edges: %d loaders x batch %zu, "
-              "write share %.2f (batch size %zu), %.1fs\n",
-              n, static_cast<unsigned long long>(index.NumEdges()),
-              params.loaders, params.batch, params.write_share,
-              params.write_batch, params.duration_seconds);
-
-  return RunServeWorkload(engine, n, params, std::move(stream), churn, [&] {
-    // Quiesce exactness spot-check: drained engine + idle writer means
-    // served answers must now match a fresh BFS on the live graph.
-    const pspc::Graph current = index.MaterializeGraph();
-    pspc::QueryBatch checks =
-        pspc::MakeRandomQueries(n, 16, params.seed ^ 0x5eed);
-    const std::vector<pspc::SpcResult> served =
-        engine.SubmitBatch(checks).get();
-    size_t mismatches = 0;
-    for (size_t i = 0; i < checks.size(); ++i) {
-      if (served[i] != pspc::BfsSpcPair(current, checks[i].first,
-                                        checks[i].second)) {
-        ++mismatches;
-      }
-    }
-    std::printf("quiesce oracle: %zu/%zu exact%s\n",
-                checks.size() - mismatches, checks.size(),
-                mismatches == 0 ? "" : "  <-- CORRECTNESS BUG");
-    return mismatches;
-  });
+  DynamicIndexFor<GraphT> index(std::move(graph), std::move(loaded));
+  return RunServeWorkload(index, params, std::move(stream), churn);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
+  const bool directed = DirectedMode(argc, argv);
   if (std::strcmp(argv[1], "build") == 0) return CmdBuild(argc, argv);
-  if (std::strcmp(argv[1], "query") == 0) return CmdQuery(argc, argv);
+  if (std::strcmp(argv[1], "query") == 0) {
+    return directed ? CmdQuery<pspc::DiGraph>(argc, argv)
+                    : CmdQuery<pspc::Graph>(argc, argv);
+  }
   if (std::strcmp(argv[1], "stats") == 0) return CmdStats(argc, argv);
   if (std::strcmp(argv[1], "index-stats") == 0) {
     return CmdIndexStats(argc, argv);
   }
-  if (std::strcmp(argv[1], "update") == 0) return CmdUpdate(argc, argv);
-  if (std::strcmp(argv[1], "serve") == 0) return CmdServe(argc, argv);
+  if (std::strcmp(argv[1], "update") == 0) {
+    return directed ? CmdUpdate<pspc::DiGraph>(argc, argv)
+                    : CmdUpdate<pspc::Graph>(argc, argv);
+  }
+  if (std::strcmp(argv[1], "serve") == 0) {
+    return directed ? CmdServe<pspc::DiGraph>(argc, argv)
+                    : CmdServe<pspc::Graph>(argc, argv);
+  }
   return Usage();
 }

@@ -13,7 +13,9 @@
 /// build and every path — the static complement of the TSan CI lane,
 /// which can only sample the interleavings it happens to run. Under
 /// compilers without the attribute (g++) everything expands to
-/// nothing.
+/// nothing. There is deliberately no NO_THREAD_SAFETY_ANALYSIS escape:
+/// the macro is not defined, so opting a function out of the analysis
+/// does not compile.
 ///
 /// Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 /// (the macro set below is the one that page documents, and the same
@@ -51,11 +53,6 @@
 #define RELEASE(...) \
   PSPC_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// The function attempts to acquire; the first argument is the return
-/// value meaning success.
-#define TRY_ACQUIRE(...) \
-  PSPC_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 /// The calling thread must NOT hold the capability (deadlock guard for
 /// functions that acquire it themselves).
 #define EXCLUDES(...) PSPC_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
@@ -71,13 +68,6 @@
 /// Marks an RAII class whose constructor acquires and destructor
 /// releases a capability.
 #define SCOPED_CAPABILITY PSPC_THREAD_ANNOTATION(scoped_lockable)
-
-/// Escape hatch: disables analysis for one function. The repo bans it
-/// — the clang CI lane greps for uses and `spc_lint` flags it — so the
-/// macro exists only to make the (forbidden) spelling canonical and
-/// findable, not to be used.
-#define NO_THREAD_SAFETY_ANALYSIS \
-  PSPC_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 /// Asserts at analysis level (no runtime effect) that the capability
 /// is held — for callbacks whose caller provably holds the lock but

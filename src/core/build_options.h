@@ -51,9 +51,8 @@ struct BuildOptions {
   int num_threads = 0;
   /// Landmark distance tables built from the top-ranked vertices
   /// (paper §III-H; default 100 as in the paper's experiments; capped
-  /// at n). 0 disables with use_landmark_filter.
+  /// at n). 0 turns the landmark filter off.
   uint32_t num_landmarks = 100;
-  bool use_landmark_filter = true;
 };
 
 std::string ToString(Algorithm a);

@@ -41,7 +41,7 @@ struct ThreadScratch {
   }
 };
 
-/// A CSR adjacency: the neighbors a label side pulls from.
+/// A CSR adjacency: the neighbors a label side pulls from or pushes to.
 struct Adjacency {
   const std::vector<EdgeId>& offsets;
   const std::vector<VertexId>& neighbors;
@@ -52,13 +52,15 @@ struct Adjacency {
 };
 
 /// One label side: iteration d extends `store` with `L_d(u)`, pulled
-/// from the level-(d-1) entries of u's neighbors in `pull`, and prunes
-/// a candidate hub w by pairing u's own committed entries with w's
-/// entries in `witness`. An undirected side is its own witness.
+/// from the level-(d-1) entries of u's neighbors in `pull` (or pushed
+/// along `push`, the transpose of `pull`), and prunes a candidate hub
+/// w by pairing u's own committed entries with w's entries in
+/// `witness`. An undirected side is its own witness and transpose.
 struct LabelSide {
   LevelLabelStore* store;
   const LevelLabelStore* witness;
   Adjacency pull;
+  Adjacency push;
 };
 
 /// Shared state of one construction run.
@@ -239,9 +241,7 @@ size_t PullIteration(BuildContext& ctx, const LabelSide& side, Distance d) {
 /// grouping pass then merges per target. Same math as PULL — the merge
 /// is SatAdd, which is associative and commutative, so the final index
 /// is identical — but the scattered tuples must be materialized, which
-/// is the paradigm's inherent extra cost. Sources scatter along
-/// `side.pull`, which is its own transpose only on an undirected graph;
-/// directed builds run PULL.
+/// is the paradigm's inherent extra cost.
 size_t PushIteration(BuildContext& ctx, const LabelSide& side, Distance d) {
   const VertexId n = side.store->NumVertices();
   const std::vector<Rank>& rank_of = ctx.order.VertexToRank();
@@ -254,7 +254,7 @@ size_t PushIteration(BuildContext& ctx, const LabelSide& side, Distance d) {
     const auto v = static_cast<VertexId>(vi);
     const auto level = side.store->Level(v, d - 1);
     if (level.empty()) return;
-    for (VertexId u : side.pull.Neighbors(v)) {
+    for (VertexId u : side.push.Neighbors(v)) {
       const Rank ru = rank_of[u];
       // Entries sorted by hub rank: count how many outrank u.
       size_t cnt = 0;
@@ -293,7 +293,7 @@ size_t PushIteration(BuildContext& ctx, const LabelSide& side, Distance d) {
     // Same internal-vertex multiplicity rule as the PULL paradigm.
     const Count factor =
         (weights.empty() || d == 1) ? Count{1} : weights[v];
-    for (VertexId u : side.pull.Neighbors(v)) {
+    for (VertexId u : side.push.Neighbors(v)) {
       const Rank ru = rank_of[u];
       for (const LabelEntry& e : level) {
         if (e.hub_rank >= ru) break;
@@ -391,7 +391,7 @@ BuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
   LandmarkFilter landmarks;
   {
     WallTimer timer;
-    if (options.use_landmark_filter && options.num_landmarks > 0 && n > 0) {
+    if (options.num_landmarks > 0 && n > 0) {
       landmarks = LandmarkFilter(graph, order, options.num_landmarks,
                                  options.num_threads);
     }
@@ -401,12 +401,12 @@ BuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
   // Phase LC: distance-iteration label construction (Fig. 13 "LC").
   WallTimer timer;
   BuildContext ctx(order, options, vertex_weights);
-  if (options.use_landmark_filter && landmarks.NumLandmarks() > 0) {
+  if (landmarks.NumLandmarks() > 0) {
     ctx.landmarks = &landmarks;
   }
   LevelLabelStore store(n);
-  const LabelSide side{&store, &store,
-                       {graph.Offsets(), graph.NeighborArray()}};
+  const Adjacency adjacency{graph.Offsets(), graph.NeighborArray()};
+  const LabelSide side{&store, &store, adjacency, adjacency};
   ConstructLabels(ctx, {&side, 1}, result.stats);
   result.stats.construction_seconds = timer.ElapsedSeconds();
 
@@ -416,22 +416,18 @@ BuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
 
 BuildResult BuildDirectedPspcIndex(const DiGraph& graph,
                                    const VertexOrder& order,
-                                   const DiPspcOptions& options) {
+                                   const BuildOptions& options) {
   const VertexId n = graph.NumVertices();
   PSPC_CHECK(order.Size() == n);
   BuildResult result;
-  // PULL under the cost-aware schedule; the landmark tables hold
-  // undirected distances, so none are built.
-  BuildOptions pull;
-  pull.num_threads = options.num_threads;
 
   WallTimer timer;
-  BuildContext ctx(order, pull, {});
+  BuildContext ctx(order, options, {});
   LevelLabelStore in_store(n), out_store(n);
-  const LabelSide sides[] = {
-      {&in_store, &out_store, {graph.InOffsets(), graph.InNeighborArray()}},
-      {&out_store, &in_store, {graph.OutOffsets(), graph.OutNeighborArray()}},
-  };
+  const Adjacency in{graph.InOffsets(), graph.InNeighborArray()};
+  const Adjacency out{graph.OutOffsets(), graph.OutNeighborArray()};
+  const LabelSide sides[] = {{&in_store, &out_store, in, out},
+                             {&out_store, &in_store, out, in}};
   ConstructLabels(ctx, sides, result.stats);
   result.stats.construction_seconds = timer.ElapsedSeconds();
 

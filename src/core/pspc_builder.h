@@ -40,10 +40,11 @@
 /// bit-identical indexes.
 ///
 /// A directed graph (§II-A) runs the same iteration over two label
-/// sides: `Lin(u)` pulls from in-neighbors and is pruned against `Lout`
-/// (a witness `h -> z -> u` splits into `(z, ·)` in `Lout(h)` and in
-/// `Lin(u)`), and `Lout` is the mirror image. An undirected graph has
-/// one side, which witnesses its own prunes.
+/// sides: `Lin(u)` pulls from in-neighbors (PUSH scatters it to
+/// out-neighbors) and is pruned against `Lout` (a witness `h -> z -> u`
+/// splits into `(z, ·)` in `Lout(h)` and in `Lin(u)`), and `Lout` is
+/// the mirror image. An undirected graph has one side, which witnesses
+/// its own prunes.
 namespace pspc {
 
 /// Builds the ESPC index for `graph` under `order` in parallel. The
@@ -52,9 +53,8 @@ namespace pspc {
 /// label set of the order).
 ///
 /// Reads the PSPC fields of `options`: `paradigm`, `schedule`,
-/// `num_threads`, `num_landmarks` and `use_landmark_filter`. The
-/// caller passes the order, so `algorithm`, `ordering` and
-/// `hybrid_delta` are not read.
+/// `num_threads` and `num_landmarks`. The caller passes the order, so
+/// `algorithm`, `ordering` and `hybrid_delta` are not read.
 ///
 /// `vertex_weights` (optional; empty = all 1) assigns each vertex a
 /// multiplicity: a path's count is multiplied by the weights of its
@@ -65,16 +65,17 @@ BuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
                            const BuildOptions& options,
                            std::span<const Count> vertex_weights = {});
 
-struct DiPspcOptions {
-  int num_threads = 0;  ///< <= 0: all available cores
-};
-
-/// Builds the directed ESPC index (`result.index.Directed()`) with PULL
-/// under the cost-aware schedule, without landmarks or vertex weights.
-/// Like the undirected build, the index is independent of thread count.
+/// Builds the directed ESPC index (`result.index.Directed()`) without
+/// vertex weights. Like the undirected build, the index is independent
+/// of paradigm, schedule and thread count.
+///
+/// Reads `paradigm`, `schedule` and `num_threads` of `options`. The
+/// landmark tables hold undirected distances, so `num_landmarks` is not
+/// read; nor are `algorithm`, `ordering` and `hybrid_delta`, because
+/// the caller passes the order.
 BuildResult BuildDirectedPspcIndex(const DiGraph& graph,
                                    const VertexOrder& order,
-                                   const DiPspcOptions& options);
+                                   const BuildOptions& options);
 
 /// Degree order for directed graphs: rank by total degree (in + out),
 /// descending; ties by id.

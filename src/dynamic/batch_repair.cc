@@ -438,7 +438,7 @@ void DynamicSpcIndex::ExecuteDeletionTasks(
               return x.rank < y.rank;
             });
   const int threads = ResolvedThreads();
-  if (!options_.parallel_batch_repair || threads <= 1 || tasks.size() < 2) {
+  if (threads <= 1 || tasks.size() < 2) {
     for (const DeletionTask& task : tasks) {
       RunDeletionTaskLive(task, plans, scratch_);
     }

@@ -12,7 +12,7 @@
 namespace pspc {
 
 DynamicDspcIndex::DynamicDspcIndex(DiGraph graph, SpcIndex index,
-                                   DynamicDiOptions options)
+                                   DynamicOptions options)
     : base_graph_(std::move(graph)),
       base_(std::make_shared<const SpcIndex>(std::move(index))),
       order_(base_->Order()),
@@ -32,8 +32,8 @@ DynamicDspcIndex::DynamicDspcIndex(DiGraph graph, SpcIndex index,
 }
 
 DynamicDspcIndex::DynamicDspcIndex(DiGraph graph,
-                                   const DiPspcOptions& build_options,
-                                   DynamicDiOptions options)
+                                   const BuildOptions& build_options,
+                                   DynamicOptions options)
     : DynamicDspcIndex(
           graph,
           BuildDirectedPspcIndex(graph, DirectedDegreeOrder(graph),

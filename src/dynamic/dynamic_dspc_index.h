@@ -68,25 +68,6 @@
 /// plus the shared base, and readers query the frozen views.
 namespace pspc {
 
-struct DynamicDiOptions {
-  /// Rebuild when `overlay entries / base entries` exceeds this
-  /// (repair-only callers set it to 1e18 and drive Rebuild()
-  /// themselves).
-  double rebuild_threshold = 0.25;
-  /// Pipeline used for staleness rebuilds (ordering recomputed from
-  /// the current graph via DirectedDegreeOrder).
-  DiPspcOptions rebuild_options;
-  /// Threads for the erasure-sweep parallel-for (<= 0: all cores).
-  int num_threads = 0;
-  /// Registry receiving the `dynamic.*` metrics (counters mirrored
-  /// from `Stats()`, stage-timing histograms, overlay gauges; both
-  /// overlay sides summed). Null selects the process-global registry.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Flight recorder receiving rebuild start/end events. Null selects
-  /// the process-global one.
-  obs::FlightRecorder* flight_recorder = nullptr;
-};
-
 /// Directed kernel view (see repair_core.h for the contract). The
 /// forward view covers hubs' out-reach: expansion over out-edges,
 /// entries written to in-labels, certificates from the hub's
@@ -145,12 +126,12 @@ class DynamicDspcIndex {
   /// Wraps a prebuilt directed index (`index.Directed()`). `graph` must
   /// be the exact graph `index` was built from.
   DynamicDspcIndex(DiGraph graph, SpcIndex index,
-                   DynamicDiOptions options = {});
+                   DynamicOptions options = {});
 
   /// Builds the initial index for `graph` through the directed
   /// builder under `DirectedDegreeOrder`.
-  DynamicDspcIndex(DiGraph graph, const DiPspcOptions& build_options,
-                   DynamicDiOptions options = {});
+  DynamicDspcIndex(DiGraph graph, const BuildOptions& build_options,
+                   DynamicOptions options = {});
 
   // Self-referential (graph/overlay views point into owned members).
   DynamicDspcIndex(const DynamicDspcIndex&) = delete;
@@ -218,7 +199,7 @@ class DynamicDspcIndex {
   const SpcIndex& BaseIndex() const { return *base_; }
   const VertexOrder& Order() const { return order_; }
   const DynamicStats& Stats() const { return stats_; }
-  const DynamicDiOptions& Options() const { return options_; }
+  const DynamicOptions& Options() const { return options_; }
 
  private:
   using ForwardView = DirectedRepairView<true>;
@@ -250,7 +231,7 @@ class DynamicDspcIndex {
   DynamicDiGraph graph_;
   ChunkedOverlay out_overlay_;
   ChunkedOverlay in_overlay_;
-  DynamicDiOptions options_;
+  DynamicOptions options_;
   DynamicStats stats_;
   obs::DynamicStatsExporter obs_;
   obs::FlightRecorder* recorder_;

@@ -103,31 +103,9 @@
 /// sharing instead of deep-copying it.
 namespace pspc {
 
-struct DynamicOptions {
-  /// Rebuild when `overlay entries / base entries` exceeds this
-  /// (repair-only callers set it to 1e18 and drive Rebuild() or Fold()
-  /// themselves).
-  double rebuild_threshold = 0.25;
-  /// Pipeline used for staleness rebuilds (ordering recomputed from
-  /// the current graph, construction parallel per these options).
-  BuildOptions rebuild_options;
-  /// Threads for the parallel repair phases (<= 0: all cores).
-  int num_threads = 0;
-  /// Run disjoint-region hub repairs of a coalesced batch on a thread
-  /// pool (`num_threads` wide). Off = identical plan, sequential run.
-  bool parallel_batch_repair = true;
-  /// Registry receiving the `dynamic.*` metrics (counters mirrored
-  /// from `Stats()`, stage-timing histograms, overlay gauges).
-  /// Null selects the process-global registry.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Flight recorder receiving rebuild start/end events. Null selects
-  /// the process-global one.
-  obs::FlightRecorder* flight_recorder = nullptr;
-};
-
-// DynamicStats (and the repair scratch/sink/kernel machinery this
-// class shares with the directed `DynamicDspcIndex`) live in
-// repair_core.h.
+// DynamicOptions and DynamicStats (and the repair scratch/sink/kernel
+// machinery this class shares with the directed `DynamicDspcIndex`)
+// live in repair_core.h.
 
 class DynamicSpcIndex {
  public:

@@ -12,11 +12,14 @@
 #include "src/common/parallel.h"
 #include "src/common/saturating.h"
 #include "src/common/types.h"
+#include "src/core/build_options.h"
 #include "src/core/scheduler.h"
 #include "src/dynamic/chunked_overlay.h"
 #include "src/dynamic/dynamic_graph.h"
 #include "src/label/label_entry.h"
 #include "src/label/label_merge.h"
+#include "src/obs/flight_recorder.h"
+#include "src/obs/metrics.h"
 #include "src/order/vertex_order.h"
 
 /// Direction-generic dynamic-repair kernels.
@@ -60,6 +63,30 @@
 /// `Query(s, t)` is the real directed query `s -> t`; for the backward
 /// view it is `t -> s`; for the symmetric view both coincide.
 namespace pspc {
+
+/// Configuration of both dynamic indexes.
+struct DynamicOptions {
+  /// Rebuild when `overlay entries / base entries` exceeds this
+  /// (repair-only callers set it to 1e18 and drive Rebuild() or Fold()
+  /// themselves).
+  double rebuild_threshold = 0.25;
+  /// Pipeline used for staleness rebuilds, on the current graph. The
+  /// undirected index recomputes its order per these options; the
+  /// directed one orders by `DirectedDegreeOrder` and reads only what
+  /// `BuildDirectedPspcIndex` reads.
+  BuildOptions rebuild_options;
+  /// Threads for the parallel repair phases (<= 0: all cores). At 1 a
+  /// coalesced batch runs its hub repairs sequentially.
+  int num_threads = 0;
+  /// Registry receiving the `dynamic.*` metrics (counters mirrored
+  /// from `Stats()`, stage-timing histograms, overlay gauges; a
+  /// directed index sums both overlay sides). Null selects the
+  /// process-global registry.
+  obs::MetricsRegistry* metrics = nullptr;
+  /// Flight recorder receiving rebuild start/end events. Null selects
+  /// the process-global one.
+  obs::FlightRecorder* flight_recorder = nullptr;
+};
 
 struct DynamicStats {
   size_t insertions_applied = 0;

@@ -7,7 +7,6 @@
 
 #include "src/common/json_writer.h"
 #include "src/obs/metric_names.h"
-#include "src/obs/prom_validate.h"
 
 namespace pspc {
 namespace obs {
@@ -50,12 +49,6 @@ void AtomicMax(std::atomic<double>* target, double value) {
   }
 }
 
-// Name mapping lives in prom_validate.h so the exporter and the
-// validator can never disagree about it.
-std::string PrometheusName(const std::string& name) {
-  return PrometheusMetricName(name);
-}
-
 // HELP text derived from the dotted name and metric kind — enough for
 // a human reading the scrape, and it keeps the HELP/TYPE pairing the
 // text format expects without a second per-metric table to drift.
@@ -67,6 +60,13 @@ std::string HelpLine(const std::string& prom, const std::string& name,
 std::string FormatNumber(double value) { return benchjson::NumberToJson(value); }
 
 }  // namespace
+
+std::string PrometheusMetricName(std::string_view dotted) {
+  std::string out = "pspc_";
+  out.reserve(out.size() + dotted.size());
+  for (const char c : dotted) out += c == '.' ? '_' : c;
+  return out;
+}
 
 std::vector<double> ExponentialBoundaries(double start, double factor,
                                           size_t count) {
@@ -235,20 +235,20 @@ std::string MetricsRegistry::ToPrometheusText() const {
     out += '\n';
   };
   for (const auto& [name, counter] : counters_) {
-    const std::string prom = PrometheusName(name);
+    const std::string prom = PrometheusMetricName(name);
     out += HelpLine(prom, name, "counter");
     line("# TYPE ", prom, " counter");
     line(prom, " ", std::to_string(counter->Value()));
   }
   for (const auto& [name, gauge] : gauges_) {
-    const std::string prom = PrometheusName(name);
+    const std::string prom = PrometheusMetricName(name);
     out += HelpLine(prom, name, "gauge");
     line("# TYPE ", prom, " gauge");
     line(prom, " ", std::to_string(gauge->Value()));
   }
   for (const auto& [name, histogram] : histograms_) {
     const HistogramSnapshot snapshot = histogram->Snapshot();
-    const std::string prom = PrometheusName(name);
+    const std::string prom = PrometheusMetricName(name);
     out += HelpLine(prom, name, "histogram");
     line("# TYPE ", prom, " histogram");
     uint64_t cumulative = 0;

@@ -118,6 +118,10 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
+/// The exporter's name mapping: `pspc_` prefix, dots to underscores.
+/// "serve.queries_total" -> "pspc_serve_queries_total".
+std::string PrometheusMetricName(std::string_view dotted);
+
 /// `count` strictly increasing upper bucket boundaries starting at
 /// `start` and multiplying by `factor` — the power-of-two-ish ladders
 /// the default histograms use.

@@ -15,8 +15,6 @@ namespace {
 
 using pspc::testing::AllPairs;
 
-DiPspcOptions Defaults() { return DiPspcOptions{}; }
-
 // ----------------------------------------------------------- DiGraph --
 
 TEST(DiGraphTest, DualCsrConsistency) {
@@ -83,7 +81,7 @@ TEST(DirectedPspcTest, DagAllPairs) {
   const DiGraph g = MakeDiGraph(
       7, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {4, 6}, {5, 6}});
   const auto built =
-      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), Defaults());
+      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), BuildOptions{});
   for (VertexId s = 0; s < 7; ++s) {
     for (VertexId t = 0; t < 7; ++t) {
       EXPECT_EQ(built.index.Query(s, t), DiBfsSpcPair(g, s, t))
@@ -95,7 +93,7 @@ TEST(DirectedPspcTest, DagAllPairs) {
 TEST(DirectedPspcTest, AsymmetricReachability) {
   const DiGraph g = MakeDiGraph(4, {{0, 1}, {1, 2}, {2, 3}});
   const auto built =
-      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), Defaults());
+      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), BuildOptions{});
   EXPECT_EQ(built.index.Query(0, 3), (SpcResult{3, 1}));
   EXPECT_EQ(built.index.Query(3, 0), (SpcResult{kInfSpcDistance, 0}));
 }
@@ -104,7 +102,7 @@ TEST(DirectedPspcTest, RandomDigraphsMatchOracle) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     const DiGraph g = GenerateRandomDiGraph(50, 220, seed);
     const auto built =
-        BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), Defaults());
+        BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), BuildOptions{});
     for (VertexId s = 0; s < 50; ++s) {
       for (VertexId t = 0; t < 50; ++t) {
         ASSERT_EQ(built.index.Query(s, t), DiBfsSpcPair(g, s, t))
@@ -125,7 +123,7 @@ TEST(DirectedPspcTest, SymmetricClosureMatchesUndirectedIndex) {
   const SpcIndex undirected = BuildPspcIndex(u, DegreeOrder(u), uopts).index;
   ASSERT_EQ(DirectedDegreeOrder(d), DegreeOrder(u));
   const auto directed =
-      BuildDirectedPspcIndex(d, DirectedDegreeOrder(d), Defaults());
+      BuildDirectedPspcIndex(d, DirectedDegreeOrder(d), BuildOptions{});
   ASSERT_TRUE(directed.index.Directed());
   for (VertexId v = 0; v < 60; ++v) {
     ASSERT_TRUE(std::ranges::equal(directed.index.Labels(v),
@@ -144,18 +142,42 @@ TEST(DirectedPspcTest, SymmetricClosureMatchesUndirectedIndex) {
 TEST(DirectedPspcTest, ThreadCountInvariance) {
   const DiGraph g = GenerateRandomDiGraph(80, 400, 13);
   const VertexOrder order = DirectedDegreeOrder(g);
-  DiPspcOptions one;
+  BuildOptions one;
   one.num_threads = 1;
-  DiPspcOptions many;
+  BuildOptions many;
   many.num_threads = 7;
   EXPECT_EQ(BuildDirectedPspcIndex(g, order, one).index,
             BuildDirectedPspcIndex(g, order, many).index);
 }
 
+TEST(DirectedPspcTest, PushAndSchedulesMatchPull) {
+  // PUSH scatters each label side along the transpose of the adjacency
+  // it pulls from; every paradigm and schedule builds the default
+  // (PULL, cost-aware) index.
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const DiGraph g =
+        GenerateRandomDiGraph(120, 120 * (2 + seed % 3), seed);
+    const VertexOrder order = DirectedDegreeOrder(g);
+    const SpcIndex expected =
+        BuildDirectedPspcIndex(g, order, BuildOptions{}).index;
+    for (const Paradigm paradigm : {Paradigm::kPull, Paradigm::kPush}) {
+      for (const ScheduleKind schedule :
+           {ScheduleKind::kStatic, ScheduleKind::kDynamic,
+            ScheduleKind::kCostAware}) {
+        const BuildOptions options{
+            .paradigm = paradigm, .schedule = schedule, .num_threads = 4};
+        EXPECT_EQ(BuildDirectedPspcIndex(g, order, options).index, expected)
+            << "seed " << seed << " " << ToString(paradigm) << " "
+            << ToString(schedule);
+      }
+    }
+  }
+}
+
 TEST(DirectedPspcTest, DirectedCycleCounts) {
   const DiGraph g = GenerateDiCycle(9);
   const auto built =
-      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), Defaults());
+      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), BuildOptions{});
   EXPECT_EQ(built.index.Query(0, 8), (SpcResult{8, 1}));
   EXPECT_EQ(built.index.Query(8, 0), (SpcResult{1, 1}));
 }
@@ -168,7 +190,7 @@ TEST(DirectedPspcTest, DirectedPathLabelStructure) {
   // out-labels stay singleton).
   const DiGraph g = MakeDiGraph(3, {{0, 1}, {1, 2}});
   const auto built =
-      BuildDirectedPspcIndex(g, IdentityOrder(3), DiPspcOptions{});
+      BuildDirectedPspcIndex(g, IdentityOrder(3), BuildOptions{});
   EXPECT_EQ(built.index.InLabels(2).size(), 3u);  // hubs 0, 1, 2
   EXPECT_EQ(built.index.Labels(2).size(), 1u);    // self only
   EXPECT_EQ(built.index.Labels(0).size(), 1u);    // self only
@@ -180,7 +202,7 @@ TEST(DirectedPspcTest, CountsMultiplyThroughDirectedFunnels) {
   const DiGraph g = MakeDiGraph(
       7, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {4, 6}, {5, 6}});
   const auto built =
-      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), DiPspcOptions{});
+      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), BuildOptions{});
   EXPECT_EQ(built.index.Query(0, 6), (SpcResult{4, 4}));
   // Against the arrow: nothing.
   EXPECT_EQ(built.index.Query(6, 0), (SpcResult{kInfSpcDistance, 0}));
@@ -189,7 +211,7 @@ TEST(DirectedPspcTest, CountsMultiplyThroughDirectedFunnels) {
 TEST(DirectedPspcTest, StatsAreConsistent) {
   const DiGraph g = GenerateRandomDiGraph(60, 300, 21);
   const auto built =
-      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), Defaults());
+      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), BuildOptions{});
   EXPECT_EQ(built.stats.total_entries, built.index.TotalEntries());
   EXPECT_GE(built.stats.num_iterations, 2u);
   EXPECT_EQ(built.stats.candidates_after_merge,
@@ -208,7 +230,7 @@ TEST_P(DirectedSweepTest, AllPairsMatchOracle) {
   const DiGraph g = GenerateRandomDiGraph(
       n, static_cast<EdgeId>(n) * density, 1000 + seed);
   const auto built =
-      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), Defaults());
+      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), BuildOptions{});
   for (VertexId s = 0; s < n; ++s) {
     for (VertexId t = 0; t < n; ++t) {
       ASSERT_EQ(built.index.Query(s, t), DiBfsSpcPair(g, s, t))

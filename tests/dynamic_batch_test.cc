@@ -30,13 +30,11 @@ BuildOptions SmallBuildOptions() {
   return options;
 }
 
-DynamicOptions NoRebuildOptions(int num_threads = 0,
-                                bool parallel = true) {
+DynamicOptions NoRebuildOptions(int num_threads = 0) {
   DynamicOptions options;
   options.rebuild_threshold = 1e18;  // repair-only
   options.rebuild_options = SmallBuildOptions();
   options.num_threads = num_threads;
-  options.parallel_batch_repair = parallel;
   return options;
 }
 
@@ -212,8 +210,7 @@ struct BatchCase {
   std::string name;
   Graph (*make)();
   uint64_t seed;
-  int num_threads;      // for the batched index
-  bool parallel;
+  int num_threads;  // for the batched index; 1 runs the waves sequentially
 };
 
 Graph MakeEr() { return GenerateErdosRenyi(48, 110, 21); }
@@ -223,13 +220,13 @@ Graph MakeSparse() { return GenerateErdosRenyi(48, 40, 24); }  // fragmented
 Graph MakeLadder() { return GenerateDiamondLadder(5, 3); }     // tie-heavy
 
 const BatchCase kBatchCases[] = {
-    {"erdos_renyi_seq", &MakeEr, 601, 1, false},
-    {"erdos_renyi_par", &MakeEr, 601, 4, true},
-    {"barabasi_albert_seq", &MakeBa, 602, 1, false},
-    {"barabasi_albert_par", &MakeBa, 602, 4, true},
-    {"road_grid_par", &MakeGrid, 603, 4, true},
-    {"sparse_fragmented_par", &MakeSparse, 604, 4, true},
-    {"diamond_ladder_par", &MakeLadder, 605, 4, true},
+    {"erdos_renyi_seq", &MakeEr, 601, 1},
+    {"erdos_renyi_par", &MakeEr, 601, 4},
+    {"barabasi_albert_seq", &MakeBa, 602, 1},
+    {"barabasi_albert_par", &MakeBa, 602, 4},
+    {"road_grid_par", &MakeGrid, 603, 4},
+    {"sparse_fragmented_par", &MakeSparse, 604, 4},
+    {"diamond_ladder_par", &MakeLadder, 605, 4},
 };
 
 class BatchOracleTest : public ::testing::TestWithParam<int> {
@@ -247,8 +244,7 @@ class BatchOracleTest : public ::testing::TestWithParam<int> {
 TEST_P(BatchOracleTest, BatchedEqualsSequentialEqualsOracle) {
   const Graph start = Case().make();
   DynamicSpcIndex batched(start, SmallBuildOptions(),
-                          NoRebuildOptions(Case().num_threads,
-                                           Case().parallel));
+                          NoRebuildOptions(Case().num_threads));
   DynamicSpcIndex sequential(start, SmallBuildOptions(), NoRebuildOptions());
   EdgeMirror mirror(start);
   Rng rng(Case().seed);

@@ -24,8 +24,8 @@
 namespace pspc {
 namespace {
 
-DynamicDiOptions NoRebuildOptions() {
-  DynamicDiOptions options;
+DynamicOptions NoRebuildOptions() {
+  DynamicOptions options;
   options.rebuild_threshold = 1e18;  // repair-only
   return options;
 }
@@ -103,7 +103,7 @@ TEST(DynamicDspcTest, InsertShortcutOnCycle) {
   // The directed cycle has exactly one path between any pair; a chord
   // rewrites distances for many ordered pairs in one direction only.
   DiGraph g = GenerateDiCycle(10);
-  DynamicDspcIndex index(g, DiPspcOptions{}, NoRebuildOptions());
+  DynamicDspcIndex index(g, BuildOptions{}, NoRebuildOptions());
   DiEdgeMirror mirror(g);
 
   ASSERT_TRUE(index.InsertEdge(0, 5).ok());
@@ -120,7 +120,7 @@ TEST(DynamicDspcTest, DeleteBreaksOneDirectionOnly) {
   // every pair served by it) untouched.
   const Graph und = GenerateErdosRenyi(24, 60, 11);
   DiGraph g = FromUndirected(und);
-  DynamicDspcIndex index(g, DiPspcOptions{}, NoRebuildOptions());
+  DynamicDspcIndex index(g, BuildOptions{}, NoRebuildOptions());
   DiEdgeMirror mirror(g);
 
   Rng rng(17);
@@ -144,7 +144,7 @@ TEST(DynamicDspcTest, DeleteBreaksOneDirectionOnly) {
 
 TEST(DynamicDspcTest, ErrorsLeaveIndexUntouched) {
   DiGraph g = GenerateDiCycle(6);
-  DynamicDspcIndex index(g, DiPspcOptions{}, NoRebuildOptions());
+  DynamicDspcIndex index(g, BuildOptions{}, NoRebuildOptions());
   const uint64_t gen0 = index.Generation();
 
   EXPECT_EQ(index.InsertEdge(0, 1).code(), Status::Code::kInvalidArgument);
@@ -202,7 +202,7 @@ class DirectedStreamTest : public ::testing::TestWithParam<int> {
 // every update, all ordered pairs match the directed BFS oracle.
 TEST_P(DirectedStreamTest, MixedStreamStaysOracleExact) {
   const DiGraph start = Case().make();
-  DynamicDspcIndex index(start, DiPspcOptions{}, NoRebuildOptions());
+  DynamicDspcIndex index(start, BuildOptions{}, NoRebuildOptions());
   DiEdgeMirror mirror(start);
   Rng rng(Case().seed);
 
@@ -226,8 +226,8 @@ TEST_P(DirectedStreamTest, MixedStreamStaysOracleExact) {
 // the directed BFS oracle on the final graph.
 TEST_P(DirectedStreamTest, BatchedEqualsSequentialEqualsOracle) {
   const DiGraph start = Case().make();
-  DynamicDspcIndex batched(start, DiPspcOptions{}, NoRebuildOptions());
-  DynamicDspcIndex sequential(start, DiPspcOptions{}, NoRebuildOptions());
+  DynamicDspcIndex batched(start, BuildOptions{}, NoRebuildOptions());
+  DynamicDspcIndex sequential(start, BuildOptions{}, NoRebuildOptions());
   DiEdgeMirror mirror(start);
   Rng rng(Case().seed + 100);
 
@@ -272,7 +272,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DirectedApplyBatchTest, AtomicOnMissingDelete) {
   const DiGraph g = GenerateDiCycle(8);
-  DynamicDspcIndex index(g, DiPspcOptions{}, NoRebuildOptions());
+  DynamicDspcIndex index(g, BuildOptions{}, NoRebuildOptions());
   const uint64_t gen0 = index.Generation();
 
   EdgeUpdateBatch bad;
@@ -287,7 +287,7 @@ TEST(DirectedApplyBatchTest, AtomicOnMissingDelete) {
 
 TEST(DirectedApplyBatchTest, ReverseEdgesDoNotCoalesce) {
   const DiGraph g = GenerateDiCycle(8);
-  DynamicDspcIndex index(g, DiPspcOptions{}, NoRebuildOptions());
+  DynamicDspcIndex index(g, BuildOptions{}, NoRebuildOptions());
 
   // i 0->4 then d 4->0 must NOT cancel (distinct directed edges); the
   // delete targets a missing edge and rejects the batch atomically.
@@ -312,7 +312,7 @@ TEST(DirectedApplyBatchTest, ReverseEdgesDoNotCoalesce) {
 
 TEST(DirectedApplyBatchTest, CancelingPairsAreNoOpsAndOneBumpPerBatch) {
   const DiGraph g = GenerateDiCycle(8);
-  DynamicDspcIndex index(g, DiPspcOptions{}, NoRebuildOptions());
+  DynamicDspcIndex index(g, BuildOptions{}, NoRebuildOptions());
   const uint64_t gen0 = index.Generation();
 
   EdgeUpdateBatch noop;
@@ -339,9 +339,9 @@ TEST(DirectedApplyBatchTest, CancelingPairsAreNoOpsAndOneBumpPerBatch) {
 
 TEST(DynamicDspcTest, StalenessRebuildStaysExact) {
   const DiGraph start = GenerateRandomDiGraph(28, 110, 77);
-  DynamicDiOptions options;
+  DynamicOptions options;
   options.rebuild_threshold = 0.05;  // rebuild early and often
-  DynamicDspcIndex index(start, DiPspcOptions{}, options);
+  DynamicDspcIndex index(start, BuildOptions{}, options);
   DiEdgeMirror mirror(start);
   Rng rng(78);
 

@@ -333,7 +333,7 @@ TEST(DynamicSpcIndexDeathTest, RejectsDirectedIndex) {
   const DiGraph closure = FromUndirected(g);
   SpcIndex directed =
       BuildDirectedPspcIndex(closure, DirectedDegreeOrder(closure),
-                             DiPspcOptions{.num_threads = 1})
+                             BuildOptions{.num_threads = 1})
           .index;
   EXPECT_DEATH(DynamicSpcIndex(g, std::move(directed)),
                "needs an undirected index");

@@ -223,9 +223,9 @@ TEST(LabelMergeTest, EveryQueryPathMatchesReferenceUndirected) {
 }
 
 TEST(LabelMergeTest, EveryQueryPathMatchesReferenceDirected) {
-  DiPspcOptions build;
+  BuildOptions build;
   build.num_threads = 1;
-  DynamicDiOptions options;
+  DynamicOptions options;
   options.rebuild_threshold = 1e18;  // repair-only
   options.num_threads = 1;
   DynamicDspcIndex index(GenerateRandomDiGraph(150, 600, 77), build, options);

@@ -87,9 +87,6 @@ INSTANTIATE_TEST_SUITE_P(
         CorpusCase{"bad_guard.h",
                    "src/serve/bad_guard.h",
                    {{"include-guard", 3}}},
-        CorpusCase{"tsa_escape.cc",
-                   "src/serve/tsa_escape.cc",
-                   {{"tsa-escape", 4}}},
         CorpusCase{"void_cast.cc",
                    "src/common/void_cast.cc",
                    {{"void-cast", 7}}},

@@ -21,8 +21,8 @@
 #include "src/obs/metric_names.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs_server.h"
-#include "src/obs/prom_validate.h"
 #include "src/obs/trace.h"
+#include "tools/prom_validate.h"
 
 namespace pspc {
 namespace obs {

@@ -99,10 +99,9 @@ TEST(PspcBuilderTest, LandmarkFilterNeverChangesTheIndex) {
   const Graph g = GenerateBarabasiAlbert(120, 3, 13);
   const VertexOrder order = DegreeOrder(g);
   BuildOptions with = Defaults();
-  with.use_landmark_filter = true;
   with.num_landmarks = 16;
   BuildOptions without = Defaults();
-  without.use_landmark_filter = false;
+  without.num_landmarks = 0;
   const auto a = BuildPspcIndex(g, order, with);
   const auto b = BuildPspcIndex(g, order, without);
   EXPECT_EQ(a.index, b.index);

@@ -30,14 +30,14 @@ namespace {
 // Single-threaded OpenMP everywhere so these tests stay signal-only
 // under ThreadSanitizer (libgomp worker teams are not TSan
 // instrumented; a team of one never spawns).
-DiPspcOptions SingleThreadBuild() {
-  DiPspcOptions options;
+BuildOptions SingleThreadBuild() {
+  BuildOptions options;
   options.num_threads = 1;
   return options;
 }
 
-DynamicDiOptions RepairOnlyOptions() {
-  DynamicDiOptions options;
+DynamicOptions RepairOnlyOptions() {
+  DynamicOptions options;
   options.rebuild_threshold = 1e18;
   options.rebuild_options = SingleThreadBuild();
   options.num_threads = 1;

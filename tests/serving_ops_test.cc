@@ -34,9 +34,9 @@
 #include "src/obs/metric_names.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs_server.h"
-#include "src/obs/prom_validate.h"
 #include "src/serve/serving_engine.h"
 #include "tests/test_util.h"
+#include "tools/prom_validate.h"
 
 namespace pspc {
 namespace {

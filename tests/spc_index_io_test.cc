@@ -155,7 +155,7 @@ TEST(SpcIndexIoTest, DirectedSaveIsInvalidArgumentAndWritesNothing) {
   // back as a wrong undirected index.
   const DiGraph g = MakeDiGraph(3, {{0, 1}, {1, 2}});
   const SpcIndex directed =
-      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), DiPspcOptions{})
+      BuildDirectedPspcIndex(g, DirectedDegreeOrder(g), BuildOptions{})
           .index;
   const std::string path = ::testing::TempDir() + "/directed.idx";
   std::remove(path.c_str());

@@ -193,7 +193,7 @@ namespace detail {
 inline bool IsAnnotationMacro(const std::string& t) {
   return t == "GUARDED_BY" || t == "PT_GUARDED_BY" || t == "REQUIRES" ||
          t == "REQUIRES_SHARED" || t == "ACQUIRE" || t == "RELEASE" ||
-         t == "TRY_ACQUIRE" || t == "EXCLUDES" || t == "RETURN_CAPABILITY" ||
+         t == "EXCLUDES" || t == "RETURN_CAPABILITY" ||
          t == "CAPABILITY" || t == "ASSERT_CAPABILITY" ||
          t == "PSPC_THREAD_ANNOTATION";
 }

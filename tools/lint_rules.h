@@ -37,9 +37,6 @@
 ///                     blocking work on the serving/repair hot paths)
 ///   include-guard     headers open with the canonical
 ///                     PSPC_<PATH>_H_ include guard (or #pragma once)
-///   tsa-escape        NO_THREAD_SAFETY_ANALYSIS is banned outside the
-///                     macro's own definition — annotate or
-///                     restructure, never opt out
 ///   void-cast         `(void)expr` result discards carry a
 ///                     justification comment on the same line or
 ///                     within the five lines above — the escape hatch
@@ -202,7 +199,6 @@ struct FileClass {
   bool is_hot_path = false;       // src/serve/ or src/dynamic/
   bool is_metric_catalog = false; // src/obs/metric_names.h
   bool is_mutex_wrapper = false;  // src/common/mutex.h
-  bool is_annotations = false;    // src/common/thread_annotations.h
   std::string expected_guard;     // canonical PSPC_..._H_ (headers)
 };
 
@@ -230,7 +226,6 @@ inline FileClass ClassifyFile(const std::string& relative_path) {
                    relative_path.rfind("src/dynamic/", 0) == 0;
   fc.is_metric_catalog = relative_path == "src/obs/metric_names.h";
   fc.is_mutex_wrapper = relative_path == "src/common/mutex.h";
-  fc.is_annotations = relative_path == "src/common/thread_annotations.h";
   if (fc.is_header) fc.expected_guard = CanonicalGuard(relative_path);
   return fc;
 }
@@ -362,13 +357,6 @@ inline std::vector<Violation> LintFile(const std::string& relative_path,
                   "calls)");
         }
       }
-    }
-
-    if (!fc.is_annotations &&
-        code.find("NO_THREAD_SAFETY_ANALYSIS") != std::string::npos) {
-      add(i, "tsa-escape",
-          "NO_THREAD_SAFETY_ANALYSIS is banned: annotate the locking "
-          "contract (or restructure) instead of opting out");
     }
 
     // `(void)x` deliberately discards a value; the discard must be

@@ -19,14 +19,14 @@
 // --prom validates a Prometheus text-format scrape (what the obs
 // server's /metrics endpoint returns, or --metrics-prom wrote):
 // name charset, HELP/TYPE pairing, histogram _bucket/_sum/_count
-// completeness with cumulative buckets — see src/obs/prom_validate.h.
+// completeness with cumulative buckets — see tools/prom_validate.h.
 // CI runs it against a live scrape so the text exporter cannot drift
 // from what Prometheus actually ingests.
 //
 // The scanner below is not a general JSON parser — it only walks the
 // machine-generated snapshot shape: object keys by brace depth, with
-// strings and escapes skipped correctly. That keeps the tool
-// dependency-free.
+// strings and escapes skipped correctly. That keeps the tool free of
+// a JSON library.
 
 #include <cstdio>
 #include <cstring>
@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "src/obs/metric_names.h"
-#include "src/obs/prom_validate.h"
+#include "tools/prom_validate.h"
 
 namespace {
 

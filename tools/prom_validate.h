@@ -1,5 +1,5 @@
-#ifndef PSPC_SRC_OBS_PROM_VALIDATE_H_
-#define PSPC_SRC_OBS_PROM_VALIDATE_H_
+#ifndef PSPC_TOOLS_PROM_VALIDATE_H_
+#define PSPC_TOOLS_PROM_VALIDATE_H_
 
 #include <cstdlib>
 #include <span>
@@ -8,12 +8,13 @@
 #include <vector>
 
 #include "src/obs/metric_names.h"
+#include "src/obs/metrics.h"
 
 /// Prometheus text-exposition validation, shared by
-/// `tools/metrics_schema_check --prom`, the ops-plane tests, and (for
-/// the name mapping) `MetricsRegistry::ToPrometheusText` itself.
-/// Header-only on purpose: the tools are built without linking the
-/// pspc library.
+/// `tools/metrics_schema_check --prom` and the ops-plane tests. The
+/// catalog check maps names through the exporter's own
+/// `PrometheusMetricName` (src/obs/metrics.h), so the two cannot
+/// disagree about it.
 ///
 /// Checks, in exposition order:
 ///   - metric-family names match `[a-zA-Z_:][a-zA-Z0-9_:]*`
@@ -29,15 +30,6 @@
 ///     in src/obs/metric_names.h with the matching metric type
 namespace pspc {
 namespace obs {
-
-/// The registry's name mapping: `pspc_` prefix, dots to underscores.
-/// "serve.queries_total" -> "pspc_serve_queries_total".
-inline std::string PrometheusMetricName(std::string_view dotted) {
-  std::string out = "pspc_";
-  out.reserve(out.size() + dotted.size());
-  for (const char c : dotted) out += c == '.' ? '_' : c;
-  return out;
-}
 
 struct PromValidationResult {
   bool ok = true;
@@ -329,4 +321,4 @@ inline PromValidationResult ValidatePrometheusText(std::string_view text,
 }  // namespace obs
 }  // namespace pspc
 
-#endif  // PSPC_SRC_OBS_PROM_VALIDATE_H_
+#endif  // PSPC_TOOLS_PROM_VALIDATE_H_

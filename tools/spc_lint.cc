@@ -11,8 +11,8 @@
 /// violations of the repo-specific rules in tools/lint_rules.h
 /// (metric-name catalog membership, the raw-mutex ban,
 /// memory_order_relaxed and (void)-cast justification comments,
-/// hot-path libc bans, include-guard hygiene,
-/// NO_THREAD_SAFETY_ANALYSIS escapes).
+/// hot-path libc bans, include-guard hygiene). The compiler rejects
+/// NO_THREAD_SAFETY_ANALYSIS: the macro is not defined.
 ///
 ///   spc_lint [--root <repo-root>]
 ///
