@@ -90,8 +90,8 @@ const BuildOptions kPspcPlus{};
 std::string Key(const BuildOptions& o) {
   const int threads = o.num_threads <= 0 ? pspc::MaxThreads() : o.num_threads;
   return ToString(o.algorithm) + "/" + ToString(o.ordering) + "/" +
-         std::to_string(o.hybrid_delta) + "/" + ToString(o.paradigm) + "/" +
-         ToString(o.schedule) + "/t" + std::to_string(threads) + "/l" +
+         std::to_string(o.hybrid_delta) + "/" + ToString(o.schedule) +
+         "/t" + std::to_string(threads) + "/l" +
          std::to_string(o.num_landmarks);
 }
 

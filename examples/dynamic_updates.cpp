@@ -37,7 +37,7 @@ void PrintQuery(const pspc::DynamicSpcIndex& index, pspc::VertexId s,
 
 int main() {
   // A 2,000-vertex preferential-attachment graph stands in for a small
-  // social network (see DESIGN.md for the dataset mapping).
+  // social network (the family of the `FB` analogue in AllDatasets()).
   const pspc::Graph graph = pspc::GenerateBarabasiAlbert(2000, 3, 42);
   std::printf("graph: %u vertices, %llu edges\n", graph.NumVertices(),
               static_cast<unsigned long long>(graph.NumEdges()));

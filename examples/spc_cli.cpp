@@ -10,11 +10,10 @@
 //                    [--update-stream <updates.txt>]
 //
 // `index-stats` profiles a built index: label-size / distance / hub
-// distributions plus raw label bytes against the packed-block
-// encoding, bytes per entry. With `--update-stream` it additionally
+// distributions and label bytes. With `--update-stream` it additionally
 // replays the stream repair-only and reports the overlay before and
 // after `DynamicSpcIndex::Fold()`: overlay width, stale entries pruned,
-// and raw vs packed bytes of the folded base.
+// and label bytes of the folded base.
 //   ./spc_cli update <graph-or-dataset> <index.bin>
 //                    --update-stream <updates.txt>
 //                    [--batch-size N] [--rebuild-threshold R]
@@ -792,10 +791,9 @@ int CmdStats(int argc, char** argv) {
   return 0;
 }
 
-// Profiles a built index: the classic label distributions plus raw vs
-// packed bytes and bytes/entry. With --update-stream, additionally
-// replays the stream repair-only and reports the overlay before/after
-// a fold.
+// Profiles a built index: the classic label distributions and label
+// bytes. With --update-stream, additionally replays the stream
+// repair-only and reports the overlay before/after a fold.
 int CmdIndexStats(int argc, char** argv) {
   if (argc < 4) return Usage();
   pspc::Graph graph;
@@ -811,16 +809,7 @@ int CmdIndexStats(int argc, char** argv) {
     }
   }
 
-  const pspc::IndexProfile profile = pspc::ProfileIndex(loaded);
-  std::printf("%s\n", profile.ToString().c_str());
-  std::printf("label bytes: raw %zu (%.2f B/entry), packed %zu "
-              "(%.2f B/entry), %.2fx smaller\n",
-              profile.raw_bytes, profile.raw_bytes_per_entry,
-              profile.packed_bytes, profile.packed_bytes_per_entry,
-              profile.packed_bytes == 0
-                  ? 0.0
-                  : static_cast<double>(profile.raw_bytes) /
-                        static_cast<double>(profile.packed_bytes));
+  std::printf("%s\n", pspc::ProfileIndex(loaded).ToString().c_str());
   if (stream_path.empty()) return 0;
 
   auto stream = pspc::LoadUpdateStream(stream_path);
@@ -854,11 +843,8 @@ int CmdIndexStats(int argc, char** argv) {
               index.Overlay().OverlaidEntries(),
               static_cast<unsigned long long>(pruned),
               index.BaseIndex().TotalEntries());
-  const pspc::IndexProfile after = pspc::ProfileIndex(index.BaseIndex());
-  std::printf("post-compaction label bytes: raw %zu, packed %zu "
-              "(%.2f B/entry)\n",
-              after.raw_bytes, after.packed_bytes,
-              after.packed_bytes_per_entry);
+  std::printf("post-compaction label bytes: raw %zu\n",
+              pspc::ProfileIndex(index.BaseIndex()).raw_bytes);
   return 0;
 }
 

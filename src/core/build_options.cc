@@ -28,16 +28,6 @@ std::string ToString(OrderingScheme s) {
   return "?";
 }
 
-std::string ToString(Paradigm p) {
-  switch (p) {
-    case Paradigm::kPull:
-      return "pull";
-    case Paradigm::kPush:
-      return "push";
-  }
-  return "?";
-}
-
 std::string ToString(ScheduleKind k) {
   switch (k) {
     case ScheduleKind::kStatic:

@@ -7,8 +7,7 @@
 #include "src/order/hybrid_order.h"
 
 /// Knobs for index construction. Every axis the paper ablates (Exp 5-7)
-/// is a field here: ordering scheme, propagation paradigm, schedule
-/// plan, landmark filtering.
+/// is a field here: ordering scheme, schedule plan, landmark filtering.
 namespace pspc {
 
 /// Which construction algorithm to run.
@@ -26,12 +25,6 @@ enum class OrderingScheme {
   kIdentity,         ///< vertex id order (tests / worst-case baseline)
 };
 
-/// Label propagation paradigms of paper §III-E.
-enum class Paradigm {
-  kPull,  ///< each vertex gathers neighbors' level-(d-1) labels
-  kPush,  ///< each vertex scatters its level-(d-1) labels to neighbors
-};
-
 /// Schedule plans of paper §III-F.
 enum class ScheduleKind {
   kStatic,     ///< contiguous node-order ranges per thread
@@ -44,7 +37,6 @@ struct BuildOptions {
   OrderingScheme ordering = OrderingScheme::kDegree;
   /// Degree threshold separating core from fringe for kHybrid (Exp 6).
   VertexId hybrid_delta = kDefaultHybridDelta;
-  Paradigm paradigm = Paradigm::kPull;
   ScheduleKind schedule = ScheduleKind::kCostAware;
   /// OpenMP threads; <= 0 means all available. HP-SPC ignores this
   /// (it is inherently sequential — the paper's point).
@@ -57,7 +49,6 @@ struct BuildOptions {
 
 std::string ToString(Algorithm a);
 std::string ToString(OrderingScheme s);
-std::string ToString(Paradigm p);
 std::string ToString(ScheduleKind k);
 
 }  // namespace pspc

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -41,7 +40,7 @@ struct ThreadScratch {
   }
 };
 
-/// A CSR adjacency: the neighbors a label side pulls from or pushes to.
+/// A CSR adjacency: the neighbors a label side pulls from.
 struct Adjacency {
   const std::vector<EdgeId>& offsets;
   const std::vector<VertexId>& neighbors;
@@ -52,15 +51,13 @@ struct Adjacency {
 };
 
 /// One label side: iteration d extends `store` with `L_d(u)`, pulled
-/// from the level-(d-1) entries of u's neighbors in `pull` (or pushed
-/// along `push`, the transpose of `pull`), and prunes a candidate hub
-/// w by pairing u's own committed entries with w's entries in
-/// `witness`. An undirected side is its own witness and transpose.
+/// from the level-(d-1) entries of u's neighbors in `pull`, and prunes
+/// a candidate hub w by pairing u's own committed entries with w's
+/// entries in `witness`. An undirected side is its own witness.
 struct LabelSide {
   LevelLabelStore* store;
   const LevelLabelStore* witness;
   Adjacency pull;
-  Adjacency push;
 };
 
 /// Shared state of one construction run.
@@ -236,107 +233,6 @@ size_t PullIteration(BuildContext& ctx, const LabelSide& side, Distance d) {
   return CommitStaged(ctx, *side.store);
 }
 
-/// One PUSH iteration at distance d (paper Def. 9 / Fig. 3c): sources
-/// scatter their level-(d-1) entries to neighbors; a counting-sort
-/// grouping pass then merges per target. Same math as PULL — the merge
-/// is SatAdd, which is associative and commutative, so the final index
-/// is identical — but the scattered tuples must be materialized, which
-/// is the paradigm's inherent extra cost.
-size_t PushIteration(BuildContext& ctx, const LabelSide& side, Distance d) {
-  const VertexId n = side.store->NumVertices();
-  const std::vector<Rank>& rank_of = ctx.order.VertexToRank();
-
-  // Pass 1: count incoming tuples per target.
-  std::unique_ptr<std::atomic<uint64_t>[]> incoming(
-      new std::atomic<uint64_t>[n]);
-  for (VertexId u = 0; u < n; ++u) incoming[u].store(0);
-  ParallelForDynamic(n, ctx.num_threads, 64, [&](size_t vi) {
-    const auto v = static_cast<VertexId>(vi);
-    const auto level = side.store->Level(v, d - 1);
-    if (level.empty()) return;
-    for (VertexId u : side.push.Neighbors(v)) {
-      const Rank ru = rank_of[u];
-      // Entries sorted by hub rank: count how many outrank u.
-      size_t cnt = 0;
-      for (const LabelEntry& e : level) {
-        if (e.hub_rank >= ru) break;
-        ++cnt;
-      }
-      // relaxed: independent per-slot counts; the parallel-for join
-      // publishes them to the offset pass.
-      if (cnt != 0) incoming[u].fetch_add(cnt, std::memory_order_relaxed);
-    }
-  });
-
-  // Offsets per target region.
-  std::vector<uint64_t> offset(static_cast<size_t>(n) + 1, 0);
-  for (VertexId u = 0; u < n; ++u) {
-    offset[u + 1] = offset[u] + incoming[u].load();
-  }
-  const uint64_t total_tuples = offset[n];
-  struct Tuple {
-    Rank hub;
-    Count count;
-  };
-  std::vector<Tuple> tuples(total_tuples);
-  std::unique_ptr<std::atomic<uint64_t>[]> cursor(
-      new std::atomic<uint64_t>[n]);
-  for (VertexId u = 0; u < n; ++u) cursor[u].store(0);
-
-  // Pass 2: scatter. Order within a target region is nondeterministic,
-  // but the per-hub merge below is order-insensitive.
-  const std::span<const Count> weights = ctx.vertex_weights;
-  ParallelForDynamic(n, ctx.num_threads, 64, [&](size_t vi) {
-    const auto v = static_cast<VertexId>(vi);
-    const auto level = side.store->Level(v, d - 1);
-    if (level.empty()) return;
-    // Same internal-vertex multiplicity rule as the PULL paradigm.
-    const Count factor =
-        (weights.empty() || d == 1) ? Count{1} : weights[v];
-    for (VertexId u : side.push.Neighbors(v)) {
-      const Rank ru = rank_of[u];
-      for (const LabelEntry& e : level) {
-        if (e.hub_rank >= ru) break;
-        // relaxed: slot reservation only needs atomicity; the
-        // parallel-for join orders tuple writes before readers.
-        const uint64_t slot =
-            offset[u] + cursor[u].fetch_add(1, std::memory_order_relaxed);
-        tuples[slot] = {e.hub_rank, SatMul(e.count, factor)};
-      }
-    }
-  });
-
-  // Pass 3: per-target merge + prune + stage.
-  std::vector<VertexId> active;
-  for (VertexId u = 0; u < n; ++u) {
-    if (offset[u + 1] != offset[u]) active.push_back(u);
-  }
-  std::vector<uint64_t> costs;
-  if (ctx.options.schedule == ScheduleKind::kCostAware) {
-    costs.reserve(active.size());
-    for (VertexId u : active) costs.push_back(offset[u + 1] - offset[u]);
-  }
-  const SchedulePlan plan = PlanIteration(ctx.options.schedule, active, costs,
-                                          rank_of);
-  RunPlanned(plan, ctx.num_threads, [&](VertexId u) {
-    ThreadScratch& s = ctx.scratch[omp_get_thread_num()];
-    ++s.epoch;
-    s.cand_hubs.clear();
-    for (uint64_t i = offset[u]; i < offset[u + 1]; ++i) {
-      const Tuple& t = tuples[i];
-      if (s.cand_epoch[t.hub] != s.epoch) {
-        s.cand_epoch[t.hub] = s.epoch;
-        s.cand_count[t.hub] = t.count;
-        s.cand_hubs.push_back(t.hub);
-      } else {
-        s.cand_count[t.hub] = SatAdd(s.cand_count[t.hub], t.count);
-      }
-    }
-    if (!s.cand_hubs.empty()) PruneAndStage(ctx, side, s, u, d);
-  });
-  return CommitStaged(ctx, *side.store);
-}
-
 /// Phase LC over `sides`: level 0 makes every vertex its own hub with
 /// one empty trough path, then iteration d runs each side in turn until
 /// an iteration commits nothing. A side committed earlier in iteration
@@ -357,9 +253,7 @@ void ConstructLabels(BuildContext& ctx, std::span<const LabelSide> sides,
   for (Distance d = 1; d < kInfDistance; ++d) {
     size_t committed = 0;
     for (const LabelSide& side : sides) {
-      committed += ctx.options.paradigm == Paradigm::kPull
-                       ? PullIteration(ctx, side, d)
-                       : PushIteration(ctx, side, d);
+      committed += PullIteration(ctx, side, d);
     }
     if (committed == 0) break;
     stats.entries_per_level.push_back(committed);
@@ -406,7 +300,7 @@ BuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
   }
   LevelLabelStore store(n);
   const Adjacency adjacency{graph.Offsets(), graph.NeighborArray()};
-  const LabelSide side{&store, &store, adjacency, adjacency};
+  const LabelSide side{&store, &store, adjacency};
   ConstructLabels(ctx, {&side, 1}, result.stats);
   result.stats.construction_seconds = timer.ElapsedSeconds();
 
@@ -426,8 +320,8 @@ BuildResult BuildDirectedPspcIndex(const DiGraph& graph,
   LevelLabelStore in_store(n), out_store(n);
   const Adjacency in{graph.InOffsets(), graph.InNeighborArray()};
   const Adjacency out{graph.OutOffsets(), graph.OutNeighborArray()};
-  const LabelSide sides[] = {{&in_store, &out_store, in, out},
-                             {&out_store, &in_store, out, in}};
+  const LabelSide sides[] = {{&in_store, &out_store, in},
+                             {&out_store, &in_store, out}};
   ConstructLabels(ctx, sides, result.stats);
   result.stats.construction_seconds = timer.ElapsedSeconds();
 

@@ -17,8 +17,8 @@
 /// ranks < i (Lemma 1's order dependency), PSPC reorganizes the same
 /// label set by *distance* (Defs. 6/7): iteration `d` constructs every
 /// label entry of distance exactly `d`, for all vertices, in parallel.
-/// Correctness rests on two observations proved in the paper and
-/// re-derived in DESIGN.md §1:
+/// Correctness rests on two observations proved in the paper (and
+/// checked against HP-SPC and a BFS oracle by `SpcPropertyTest`):
 ///
 ///  1. Propagation (Lemma 2): every distance-d trough shortest path
 ///     `u ~> w` extends a distance-(d-1) trough shortest path of a
@@ -34,17 +34,15 @@
 ///     result independent of the thread count (asserted in tests, and
 ///     the paper's Exp 2 observation).
 ///
-/// Both propagation paradigms of §III-E are provided: PULL (each vertex
-/// gathers neighbors' last-level labels; duplicates merge in-place) and
-/// PUSH (each vertex scatters; a grouping pass merges). They produce
-/// bit-identical indexes.
+/// Propagation is §III-E's PULL: each vertex gathers its neighbors'
+/// last-level labels and merges duplicates in place. PUSH is not kept:
+/// it built the same index and was slower on every dataset analogue.
 ///
 /// A directed graph (§II-A) runs the same iteration over two label
-/// sides: `Lin(u)` pulls from in-neighbors (PUSH scatters it to
-/// out-neighbors) and is pruned against `Lout` (a witness `h -> z -> u`
-/// splits into `(z, ·)` in `Lout(h)` and in `Lin(u)`), and `Lout` is
-/// the mirror image. An undirected graph has one side, which witnesses
-/// its own prunes.
+/// sides: `Lin(u)` pulls from in-neighbors and is pruned against `Lout`
+/// (a witness `h -> z -> u` splits into `(z, ·)` in `Lout(h)` and in
+/// `Lin(u)`), and `Lout` is the mirror image. An undirected graph has
+/// one side, which witnesses its own prunes.
 namespace pspc {
 
 /// Builds the ESPC index for `graph` under `order` in parallel. The
@@ -52,9 +50,9 @@ namespace pspc {
 /// vertex_weights)` up to entry ordering (both are the unique ESPC
 /// label set of the order).
 ///
-/// Reads the PSPC fields of `options`: `paradigm`, `schedule`,
-/// `num_threads` and `num_landmarks`. The caller passes the order, so
-/// `algorithm`, `ordering` and `hybrid_delta` are not read.
+/// Reads the PSPC fields of `options`: `schedule`, `num_threads` and
+/// `num_landmarks`. The caller passes the order, so `algorithm`,
+/// `ordering` and `hybrid_delta` are not read.
 ///
 /// `vertex_weights` (optional; empty = all 1) assigns each vertex a
 /// multiplicity: a path's count is multiplied by the weights of its
@@ -67,12 +65,12 @@ BuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
 
 /// Builds the directed ESPC index (`result.index.Directed()`) without
 /// vertex weights. Like the undirected build, the index is independent
-/// of paradigm, schedule and thread count.
+/// of schedule and thread count.
 ///
-/// Reads `paradigm`, `schedule` and `num_threads` of `options`. The
-/// landmark tables hold undirected distances, so `num_landmarks` is not
-/// read; nor are `algorithm`, `ordering` and `hybrid_delta`, because
-/// the caller passes the order.
+/// Reads `schedule` and `num_threads` of `options`. The landmark tables
+/// hold undirected distances, so `num_landmarks` is not read; nor are
+/// `algorithm`, `ordering` and `hybrid_delta`, because the caller
+/// passes the order.
 BuildResult BuildDirectedPspcIndex(const DiGraph& graph,
                                    const VertexOrder& order,
                                    const BuildOptions& options);

@@ -71,6 +71,11 @@ Distance EstimateDiameter(const Graph& graph, int rounds, uint64_t seed) {
   Rng rng(seed);
   Distance best = 0;
   VertexId start = static_cast<VertexId>(rng.NextBounded(n));
+  // Every sweep from an isolated vertex stays on it: move on, cyclically,
+  // to the next vertex that has an edge.
+  for (VertexId step = 0; step < n && graph.Degree(start) == 0; ++step) {
+    start = start + 1 == n ? 0 : start + 1;
+  }
   for (int r = 0; r < rounds; ++r) {
     const auto dist = BfsDistances(graph, start);
     VertexId farthest = start;

@@ -26,10 +26,11 @@ std::vector<VertexId> ConnectedComponents(const Graph& graph,
 Distance Eccentricity(const Graph& graph, VertexId source);
 
 /// Lower bound on the diameter via `rounds` of the double-sweep
-/// heuristic (exact on trees; a tight lower bound in practice).
+/// heuristic (exact on trees; a tight lower bound in practice). The
+/// random start skips isolated vertices.
 Distance EstimateDiameter(const Graph& graph, int rounds, uint64_t seed);
 
-/// Exact diameter of the largest component via all-source BFS —
+/// Largest eccentricity over all components via all-source BFS —
 /// O(n * m); test-scale graphs only.
 Distance ExactDiameter(const Graph& graph);
 

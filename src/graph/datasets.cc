@@ -21,7 +21,7 @@ int ShrunkScale(int base_scale, VertexId divisor) {
   return s;
 }
 
-// --- One builder per paper dataset (seeds fixed; see DESIGN.md §4). ---
+// --- One builder per paper dataset (seeds fixed; listed in AllDatasets()). ---
 
 Graph BuildFb(VertexId d) {  // Facebook: social, davg ~ 25.6
   return GenerateBarabasiAlbert(Shrunk(8192, d), 13, /*seed=*/0xFB01);

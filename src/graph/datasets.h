@@ -13,9 +13,10 @@
 /// The paper's Table III lists 10 public graphs (FB, GW, WI, GO, DB,
 /// BE, YT, PE, FL, IN). Those files are not available offline, so each
 /// is mapped to a seeded synthetic generator of the same family and
-/// average degree at laptop scale (DESIGN.md §4 documents the mapping
-/// and why it preserves the relevant behavior). `RD` adds the road
-/// network family that motivates the paper's tree-decomposition order.
+/// average degree at laptop scale (each `AllDatasets()` entry's
+/// `description` names the graph it substitutes and the family). `RD`
+/// adds the road network family that motivates the paper's
+/// tree-decomposition order.
 namespace pspc {
 
 struct DatasetSpec {

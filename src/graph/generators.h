@@ -9,7 +9,7 @@
 ///
 /// The paper evaluates on 10 public SNAP/KONECT/LAW graphs that are not
 /// redistributable inside this repository, so each dataset is replaced
-/// by a seeded generator from the matching family (see DESIGN.md §4):
+/// by a seeded generator from the matching family (`AllDatasets()`):
 /// Barabási–Albert for social networks, R-MAT for web graphs,
 /// Watts–Strogatz for geo-social small worlds, a perturbed grid for
 /// road networks. All generators are deterministic given a seed.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "src/label/packed_label.h"
-
 namespace pspc {
 
 IndexProfile ProfileIndex(const SpcIndex& index) {
@@ -32,14 +30,6 @@ IndexProfile ProfileIndex(const SpcIndex& index) {
   profile.avg_label_size =
       static_cast<double>(profile.total_entries) / static_cast<double>(n);
   profile.raw_bytes = profile.total_entries * sizeof(LabelEntry);
-  profile.packed_bytes = PackedLabelMap::Encode(index.LabelMap()).SizeBytes();
-  if (profile.total_entries > 0) {
-    profile.raw_bytes_per_entry = static_cast<double>(profile.raw_bytes) /
-                                  static_cast<double>(profile.total_entries);
-    profile.packed_bytes_per_entry =
-        static_cast<double>(profile.packed_bytes) /
-        static_cast<double>(profile.total_entries);
-  }
   const auto total = static_cast<double>(profile.total_entries);
   profile.top1_hub_share = top1 / total;
   profile.top10_hub_share = top10 / total;
@@ -53,9 +43,7 @@ std::string IndexProfile::ToString() const {
       << " min=" << min_label_size << " max=" << max_label_size
       << " top1=" << top1_hub_share << " top10=" << top10_hub_share
       << " top100=" << top100_hub_share << "\nraw_bytes=" << raw_bytes
-      << " (" << raw_bytes_per_entry << " B/entry) packed_bytes="
-      << packed_bytes << " (" << packed_bytes_per_entry
-      << " B/entry)\nper-distance:";
+      << "\nper-distance:";
   for (size_t d = 0; d < entries_per_distance.size(); ++d) {
     oss << " d" << d << ":" << entries_per_distance[d];
   }

@@ -9,8 +9,8 @@
 
 /// Offline introspection of a built index: label-size and label-
 /// distance distributions, hub concentration, and the canonical /
-/// non-canonical split (paper Lemma 1). Used by EXPERIMENTS.md analysis
-/// and the README's architecture claims; pure read-only.
+/// non-canonical split (paper Lemma 1). Printed by `spc_cli
+/// index-stats`; pure read-only.
 namespace pspc {
 
 struct IndexProfile {
@@ -18,13 +18,8 @@ struct IndexProfile {
   double avg_label_size = 0.0;
   size_t max_label_size = 0;
   size_t min_label_size = 0;
-  /// Raw in-memory footprint (16 B/entry, what queries read) vs the
-  /// packed-block encoding (`packed_label.h`: delta ranks + narrow
-  /// lanes + skip headers).
+  /// In-memory footprint of the entries (16 B each, what queries read).
   size_t raw_bytes = 0;
-  size_t packed_bytes = 0;
-  double raw_bytes_per_entry = 0.0;
-  double packed_bytes_per_entry = 0.0;
   /// histogram[d] = number of entries with label distance d.
   std::vector<size_t> entries_per_distance;
   /// Share of all entries whose hub is among the top-k ranked vertices,

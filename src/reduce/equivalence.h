@@ -12,7 +12,7 @@
 /// is either an independent set of *false twins* (identical open
 /// neighborhoods) or a clique of *true twins* (identical closed
 /// neighborhoods) — mixed classes are impossible (two twins of
-/// different kinds would disagree on one adjacency; see DESIGN.md).
+/// different kinds would disagree on one adjacency).
 /// One representative per class survives, carrying the class size as a
 /// *multiplicity weight*: a shortest path through the representative
 /// stands for `|class|` original paths, which is precisely the

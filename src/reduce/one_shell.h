@@ -18,8 +18,8 @@
 ///    the core: SPC(s,t) = (depth(s) + d_core + depth(t),
 ///    spc_core(anchor(s), anchor(t))).
 /// The core graph therefore needs labels only for core vertices, which
-/// is the index-size savings the paper claims; correctness of both
-/// branches is proved in DESIGN.md §2 and asserted by property tests.
+/// is the index-size savings the paper claims; both branches are checked
+/// against the BFS oracle by `ReducedIndexTest.EveryReductionComboIsExact`.
 namespace pspc {
 
 class OneShellReduction {

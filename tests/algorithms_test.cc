@@ -59,6 +59,16 @@ TEST(DiameterTest, DoubleSweepExactOnTrees) {
   EXPECT_EQ(EstimateDiameter(g, 2, 5), ExactDiameter(g));
 }
 
+TEST(DiameterTest, EstimateSkipsIsolatedStart) {
+  // A 5-vertex path among 200 isolated vertices: a start drawn among
+  // the isolated ones must move on to the path.
+  const Graph g =
+      MakeGraph(205, {{100, 101}, {101, 102}, {102, 103}, {103, 104}});
+  for (uint64_t seed : {1u, 2u, 3u, 42u}) {
+    EXPECT_EQ(EstimateDiameter(g, 4, seed), 4u) << "seed " << seed;
+  }
+}
+
 // ---------------------------------------------------------- BFS SPC --
 
 TEST(BfsSpcTest, CycleHasTwoWaysAround) {

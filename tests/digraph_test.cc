@@ -150,26 +150,20 @@ TEST(DirectedPspcTest, ThreadCountInvariance) {
             BuildDirectedPspcIndex(g, order, many).index);
 }
 
-TEST(DirectedPspcTest, PushAndSchedulesMatchPull) {
-  // PUSH scatters each label side along the transpose of the adjacency
-  // it pulls from; every paradigm and schedule builds the default
-  // (PULL, cost-aware) index.
+TEST(DirectedPspcTest, SchedulesMatchDefault) {
+  // Every schedule builds the default (cost-aware) index.
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     const DiGraph g =
         GenerateRandomDiGraph(120, 120 * (2 + seed % 3), seed);
     const VertexOrder order = DirectedDegreeOrder(g);
     const SpcIndex expected =
         BuildDirectedPspcIndex(g, order, BuildOptions{}).index;
-    for (const Paradigm paradigm : {Paradigm::kPull, Paradigm::kPush}) {
-      for (const ScheduleKind schedule :
-           {ScheduleKind::kStatic, ScheduleKind::kDynamic,
-            ScheduleKind::kCostAware}) {
-        const BuildOptions options{
-            .paradigm = paradigm, .schedule = schedule, .num_threads = 4};
-        EXPECT_EQ(BuildDirectedPspcIndex(g, order, options).index, expected)
-            << "seed " << seed << " " << ToString(paradigm) << " "
-            << ToString(schedule);
-      }
+    for (const ScheduleKind schedule :
+         {ScheduleKind::kStatic, ScheduleKind::kDynamic,
+          ScheduleKind::kCostAware}) {
+      const BuildOptions options{.schedule = schedule, .num_threads = 4};
+      EXPECT_EQ(BuildDirectedPspcIndex(g, order, options).index, expected)
+          << "seed " << seed << " " << ToString(schedule);
     }
   }
 }

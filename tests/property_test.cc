@@ -17,10 +17,10 @@
 namespace pspc {
 namespace {
 
-/// Families x orderings x algorithms x paradigms, swept by value-
-/// parameterized tests: every combination must answer every sampled
-/// query exactly like the BFS oracle, and PSPC must equal HP-SPC
-/// structurally (Theorem 2: same ESPC label set).
+/// Families x orderings, swept by value-parameterized tests: every
+/// combination must answer every sampled query exactly like the BFS
+/// oracle, PSPC must equal HP-SPC structurally (Theorem 2: same ESPC
+/// label set), and neither thread count nor schedule may change it.
 struct GraphCase {
   std::string name;
   Graph (*make)();
@@ -92,28 +92,22 @@ TEST_P(SpcPropertyTest, QueriesMatchBfsOracle) {
   }
 }
 
-TEST_P(SpcPropertyTest, PushEqualsPull) {
-  const Graph g = Case().make();
-  const VertexOrder order = ComputeOrder(g, Ordering(), 4);
-  BuildOptions pull;
-  pull.paradigm = Paradigm::kPull;
-  pull.num_landmarks = 4;
-  BuildOptions push = pull;
-  push.paradigm = Paradigm::kPush;
-  EXPECT_EQ(BuildPspcIndex(g, order, pull).index,
-            BuildPspcIndex(g, order, push).index);
-}
-
-TEST_P(SpcPropertyTest, ThreadCountInvariance) {
+TEST_P(SpcPropertyTest, ThreadAndScheduleInvariance) {
   const Graph g = Case().make();
   const VertexOrder order = ComputeOrder(g, Ordering(), 4);
   BuildOptions one;
   one.num_threads = 1;
   one.num_landmarks = 4;
-  BuildOptions many = one;
-  many.num_threads = 7;  // deliberately awkward thread count
-  EXPECT_EQ(BuildPspcIndex(g, order, one).index,
-            BuildPspcIndex(g, order, many).index);
+  const SpcIndex expected = BuildPspcIndex(g, order, one).index;
+  for (const ScheduleKind schedule :
+       {ScheduleKind::kStatic, ScheduleKind::kDynamic,
+        ScheduleKind::kCostAware}) {
+    BuildOptions many = one;
+    many.schedule = schedule;
+    many.num_threads = 7;  // deliberately awkward thread count
+    EXPECT_EQ(BuildPspcIndex(g, order, many).index, expected)
+        << ToString(schedule);
+  }
 }
 
 std::string CaseName(

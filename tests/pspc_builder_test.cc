@@ -81,20 +81,6 @@ TEST(PspcBuilderTest, IndexIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(PspcBuilderTest, PushAndPullProduceSameIndex) {
-  for (uint64_t seed : {2u, 9u}) {
-    const Graph g = GenerateErdosRenyi(90, 250, seed);
-    const VertexOrder order = DegreeOrder(g);
-    BuildOptions pull = Defaults();
-    pull.paradigm = Paradigm::kPull;
-    BuildOptions push = Defaults();
-    push.paradigm = Paradigm::kPush;
-    EXPECT_EQ(BuildPspcIndex(g, order, pull).index,
-              BuildPspcIndex(g, order, push).index)
-        << "seed " << seed;
-  }
-}
-
 TEST(PspcBuilderTest, LandmarkFilterNeverChangesTheIndex) {
   const Graph g = GenerateBarabasiAlbert(120, 3, 13);
   const VertexOrder order = DegreeOrder(g);
