@@ -732,12 +732,14 @@ int CmdBuild(int argc, char** argv) {
               static_cast<unsigned long long>(graph.NumEdges()));
   const pspc::BuildResult result = pspc::BuildIndex(graph, options);
   std::printf("built %s index under %s order: %zu entries in %.3fs "
-              "(order %.3fs, landmarks %.3fs, construction %.3fs)\n",
+              "(order %.3fs, landmarks %.3fs, construction %.3fs, "
+              "finalize %.3fs)\n",
               ToString(options.algorithm).c_str(),
               ToString(options.ordering).c_str(),
               result.index.TotalEntries(), result.stats.TotalSeconds(),
               result.stats.ordering_seconds, result.stats.landmark_seconds,
-              result.stats.construction_seconds);
+              result.stats.construction_seconds,
+              result.stats.finalize_seconds);
   if (const pspc::Status st = result.index.Save(argv[3]); !st.ok()) {
     std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
     return 1;

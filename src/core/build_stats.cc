@@ -8,7 +8,8 @@ std::string BuildStats::ToString() const {
   std::ostringstream oss;
   oss << "ordering=" << ordering_seconds << "s landmarks="
       << landmark_seconds << "s construction=" << construction_seconds
-      << "s total=" << TotalSeconds() << "s\n";
+      << "s finalize=" << finalize_seconds << "s total=" << TotalSeconds()
+      << "s\n";
   oss << "iterations=" << num_iterations << " entries=" << total_entries
       << " candidates=" << candidates_after_merge
       << " pruned(landmark)=" << pruned_by_landmark

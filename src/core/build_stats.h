@@ -15,12 +15,15 @@
 namespace pspc {
 
 struct BuildStats {
-  // Phase timings in seconds (paper Fig. 13: Order / LL / LC).
+  // Phase timings in seconds (paper Fig. 13: Order / LL / LC), then
+  // finalize: flattening the builder's label lists into the index.
   double ordering_seconds = 0.0;
   double landmark_seconds = 0.0;
   double construction_seconds = 0.0;
+  double finalize_seconds = 0.0;
   double TotalSeconds() const {
-    return ordering_seconds + landmark_seconds + construction_seconds;
+    return ordering_seconds + landmark_seconds + construction_seconds +
+           finalize_seconds;
   }
 
   /// Distance iterations executed by PSPC (== diameter of the largest
@@ -41,7 +44,11 @@ struct BuildStats {
   size_t pruned_by_query = 0;         ///< cut by the 2-hop label query
   size_t labels_inserted = 0;
 
-  /// HP-SPC only: canonical vs non-canonical split (paper Lemma 1).
+  /// Canonical vs non-canonical split (paper Lemma 1), self entries in
+  /// neither. An entry is canonical when no vertex ranked above its hub
+  /// lies on a shortest path to it; the rest only add path counts.
+  /// PSPC counts its distance entries as canonical, so an entry the
+  /// landmark filter kept counts there too.
   size_t canonical_labels = 0;
   size_t non_canonical_labels = 0;
 

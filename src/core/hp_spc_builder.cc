@@ -1,5 +1,6 @@
 #include "src/core/hp_spc_builder.h"
 
+#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -22,9 +23,12 @@ BuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
   BuildResult result;
   WallTimer timer;
 
-  // labels[v] accumulates entries in ascending hub-rank order (hubs are
-  // processed by rank), so each list stays sorted by construction.
-  std::vector<std::vector<LabelEntry>> labels(n);
+  // canonical[v] holds v's self entry and canonical entries, and
+  // count_only[v] its non-canonical ones. Both accumulate in ascending
+  // hub-rank order (hubs are processed by rank), so each list stays
+  // sorted by construction. Canonical entries are an exact distance
+  // cover, so the pruning queries read only them.
+  LabelLists canonical(n), count_only(n);
 
   // Scratch reused across hubs; reset via the visited list.
   std::vector<Distance> tmp_dist(n, kInfDistance);  // hub's label, by rank
@@ -37,11 +41,11 @@ BuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
   for (Rank r = 0; r < n; ++r) {
     const VertexId h = order.VertexAt(r);
     // Self label: one trough path of length 0.
-    labels[h].push_back({r, 0, 1});
+    canonical[h].push_back({r, 0, 1});
     ++result.stats.labels_inserted;
 
-    // Preload the hub's existing labels for 2-hop pruning queries.
-    for (const LabelEntry& e : labels[h]) tmp_dist[e.hub_rank] = e.dist;
+    // Preload the hub's canonical labels for 2-hop pruning queries.
+    for (const LabelEntry& e : canonical[h]) tmp_dist[e.hub_rank] = e.dist;
 
     bfs_dist[h] = 0;
     bfs_count[h] = 1;
@@ -77,7 +81,7 @@ BuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
       size_t keep = 0;
       for (VertexId v : next_frontier) {
         uint32_t q = kInfDistance;
-        for (const LabelEntry& e : labels[v]) {
+        for (const LabelEntry& e : canonical[v]) {
           const Distance hd = tmp_dist[e.hub_rank];
           if (hd == kInfDistance) continue;
           q = std::min<uint32_t>(q, static_cast<uint32_t>(hd) + e.dist);
@@ -93,10 +97,11 @@ BuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
         }
         if (q == d) {
           ++result.stats.non_canonical_labels;  // higher apex exists
+          count_only[v].push_back({r, d, bfs_count[v]});
         } else {
           ++result.stats.canonical_labels;  // h is the unique apex
+          canonical[v].push_back({r, d, bfs_count[v]});
         }
-        labels[v].push_back({r, d, bfs_count[v]});
         ++result.stats.labels_inserted;
         next_frontier[keep++] = v;
       }
@@ -105,7 +110,9 @@ BuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
     }
 
     // Reset scratch.
-    for (const LabelEntry& e : labels[h]) tmp_dist[e.hub_rank] = kInfDistance;
+    for (const LabelEntry& e : canonical[h]) {
+      tmp_dist[e.hub_rank] = kInfDistance;
+    }
     for (VertexId v : touched) {
       bfs_dist[v] = kInfDistance;
       bfs_count[v] = 0;
@@ -115,7 +122,11 @@ BuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
 
   result.stats.construction_seconds = timer.ElapsedSeconds();
   result.stats.total_entries = result.stats.labels_inserted;
-  result.index = SpcIndex(order, std::move(labels));
+
+  WallTimer finalize;
+  LabelLists parts[] = {std::move(canonical), std::move(count_only)};
+  result.index = SpcIndex(order, parts, {}, /*num_threads=*/1);
+  result.stats.finalize_seconds = finalize.ElapsedSeconds();
   return result;
 }
 

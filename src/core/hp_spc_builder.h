@@ -21,6 +21,11 @@
 /// paper's *non-canonical* labels, Lemma 1) and expansion continues, so
 /// counts of trough paths that detour around higher hubs are preserved.
 ///
+/// The query reads canonical entries only. For a pair at distance
+/// `D < d`, the highest-ranked vertex on any of its shortest paths is a
+/// canonical hub of both ends with legs of at most `D`, so canonical
+/// entries alone decide `< d`, `== d` and `> d` as the full labels do.
+///
 /// The defining limitation reproduced here: iteration i+1's pruning
 /// depends on the labels iteration i inserted (Lemma 1's order
 /// dependency), so the hub loop cannot be parallelized — the motivation

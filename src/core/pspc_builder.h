@@ -34,6 +34,15 @@
 ///     result independent of the thread count (asserted in tests, and
 ///     the paper's Exp 2 observation).
 ///
+/// The distance entries of `L_{<=d-1}` suffice too, and the query reads
+/// only them. For a pair at distance `D < d`, the highest-ranked vertex
+/// on any of its shortest paths is a canonical hub of both ends, with
+/// both legs shorter than `d`: the distance entries (self, canonical
+/// and landmark-kept, all exact distances) give the same `< d` verdict,
+/// and the same `== d` against `> d` test, which files a survivor as
+/// count-only or as a distance entry. Each side keeps the two kinds in
+/// separate stores; propagation reads both.
+///
 /// Propagation is §III-E's PULL: each vertex gathers its neighbors'
 /// last-level labels and merges duplicates in place. PUSH is not kept:
 /// it built the same index and was slower on every dataset analogue.

@@ -30,6 +30,10 @@ inline bool ByHubRank(const LabelEntry& a, const LabelEntry& b) {
   return a.hub_rank < b.hub_rank;
 }
 
+/// Per-vertex entry lists, one list per vertex: the builders' form of a
+/// label side before it is flattened into an index.
+using LabelLists = std::vector<std::vector<LabelEntry>>;
+
 /// Index of the entry with `hub_rank` in a rank-sorted list, or
 /// `list.size()` if absent.
 inline size_t FindHubEntry(std::span<const LabelEntry> list, Rank hub_rank) {

@@ -16,6 +16,14 @@
 /// full prefix `L_{<=d}(v)` needed by the pruning queries, with appends
 /// committed once per iteration (two-phase: the paper's paradigm where
 /// an iteration only reads the previous iterations' labels).
+///
+/// A PSPC label side keeps its entries in two stores, each entry in
+/// exactly one. The *distance* store holds the self entry, every
+/// canonical entry (no higher-ranked vertex lies on a shortest path to
+/// the hub) and every entry the landmark filter kept: an exact distance
+/// cover, and the only store the pruning queries read. The *count*
+/// store holds the non-canonical entries, which only add path counts;
+/// propagation reads both.
 namespace pspc {
 
 class LevelLabelStore {
@@ -55,12 +63,12 @@ class LevelLabelStore {
   size_t TotalEntries() const;
 
   /// Moves out per-vertex entry arrays (store unusable afterwards).
-  std::vector<std::vector<LabelEntry>> TakeEntries() {
+  LabelLists TakeEntries() {
     return std::move(entries_);
   }
 
  private:
-  std::vector<std::vector<LabelEntry>> entries_;
+  LabelLists entries_;
   // level_begin_[v][d] = first index of distance-d entries in entries_[v].
   std::vector<std::vector<uint32_t>> level_begin_;
 };

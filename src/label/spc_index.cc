@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "src/common/logging.h"
+#include "src/common/parallel.h"
 #include "src/label/label_merge.h"
 
 namespace pspc {
@@ -17,39 +18,69 @@ constexpr uint64_t kIndexMagic = 0x5053'5043'4944'5801ull;  // "PSPCIDX" v1
 constexpr uint64_t kEntryBytes = sizeof(Rank) + sizeof(Distance) +
                                  sizeof(Count);
 
+/// Puts `slot` in rank order by merging its rank-sorted runs (split
+/// where a hub rank falls) pairwise, bottom up, until one is left.
+void MergeRuns(std::span<LabelEntry> slot) {
+  std::vector<size_t> bounds{0};
+  for (size_t i = 1; i < slot.size(); ++i) {
+    if (slot[i].hub_rank < slot[i - 1].hub_rank) bounds.push_back(i);
+  }
+  bounds.push_back(slot.size());
+  while (bounds.size() > 2) {
+    size_t kept = 1;
+    for (size_t i = 2; i < bounds.size(); i += 2) {
+      std::inplace_merge(slot.begin() + bounds[i - 2],
+                         slot.begin() + bounds[i - 1],
+                         slot.begin() + bounds[i], ByHubRank);
+      bounds[kept++] = bounds[i];
+    }
+    if (bounds.size() % 2 == 0) bounds[kept++] = bounds.back();
+    bounds.resize(kept);
+  }
+}
+
 }  // namespace
 
-SpcIndex::Side SpcIndex::Flatten(
-    std::vector<std::vector<LabelEntry>> labels) {
+SpcIndex::Side SpcIndex::Flatten(std::span<LabelLists> parts,
+                                 int num_threads) {
+  const size_t n = parts.front().size();
   Side side;
-  side.offsets.assign(labels.size() + 1, 0);
-  size_t total = 0;
-  for (size_t v = 0; v < labels.size(); ++v) {
-    total += labels[v].size();
-    side.offsets[v + 1] = total;
+  side.offsets.assign(n + 1, 0);
+  for (size_t v = 0; v < n; ++v) {
+    uint64_t size = 0;
+    for (const LabelLists& part : parts) size += part[v].size();
+    side.offsets[v + 1] = side.offsets[v] + size;
   }
-  side.entries.reserve(total);
-  for (auto& vec : labels) {
-    std::sort(vec.begin(), vec.end(), ByHubRank);
-    side.entries.insert(side.entries.end(), vec.begin(), vec.end());
-  }
+  side.entries.resize(side.offsets[n]);
+  ParallelForDynamic(n, num_threads, /*chunk=*/64, [&](size_t v) {
+    LabelEntry* const slot = side.entries.data() + side.offsets[v];
+    LabelEntry* end = slot;
+    for (LabelLists& part : parts) {
+      end = std::copy(part[v].begin(), part[v].end(), end);
+      std::vector<LabelEntry>().swap(part[v]);
+    }
+    MergeRuns({slot, end});
+  });
   return side;
 }
 
-SpcIndex::SpcIndex(VertexOrder order,
-                   std::vector<std::vector<LabelEntry>> labels)
-    : order_(std::move(order)) {
-  PSPC_CHECK(labels.size() == order_.Size());
-  out_ = Flatten(std::move(labels));
-}
+SpcIndex::SpcIndex(VertexOrder order, LabelLists labels)
+    : SpcIndex(std::move(order), {&labels, 1}, {}, /*num_threads=*/1) {}
 
-SpcIndex::SpcIndex(VertexOrder order, std::vector<std::vector<LabelEntry>> out,
-                   std::vector<std::vector<LabelEntry>> in)
+SpcIndex::SpcIndex(VertexOrder order, LabelLists out, LabelLists in)
+    : SpcIndex(std::move(order), {&out, 1}, {&in, 1}, /*num_threads=*/1) {}
+
+SpcIndex::SpcIndex(VertexOrder order, std::span<LabelLists> out_parts,
+                   std::span<LabelLists> in_parts, int num_threads)
     : order_(std::move(order)) {
-  PSPC_CHECK(out.size() == order_.Size());
-  PSPC_CHECK(in.size() == order_.Size());
-  out_ = Flatten(std::move(out));
-  in_ = Flatten(std::move(in));
+  PSPC_CHECK(!out_parts.empty());
+  for (const auto parts : {out_parts, in_parts}) {
+    for (const LabelLists& part : parts) {
+      PSPC_CHECK(part.size() == order_.Size());
+    }
+  }
+  out_ = Flatten(out_parts, num_threads);
+  if (!in_parts.empty()) in_ = Flatten(in_parts, num_threads);
 }
 
 SpcResult SpcIndex::Query(VertexId s, VertexId t) const {

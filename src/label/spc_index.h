@@ -35,12 +35,19 @@ class SpcIndex {
   /// Undirected index from per-vertex entry lists in any order; entries
   /// are sorted by hub rank and flattened. `labels.size()` must equal
   /// `order.Size()`.
-  SpcIndex(VertexOrder order, std::vector<std::vector<LabelEntry>> labels);
+  SpcIndex(VertexOrder order, LabelLists labels);
 
   /// Directed index from per-vertex `Lout` and `Lin` lists, each sorted
   /// and flattened like the undirected labels.
-  SpcIndex(VertexOrder order, std::vector<std::vector<LabelEntry>> out,
-           std::vector<std::vector<LabelEntry>> in);
+  SpcIndex(VertexOrder order, LabelLists out, LabelLists in);
+
+  /// The builders' finalize. A side's label list of vertex `v` is the
+  /// union of `parts[p][v]` over its parts, which hold disjoint hubs in
+  /// any order; `in_parts` empty makes the index undirected. Each side
+  /// is flattened on `num_threads` threads, and every list is freed as
+  /// it is consumed. The two constructors above are its one-part form.
+  SpcIndex(VertexOrder order, std::span<LabelLists> out_parts,
+           std::span<LabelLists> in_parts, int num_threads);
 
   /// Number of indexed vertices.
   VertexId NumVertices() const {
@@ -113,7 +120,10 @@ class SpcIndex {
     friend bool operator==(const Side&, const Side&) = default;
   };
 
-  static Side Flatten(std::vector<std::vector<LabelEntry>> labels);
+  /// Sizes each vertex's slot by a prefix sum over `parts`, then fills
+  /// the slots in parallel: the parts' runs of a vertex are copied in
+  /// and put in rank order.
+  static Side Flatten(std::span<LabelLists> parts, int num_threads);
   const Side& In() const { return Directed() ? in_ : out_; }
 
   VertexOrder order_;

@@ -125,6 +125,13 @@ TEST(DirectedPspcTest, SymmetricClosureMatchesUndirectedIndex) {
   const auto directed =
       BuildDirectedPspcIndex(d, DirectedDegreeOrder(d), BuildOptions{});
   ASSERT_TRUE(directed.index.Directed());
+  // Each side splits its entries as the undirected build does without
+  // landmarks (the directed build has none).
+  uopts.num_landmarks = 0;
+  const BuildStats plain = BuildPspcIndex(u, DegreeOrder(u), uopts).stats;
+  EXPECT_EQ(directed.stats.canonical_labels, 2 * plain.canonical_labels);
+  EXPECT_EQ(directed.stats.non_canonical_labels,
+            2 * plain.non_canonical_labels);
   for (VertexId v = 0; v < 60; ++v) {
     ASSERT_TRUE(std::ranges::equal(directed.index.Labels(v),
                                    undirected.Labels(v)))
@@ -211,6 +218,9 @@ TEST(DirectedPspcTest, StatsAreConsistent) {
   EXPECT_EQ(built.stats.candidates_after_merge,
             built.stats.pruned_by_query +
                 (built.stats.total_entries - 2u * g.NumVertices()));
+  EXPECT_EQ(built.stats.canonical_labels + built.stats.non_canonical_labels,
+            built.stats.total_entries - 2u * g.NumVertices());
+  EXPECT_GT(built.stats.non_canonical_labels, 0u);
 }
 
 // Parameterized sweep: density x seed, every pair checked against the

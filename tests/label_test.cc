@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -124,6 +126,43 @@ TEST(SpcIndexTest, ConstructorSortsEntriesByRank) {
   const SpcIndex index(IdentityOrder(2), std::move(labels));
   EXPECT_EQ(index.Labels(0)[0].hub_rank, 0u);
   EXPECT_EQ(index.Labels(0)[1].hub_rank, 1u);
+}
+
+TEST(SpcIndexTest, PartsFlattenInRankOrderOnAnyThreadCount) {
+  // Vertex v's hubs 0..v split over two parts, each holding sorted runs
+  // out of rank order, as a level store does; every vertex ends sorted.
+  const VertexId n = 40;
+  LabelLists expected(n);
+  for (VertexId v = 0; v < n; ++v) {
+    for (Rank h = 0; h <= v; ++h) {
+      expected[v].push_back({h, static_cast<Distance>(v - h), v + h + 1u});
+    }
+  }
+  const auto split = [&expected] {
+    // Runs of three ascending hubs, alternating between the parts; a
+    // later run goes in front of the earlier ones.
+    std::array<LabelLists, 2> parts;
+    for (auto& part : parts) part.resize(expected.size());
+    for (size_t v = 0; v < expected.size(); ++v) {
+      const std::vector<LabelEntry>& all = expected[v];
+      for (size_t first = 0; first < all.size(); first += 3) {
+        std::vector<LabelEntry>& list = parts[(first / 3) % 2][v];
+        list.insert(list.begin(), all.begin() + first,
+                    all.begin() + std::min(first + 3, all.size()));
+      }
+    }
+    return parts;
+  };
+  const SpcIndex one_part(IdentityOrder(n), expected);
+  for (const int threads : {1, 3}) {
+    std::array<LabelLists, 2> parts = split();
+    const SpcIndex index(IdentityOrder(n), parts, {}, threads);
+    EXPECT_EQ(index, one_part) << threads << " threads";
+    for (VertexId v = 0; v < n; ++v) {
+      EXPECT_TRUE(std::ranges::equal(index.Labels(v), expected[v]));
+      EXPECT_TRUE(parts[0][v].empty() && parts[1][v].empty());
+    }
+  }
 }
 
 TEST(SpcIndexTest, SizeAccounting) {

@@ -75,8 +75,20 @@ TEST_P(SpcPropertyTest, PspcMatchesHpSpcStructurally) {
   const VertexOrder order = ComputeOrder(g, Ordering(), 4);
   BuildOptions opts;
   opts.num_landmarks = 4;
-  EXPECT_EQ(BuildPspcIndex(g, order, opts).index,
-            BuildHpSpcIndex(g, order).index);
+  const BuildResult pspc = BuildPspcIndex(g, order, opts);
+  const BuildResult hp = BuildHpSpcIndex(g, order);
+  EXPECT_EQ(pspc.index, hp.index);
+
+  // Without landmarks PSPC files exactly HP-SPC's canonical entries as
+  // distance entries. A landmark may keep a non-canonical entry as a
+  // distance entry, which moves it across the split but not the sum.
+  opts.num_landmarks = 0;
+  const BuildStats plain = BuildPspcIndex(g, order, opts).stats;
+  EXPECT_EQ(plain.canonical_labels, hp.stats.canonical_labels);
+  EXPECT_EQ(plain.non_canonical_labels, hp.stats.non_canonical_labels);
+  EXPECT_GE(pspc.stats.canonical_labels, hp.stats.canonical_labels);
+  EXPECT_EQ(pspc.stats.canonical_labels + pspc.stats.non_canonical_labels,
+            hp.stats.canonical_labels + hp.stats.non_canonical_labels);
 }
 
 TEST_P(SpcPropertyTest, QueriesMatchBfsOracle) {
