@@ -4,10 +4,11 @@
 // the moment an edge changes. This example builds a `DynamicSpcIndex`
 // over a synthetic social network, streams edge insertions and
 // deletions through it, and shows that (a) every answer tracks the
-// live graph exactly (cross-checked against an online BFS), and (b)
-// repairing labels is orders of magnitude cheaper than rebuilding,
-// with the staleness policy folding the accumulated overlay back into
-// a clean base index when it grows past the configured threshold.
+// live graph exactly (cross-checked against an online BFS; a mismatch
+// makes it exit 1), and (b) repairing labels is an order of magnitude
+// cheaper than rebuilding, with the staleness policy folding the
+// accumulated overlay back into a clean base index when it grows past
+// the configured threshold.
 
 #include <algorithm>
 #include <cstdio>
@@ -81,7 +82,7 @@ int main() {
       if (u < v) edges.push_back({u, v});
     }
   }
-  size_t applied = 0, verified = 0;
+  size_t applied = 0, verified = 0, mismatched = 0;
   update_timer.Reset();
   while (applied < 200) {
     // Half the churn deletes an existing edge, half inserts a new one.
@@ -117,6 +118,7 @@ int main() {
                   static_cast<unsigned long long>(expected.count),
                   got == expected ? "OK" : "MISMATCH", index.StalenessRatio());
       ++verified;
+      mismatched += got != expected;
     }
   }
   std::printf("%zu updates in %.3fs; %zu oracle spot-checks\n\n", applied,
@@ -127,5 +129,5 @@ int main() {
               index.Stats().repair_seconds * 1e3 /
                   static_cast<double>(applied + 2),
               build_seconds);
-  return 0;
+  return mismatched == 0 ? 0 : 1;
 }

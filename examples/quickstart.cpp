@@ -1,6 +1,7 @@
 // Quickstart: build an SPC index on the paper's Figure-2 graph and ask
 // it questions. Demonstrates the three core steps — graph construction,
 // index construction (PSPC, parallel), and querying — plus persistence.
+// Exits 1 if the built or the reloaded index gets Example 1 wrong.
 //
 //   ./quickstart
 
@@ -30,7 +31,7 @@ int main() {
 
   // 3. Queries: distance and the exact number of shortest paths.
   //    Vertex v_i of the paper is id i-1 here; this is the paper's
-  //    Example 1, SPC(v10, v7).
+  //    Example 1, SPC(v10, v7) = (3, 4).
   const pspc::SpcResult spc = result.index.Query(9, 6);
   std::printf("SPC(v10, v7): distance %u, %llu shortest paths\n",
               spc.distance, static_cast<unsigned long long>(spc.count));
@@ -54,9 +55,11 @@ int main() {
     std::printf("load failed: %s\n", loaded.status().ToString().c_str());
     return 1;
   }
-  std::printf("round-trip ok: reloaded index answers SPC(v10, v7) = "
+  const pspc::SpcResult again = loaded.value().Query(9, 6);
+  std::printf("round-trip: reloaded index answers SPC(v10, v7) = "
               "(%u, %llu)\n",
-              loaded.value().Query(9, 6).distance,
-              static_cast<unsigned long long>(loaded.value().Query(9, 6).count));
-  return 0;
+              again.distance, static_cast<unsigned long long>(again.count));
+  const bool ok = spc == pspc::SpcResult{3, 4} && again == spc;
+  std::printf("Example 1: %s\n", ok ? "OK" : "MISMATCH, expected (3, 4)");
+  return ok ? 0 : 1;
 }

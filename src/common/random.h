@@ -6,11 +6,11 @@
 /// Deterministic pseudo-random number generation.
 ///
 /// All stochastic components of the library (graph generators, query
-/// workloads, sampling-based analytics) draw from `Rng`, a
-/// splitmix64-seeded xoshiro256** generator. Fixed seeds make every
-/// dataset, test, and benchmark bit-reproducible across runs and thread
-/// counts — a prerequisite for the paper's "index is identical for any
-/// number of threads" claim to be checkable.
+/// workloads) draw from `Rng`, a splitmix64-seeded xoshiro256**
+/// generator. Fixed seeds make every dataset, test, and benchmark
+/// bit-reproducible across runs and thread counts — a prerequisite for
+/// the paper's "index is identical for any number of threads" claim to
+/// be checkable.
 namespace pspc {
 
 /// xoshiro256** PRNG. Not cryptographic; fast and high-quality for

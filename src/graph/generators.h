@@ -58,9 +58,9 @@ Graph GenerateComplete(VertexId num_vertices);
 Graph GenerateStar(VertexId num_leaves);
 /// Balanced tree with given branching factor.
 Graph GenerateTree(VertexId num_vertices, VertexId branching);
-/// `levels`-layer "diamond ladder": consecutive layers of `width`
-/// vertices fully connected layer-to-layer. SPC(s, t) across the ladder
-/// is width^(levels-1) — a count-explosion stress test.
+/// `levels`-layer "diamond ladder": ends s and t around `levels - 2`
+/// layers of `width` vertices, consecutive layers fully connected.
+/// SPC(s, t) is width^(levels-2) — a count-explosion stress test.
 Graph GenerateDiamondLadder(VertexId levels, VertexId width);
 
 /// The 10-vertex example graph of the paper's Figure 2 (edge list

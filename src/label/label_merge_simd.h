@@ -14,8 +14,8 @@
 ///
 /// Queries merge raw `LabelEntry` spans with `MergeLabelCountsBranchFree`
 /// (label_merge.h), the one kernel on every host. Packed blocks
-/// (packed_label.h) are an at-rest encoding, measured by `spc_cli
-/// index-stats` and the benches; a merge over one decodes it first.
+/// (packed_label.h) are an at-rest encoding, measured by perfbench and
+/// `bench_serving`; a merge over one decodes it first.
 namespace pspc {
 
 enum class MergeKernel : int { kBranchFree = 0 };

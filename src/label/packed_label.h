@@ -11,7 +11,8 @@
 #include "src/label/label_entry.h"
 
 /// Compressed per-vertex label blocks: an at-rest encoding of the
-/// label table, reported by `spc_cli index-stats` and the benches.
+/// label table, measured by perfbench (`label.merge_packed_ns`,
+/// `label.bytes_per_query_packed`) and `bench_serving`'s `query_path.packed_*`.
 ///
 /// A raw `LabelEntry` costs 16 bytes (4 rank + 2 dist + padding + 8
 /// count), of which the common case needs three or four. A packed

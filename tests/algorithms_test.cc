@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/baseline/bfs_spc.h"
-#include "src/baseline/brandes.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_builder.h"
@@ -108,38 +107,6 @@ TEST(BfsSpcTest, PaperFigure2Example) {
   // v10-v2-v4-v7, v10-v9-v8-v7.
   const Graph g = PaperFigure2Graph();
   EXPECT_EQ(BfsSpcPair(g, 9, 6), (SpcResult{3, 4}));
-}
-
-// ---------------------------------------------------------- Brandes --
-
-TEST(BrandesTest, PathCenterDominates) {
-  const Graph g = GeneratePath(5);
-  const auto bc = BrandesBetweenness(g);
-  // Middle vertex lies on all 2x3 cross pairs... exact: pairs through
-  // v2: (0,3),(0,4),(1,3),(1,4) = 4, each with a unique shortest path.
-  EXPECT_DOUBLE_EQ(bc[2], 4.0);
-  EXPECT_DOUBLE_EQ(bc[0], 0.0);
-  EXPECT_DOUBLE_EQ(bc[4], 0.0);
-}
-
-TEST(BrandesTest, StarCenterTakesAllPairs) {
-  const Graph g = GenerateStar(5);
-  const auto bc = BrandesBetweenness(g);
-  EXPECT_DOUBLE_EQ(bc[0], 10.0);  // C(5,2) leaf pairs
-  for (VertexId leaf = 1; leaf <= 5; ++leaf) EXPECT_DOUBLE_EQ(bc[leaf], 0.0);
-}
-
-TEST(BrandesTest, CycleIsUniform) {
-  const auto bc = BrandesBetweenness(GenerateCycle(8));
-  for (VertexId v = 1; v < 8; ++v) EXPECT_NEAR(bc[v], bc[0], 1e-9);
-}
-
-TEST(BrandesTest, FractionalDependencies) {
-  // Square 0-1-2-3-0: opposite corners have two shortest paths, each
-  // middle vertex carries half a pair.
-  const Graph g = GenerateCycle(4);
-  const auto bc = BrandesBetweenness(g);
-  for (VertexId v = 0; v < 4; ++v) EXPECT_NEAR(bc[v], 0.5, 1e-9);
 }
 
 }  // namespace

@@ -117,11 +117,19 @@ TEST(PspcBuilderTest, AllSchedulesProduceSameIndex) {
 // --------------------------------------------------------- Queries --
 
 TEST(PspcBuilderTest, AllPairsMatchBfsOracle) {
-  const Graph g = GenerateWattsStrogatz(80, 3, 0.2, 31);
-  const auto ps = BuildPspcIndex(g, DegreeOrder(g), Defaults());
-  for (const auto& [s, t] : AllPairs(80)) {
-    EXPECT_EQ(ps.index.Query(s, t), BfsSpcPair(g, s, t))
-        << "pair (" << s << "," << t << ")";
+  // The classics pin exact multi-path counts: GenerateCycle(4) has two
+  // shortest paths per opposite pair, the diamond ladder 3^4 between
+  // its ends. The scale-free graph stresses hub-heavy labels.
+  for (const Graph& g :
+       {GenerateWattsStrogatz(80, 3, 0.2, 31), GeneratePath(9),
+        GenerateCycle(10), GenerateComplete(6), GenerateStar(7),
+        GenerateDiamondLadder(6, 3), GenerateCycle(4),
+        GenerateBarabasiAlbert(300, 3, 77)}) {
+    const auto ps = BuildPspcIndex(g, DegreeOrder(g), Defaults());
+    for (const auto& [s, t] : AllPairs(g.NumVertices())) {
+      ASSERT_EQ(ps.index.Query(s, t), BfsSpcPair(g, s, t))
+          << g.NumVertices() << " vertices, pair (" << s << "," << t << ")";
+    }
   }
 }
 

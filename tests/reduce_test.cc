@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/graph/generators.h"
@@ -143,14 +144,22 @@ TEST(ReducedIndexTest, LollipopAllPairs) {
 }
 
 TEST(ReducedIndexTest, EveryReductionComboIsExact) {
-  const Graph g = GenerateClusteredBa(90, 3, 0.3, 19);
-  for (bool shell : {false, true}) {
-    for (bool equiv : {false, true}) {
-      const auto idx = ReducedSpcIndex::Build(g, Opts(shell, equiv));
-      for (const auto& [s, t] : AllPairs(90)) {
-        ASSERT_EQ(idx.Query(s, t), BfsSpcPair(g, s, t))
-            << "shell=" << shell << " equiv=" << equiv << " pair (" << s
-            << "," << t << ")";
+  // A clustered social graph, and a road grid with dead ends for the
+  // 1-shell, indexed under the hybrid order that roads use.
+  const std::pair<Graph, OrderingScheme> cases[] = {
+      {GenerateClusteredBa(90, 3, 0.3, 19), OrderingScheme::kDegree},
+      {GenerateRoadGrid(10, 10, 0.7, 0.05, 5), OrderingScheme::kHybrid}};
+  for (const auto& [g, ordering] : cases) {
+    for (bool shell : {false, true}) {
+      for (bool equiv : {false, true}) {
+        ReductionOptions o = Opts(shell, equiv);
+        o.build.ordering = ordering;
+        const auto idx = ReducedSpcIndex::Build(g, o);
+        for (const auto& [s, t] : AllPairs(g.NumVertices())) {
+          ASSERT_EQ(idx.Query(s, t), BfsSpcPair(g, s, t))
+              << g.NumVertices() << " vertices, shell=" << shell
+              << " equiv=" << equiv << " pair (" << s << "," << t << ")";
+        }
       }
     }
   }

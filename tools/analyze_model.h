@@ -40,9 +40,9 @@
 ///                     Unlock()s it.
 ///   layering          the declared layer DAG in tools/layer_dag.txt
 ///                     (common -> graph/digraph/label/order -> core/
-///                     reduce/baseline -> obs -> dynamic ->
-///                     serve/analytics -> tools/bench/examples) fails
-///                     on any back-edge #include.
+///                     reduce/baseline -> obs -> dynamic -> serve ->
+///                     tools/bench/examples) fails on any back-edge
+///                     #include.
 ///
 /// The parser reuses spc_lint's comment/string-aware lexer (Scrub), is
 /// dependency-free by design, and is *approximate*: it resolves calls
