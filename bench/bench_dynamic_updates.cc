@@ -50,7 +50,6 @@
 #include "src/core/pspc_builder.h"
 #include "src/digraph/dbfs_spc.h"
 #include "src/digraph/digraph.h"
-#include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/graph/generators.h"
 #include "src/obs/metrics.h"

@@ -82,7 +82,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -98,7 +97,6 @@
 #include "src/digraph/digraph.h"
 #include "src/digraph/digraph_io.h"
 #include "src/dynamic/closure_churn.h"
-#include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
 #include "src/graph/algorithms.h"
@@ -353,12 +351,7 @@ bool LoadCommandIndex(char** argv, pspc::DiGraph* graph,
   return true;
 }
 
-// The dynamic index and BFS oracle of each edge direction.
-template <typename GraphT>
-using DynamicIndexFor =
-    std::conditional_t<std::is_same_v<GraphT, pspc::DiGraph>,
-                       pspc::DynamicDspcIndex, pspc::DynamicSpcIndex>;
-
+// The BFS oracle of each edge direction.
 pspc::SpcResult OracleSpc(const pspc::Graph& graph, pspc::VertexId s,
                           pspc::VertexId t) {
   return pspc::BfsSpcPair(graph, s, t);
@@ -514,8 +507,8 @@ bool LoadServeStream(const ServeParams& params,
 // drained engine + idle writer make it a quiesce point). Returns the
 // process exit code: 1 on an oracle mismatch or a failed final
 // metrics write.
-template <typename DynamicIndex>
-int RunServeWorkload(DynamicIndex& index, const ServeParams& params,
+template <typename Index>
+int RunServeWorkload(Index& index, const ServeParams& params,
                      pspc::EdgeUpdateBatch stream, pspc::ClosureChurn& churn) {
   const pspc::VertexId n = index.NumVertices();
   pspc::ServingOptions serving_options;
@@ -854,8 +847,8 @@ int CmdIndexStats(int argc, char** argv) {
 // coalesced ApplyBatch (1 = update by update), and prints the repair
 // report. A failed update stops the replay with the prior ones (or
 // prior batches) applied and returns false.
-template <typename DynamicIndex>
-bool ReplayUpdates(DynamicIndex& index, const pspc::EdgeUpdateBatch& stream,
+template <typename Index>
+bool ReplayUpdates(Index& index, const pspc::EdgeUpdateBatch& stream,
                    size_t batch_size) {
   InstallStopHandlers();
   pspc::WallTimer timer;
@@ -947,7 +940,8 @@ int CmdUpdate(int argc, char** argv) {
     return 1;
   }
 
-  DynamicIndexFor<GraphT> index(std::move(graph), std::move(loaded), options);
+  pspc::DynamicIndex<GraphT> index(std::move(graph), std::move(loaded),
+                                   options);
   std::printf("replaying %zu updates against %u vertices / %llu edges "
               "(batch size %zu)\n",
               stream.value().Size(), index.NumVertices(),
@@ -993,7 +987,7 @@ int CmdServe(int argc, char** argv) {
   }
   // Synthetic churn pools (shared with bench_serving).
   pspc::ClosureChurn churn(graph);
-  DynamicIndexFor<GraphT> index(std::move(graph), std::move(loaded));
+  pspc::DynamicIndex<GraphT> index(std::move(graph), std::move(loaded));
   return RunServeWorkload(index, params, std::move(stream), churn);
 }
 

@@ -1,39 +1,18 @@
 #include "src/digraph/digraph_io.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
-#include <utility>
-#include <vector>
+
+#include "src/graph/graph_io.h"
 
 namespace pspc {
 namespace {
 
 Result<DiGraph> ParseDirectedStream(std::istream& in) {
-  std::vector<std::pair<uint64_t, uint64_t>> raw;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ls(line);
-    uint64_t u = 0, v = 0;
-    if (!(ls >> u >> v)) {
-      return Status::Corruption("bad edge at line " + std::to_string(line_no) +
-                                ": '" + line + "'");
-    }
-    raw.emplace_back(u, v);
-  }
-
-  uint64_t max_id = 0;
-  for (const auto& [u, v] : raw) max_id = std::max({max_id, u, v});
-  if (!raw.empty() && max_id >= kInvalidVertex) {
-    return Status::OutOfRange("vertex id " + std::to_string(max_id) +
-                              " exceeds the 32-bit id space");
-  }
-  DiGraphBuilder builder(raw.empty() ? 0
-                                     : static_cast<VertexId>(max_id + 1));
-  for (const auto& [u, v] : raw) {
+  auto parsed = ParseEdgePairs(in);
+  if (!parsed.ok()) return parsed.status();
+  DiGraphBuilder builder(parsed.value().num_vertices);
+  for (const auto& [u, v] : parsed.value().edges) {
     builder.AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));
   }
   return builder.Build();

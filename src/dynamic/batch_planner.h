@@ -9,7 +9,7 @@
 #include "src/common/types.h"
 #include "src/dynamic/edge_update.h"
 
-/// Batch-coalescing front half of `DynamicSpcIndex::ApplyBatch`.
+/// Batch-coalescing front half of `DynamicIndex::ApplyBatch`.
 ///
 /// A batch is an *atomic* state transition: the planner simulates the
 /// update sequence over the current edge membership, validates every

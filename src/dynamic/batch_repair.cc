@@ -1,8 +1,9 @@
-// Coalesced-batch half of DynamicSpcIndex (see the class comment in
-// dynamic_spc_index.h): ApplyBatch planning, batch deletion repair
-// with per-hub task coalescing, and the disjoint-region parallel wave
-// runner. Split from dynamic_spc_index.cc so the single-update repair
-// machinery and the batch orchestration stay readable on their own.
+// Coalesced batch-deletion half of the undirected DynamicSpcIndex (see
+// the class comment in dynamic_spc_index.h): per-hub task planning
+// across the net-deleted edges of a batch, and the disjoint-region
+// parallel wave runner. Split from dynamic_spc_index.cc so the
+// single-update repair machinery and the batch orchestration stay
+// readable on their own.
 
 #include <algorithm>
 #include <array>
@@ -35,78 +36,15 @@ void MergeRepairStats(DynamicStats* into, const DynamicStats& from) {
 
 /// Planning artifact of one net-deleted edge: the two compressed
 /// affected regions, detected against the pre-batch graph and index.
-struct DynamicSpcIndex::DeletedEdgePlan {
+template <class GraphT>
+struct DynamicIndex<GraphT>::DeletedEdgePlan {
   VertexId a = 0;
   VertexId b = 0;
   SparseSide sides[2];  // [0] detected from a, [1] detected from b
 };
 
-Status DynamicSpcIndex::ApplyBatch(const EdgeUpdateBatch& batch) {
-  PSPC_RETURN_IF_ERROR(batch.Validate(NumVertices()));
-  WallTimer plan_timer;
-  auto planned = PlanBatch(batch, [this](VertexId u, VertexId v) {
-    return graph_.HasEdge(u, v);
-  });
-  PSPC_RETURN_IF_ERROR(planned.status());
-  const double plan_us = plan_timer.ElapsedSeconds() * 1e6;
-  obs_.plan_us()->Record(plan_us);
-  stats_.last_plan_us = plan_us;
-  stats_.last_repair_us = 0.0;
-  const BatchPlan& plan = planned.value();
-  ++stats_.batches_applied;
-  stats_.updates_coalesced += plan.coalesced_updates;
-  if (plan.Empty()) {
-    PublishMetrics();
-    return Status::OK();
-  }
-  if (plan.NetSize() == 1) {
-    // One net update: the tuned single-update path (its deletion
-    // classification is strictly sharper than the batch one).
-    const Status status =
-        plan.net_deletions.empty()
-            ? InsertEdge(plan.net_insertions[0].first,
-                         plan.net_insertions[0].second)
-            : DeleteEdge(plan.net_deletions[0].first,
-                         plan.net_deletions[0].second);
-    // The delegated path stamps its own last_* fields with plan cost
-    // zero; this batch did plan.
-    stats_.last_plan_us = plan_us;
-    return status;
-  }
-
-  const double repair_before = stats_.repair_seconds;
-  {
-    ScopedTimer timer(&stats_.repair_seconds);
-    obs::ScopedLatencyTimer latency(obs_.repair_us());
-    // Deletions first: their detection needs the pre-batch exact
-    // index, and insertion seeds need labels exact for the deleted
-    // graph. Each phase leaves the index exact for its own graph, so
-    // the phases compose. A single net deletion has no cross-edge
-    // entanglement, so it keeps the sharper single-update classifier
-    // (which also removes the edge itself).
-    if (plan.net_deletions.size() == 1) {
-      RepairDeletion(plan.net_deletions[0].first,
-                     plan.net_deletions[0].second);
-    } else if (!plan.net_deletions.empty()) {
-      RepairDeletionsBatch(plan.net_deletions);
-    }
-    if (!plan.net_insertions.empty()) {
-      for (const auto& [u, v] : plan.net_insertions) {
-        PSPC_CHECK(graph_.AddEdge(u, v).ok());
-      }
-      RepairInsertions(plan.net_insertions);
-    }
-  }
-  stats_.last_repair_us = (stats_.repair_seconds - repair_before) * 1e6;
-  stats_.insertions_applied += plan.net_insertions.size();
-  stats_.deletions_applied += plan.net_deletions.size();
-  ++generation_;  // one published generation per batch
-  MaybeRebuild();
-  PublishMetrics();
-  return Status::OK();
-}
-
-void DynamicSpcIndex::RepairDeletionsBatch(
+template <class GraphT>
+void DynamicIndex<GraphT>::RepairDeletionsBatch(
     const std::vector<std::pair<VertexId, VertexId>>& edges) {
   const VertexId n = base_graph_.NumVertices();
   const size_t k = edges.size();
@@ -135,7 +73,7 @@ void DynamicSpcIndex::RepairDeletionsBatch(
       for (int s = 0; s < 2; ++s) {
         const VertexId near = s == 0 ? a : b;
         const VertexId far = s == 0 ? b : a;
-        repair::DetectAffectedSide(RepView(), near, far, hub_of_a, hub_of_b,
+        repair::DetectAffectedSide(Forward(), near, far, hub_of_a, hub_of_b,
                                    &side);
         SparseSide& sparse = plans[i].sides[s];
         sparse.touched = std::move(side.touched);
@@ -235,7 +173,7 @@ void DynamicSpcIndex::RepairDeletionsBatch(
         const VertexId near = s == 0 ? a : b;
         const VertexId far = s == 0 ? b : a;
         repair::ValidateDeletionSeeds(
-            RepView(), plans[i].sides[s].full_ranks,
+            Forward(), plans[i].sides[s].full_ranks,
             plans[i].sides[s].subtract_ranks, Labels(near), near, far,
             hub_of_a, hub_of_b, &seed_ok, &seed_dist, &seed_count,
             &seed_far);
@@ -257,7 +195,7 @@ void DynamicSpcIndex::RepairDeletionsBatch(
     if (!need_pre) continue;
     for (int s = 0; s < 2; ++s) {
       const std::vector<uint32_t> dense = repair::ViewBfsDistances(
-          RepView(), s == 0 ? plans[i].a : plans[i].b);
+          Forward(), s == 0 ? plans[i].a : plans[i].b);
       SparseSide& side = plans[i].sides[s];
       side.full_pre.reserve(side.full_ranks.size());
       for (const Rank r : side.full_ranks) {
@@ -281,13 +219,13 @@ void DynamicSpcIndex::RepairDeletionsBatch(
   for (size_t i = 0; i < k; ++i) {
     if (filter[i][0] && !plans[i].sides[0].full_ranks.empty()) {
       repair::MarkDistanceChanges(
-          RepView(), plans[i].sides[0].full_ranks, plans[i].sides[0].full_pre,
+          Forward(), plans[i].sides[0].full_ranks, plans[i].sides[0].full_pre,
           plans[i].sides[1].full_ranks, plans[i].sides[1].full_pre,
           &needs_full);
     }
     if (filter[i][1] && !plans[i].sides[1].full_ranks.empty()) {
       repair::MarkDistanceChanges(
-          RepView(), plans[i].sides[1].full_ranks, plans[i].sides[1].full_pre,
+          Forward(), plans[i].sides[1].full_ranks, plans[i].sides[1].full_pre,
           plans[i].sides[0].full_ranks, plans[i].sides[0].full_pre,
           &needs_full);
     }
@@ -379,7 +317,8 @@ void DynamicSpcIndex::RepairDeletionsBatch(
   ExecuteDeletionTasks(tasks, plans);
 }
 
-void DynamicSpcIndex::MaterializeTaskRegion(
+template <class GraphT>
+void DynamicIndex<GraphT>::MaterializeTaskRegion(
     const DeletionTask& task, const std::vector<DeletedEdgePlan>& plans,
     RepairScratch& s) const {
   for (const VertexId v : s.region_touched) s.region_flags[v] = 0;
@@ -394,13 +333,14 @@ void DynamicSpcIndex::MaterializeTaskRegion(
   }
 }
 
-void DynamicSpcIndex::RunDeletionTaskLive(
+template <class GraphT>
+void DynamicIndex<GraphT>::RunDeletionTaskLive(
     const DeletionTask& task, const std::vector<DeletedEdgePlan>& plans,
     RepairScratch& s, bool force_full) {
   MaterializeTaskRegion(task, plans, s);
   const RegionView region{s.region_flags.data(), &s.region_touched};
-  LabelWriteSink sink(&overlay_);
-  const SymmetricRepairView view = RepView();
+  LabelWriteSink sink(&overlays_.front());
+  const SymmetricRepairView view = Forward();
   if (task.subtract && !force_full &&
       repair::SubtractiveDeleteRepair(view, task.rank, task.start,
                                       task.seed_dist, task.seed_count,
@@ -412,9 +352,10 @@ void DynamicSpcIndex::RunDeletionTaskLive(
                                  std::min(ResolvedThreads(), MaxThreads()));
 }
 
-void DynamicSpcIndex::CommitStagedOps(std::span<const StagedLabelOp> ops) {
+template <class GraphT>
+void DynamicIndex<GraphT>::CommitStagedOps(std::span<const StagedLabelOp> ops) {
   for (const StagedLabelOp& op : ops) {
-    std::vector<LabelEntry>& mv = overlay_.Mutable(op.v);
+    std::vector<LabelEntry>& mv = overlays_.front().Mutable(op.v);
     const auto it =
         std::lower_bound(mv.begin(), mv.end(), op.entry, ByHubRank);
     const bool present = it != mv.end() && it->hub_rank == op.entry.hub_rank;
@@ -428,7 +369,8 @@ void DynamicSpcIndex::CommitStagedOps(std::span<const StagedLabelOp> ops) {
   }
 }
 
-void DynamicSpcIndex::ExecuteDeletionTasks(
+template <class GraphT>
+void DynamicIndex<GraphT>::ExecuteDeletionTasks(
     std::vector<DeletionTask>& tasks,
     const std::vector<DeletedEdgePlan>& plans) {
   // Ascending global rank keeps pruning sound: a re-run consults
@@ -517,7 +459,7 @@ void DynamicSpcIndex::ExecuteDeletionTasks(
       scratch_pool_[w].Init(n);
     }
   }
-  const SymmetricRepairView view = RepView();
+  const SymmetricRepairView view = Forward();
   const int sweep_threads = std::min(threads, MaxThreads());
   std::atomic<size_t> next{0};
   std::vector<std::thread> pool;
@@ -576,5 +518,8 @@ void DynamicSpcIndex::ExecuteDeletionTasks(
     ++stats_.deferred_hub_runs;
   }
 }
+
+template void DynamicIndex<Graph>::RepairDeletionsBatch(
+    const std::vector<std::pair<VertexId, VertexId>>& edges);
 
 }  // namespace pspc

@@ -14,7 +14,8 @@
 /// Persistent (copy-on-write, structurally shared) per-vertex label
 /// overlay on top of an immutable base label table (`BaseLabelMap`:
 /// one label side of an `SpcIndex`) — the writer-side label store of
-/// the dynamic indexes and, through `OverlayView`, the label store of
+/// `DynamicIndex` (one overlay per distinct label side: one undirected,
+/// out and in directed) and, through `OverlayView`, the label store of
 /// every published `IndexSnapshot`.
 ///
 /// Label repair rewrites whole per-vertex entry lists, so the overlay
@@ -48,7 +49,7 @@
 /// `bench_serving` reports and CI bounds.
 ///
 /// Threading: the overlay itself is single-writer (the thread of
-/// control that owns `DynamicSpcIndex`). Readers never touch it — they
+/// control that owns the `DynamicIndex`). Readers never touch it — they
 /// read `OverlayView`s, whose reachable pages and chunks are frozen by
 /// the generation discipline above and published via the seq_cst
 /// snapshot pointer swap in `SnapshotManager` (which supplies the

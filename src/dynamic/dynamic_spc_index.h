@@ -1,17 +1,22 @@
 #ifndef PSPC_SRC_DYNAMIC_DYNAMIC_SPC_INDEX_H_
 #define PSPC_SRC_DYNAMIC_DYNAMIC_SPC_INDEX_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "src/common/parallel.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/core/build_options.h"
+#include "src/digraph/digraph.h"
 #include "src/dynamic/chunked_overlay.h"
+#include "src/dynamic/dynamic_digraph.h"
 #include "src/dynamic/dynamic_graph.h"
 #include "src/dynamic/edge_update.h"
 #include "src/dynamic/repair_core.h"
@@ -21,26 +26,37 @@
 #include "src/dynamic/stats_export.h"
 #include "src/order/vertex_order.h"
 
-/// Incremental maintenance of the ESPC 2-hop index under edge churn.
+/// Incremental maintenance of the ESPC 2-hop index under edge churn,
+/// for both edge directions.
 ///
-/// `DynamicSpcIndex` wraps an immutable CSR `SpcIndex` with a
-/// persistent chunked label overlay (`chunked_overlay.h`) and repairs
-/// labels in place of the full-rebuild the static pipeline would need:
+/// `DynamicIndex<GraphT>` wraps an immutable `SpcIndex` with one
+/// persistent chunked label overlay (`chunked_overlay.h`) per distinct
+/// label side and repairs labels in place of the full rebuild the
+/// static pipeline would need. `DynamicSpcIndex` (`GraphT = Graph`)
+/// keeps one label list per vertex; `DynamicDspcIndex` (`GraphT =
+/// DiGraph`, paper §II-A) splits each label into an out side and an in
+/// side. Everything below is written once over the out and in sides;
+/// undirected, the in side *is* the out side, exactly as `SpcIndex`
+/// aliases its in CSR. Direction lives only in the repair views of
+/// repair_core.h (which side a hub writes, which way a BFS expands):
 ///
-///  * **Insertion** `{a, b}` — every changed label pair `(v, h)` gains
-///    a new shortest trough path crossing the edge, whose hub-side
-///    section is itself a trough-shortest path recorded in `L(a)` (or
-///    `L(b)`). It therefore suffices to walk the two endpoint label
-///    lists in ascending hub-rank order and run one *resumed pruned
-///    BFS* per hub, seeded at the opposite endpoint with the hub's
-///    recorded distance + 1 and trough count (the incremental scheme of
-///    dynamic hub labeling, adapted to counts).
+///  * **Insertion** `u -> v` (undirected: `{u, v}`) — every changed
+///    pair `(h, y)` gains a new shortest trough path `h .. u -> v .. y`
+///    whose `h .. u` prefix is itself trough-shortest and therefore
+///    recorded in the in-label of `u`. It suffices to run one *resumed
+///    pruned BFS* per such hub, seeded at `v` with the hub's recorded
+///    distance + 1 and trough count (the incremental scheme of dynamic
+///    hub labeling, adapted to counts). The backward pass mirrors it:
+///    hubs in the out-label of `v` resume from `u`. Undirected, both
+///    passes share one seed list, so each hub runs once; directed, the
+///    two run lists interleave in ascending rank order (a forward run's
+///    pruning certificates read both label sides of higher-ranked hubs).
 ///
-///  * **Deletion** `{a, b}` — affected hubs are detected by a pruned
-///    partial BFS from each endpoint over the pre-deletion graph: the
-///    BFS only expands vertices with `d(u, a) + 1 == d(u, b)` (the edge
-///    lies on one of their shortest paths to the far endpoint, answered
-///    by 2-hop queries), and classifies each as a *full sender* (every
+///  * **Deletion** — affected hubs are detected by a pruned partial
+///    BFS from each endpoint over the pre-deletion graph: the BFS only
+///    expands vertices with `d(x, u) + 1 == d(x, v)` (the edge lies on
+///    one of their shortest paths to the far endpoint, answered by
+///    2-hop queries), and classifies each as a *full sender* (every
 ///    shortest path to the far endpoint dies with the edge, so
 ///    distances from it can grow and its pruned restricted BFS is
 ///    re-run from scratch), a *subtractive sender* (a shared hub of
@@ -52,27 +68,32 @@
 ///    re-runs would each sweep most of the graph), or a mere
 ///    *receiver* (only entries stored at it change). Saturated counts
 ///    cannot be subtracted, so those hubs escalate to a full re-run.
+///    Unlike the undirected cut, a vertex on a directed cycle through
+///    the edge can sit on both sides; it then owes one repair per
+///    direction, which touch disjoint label sides.
 ///
 ///  * **Batches** — `ApplyBatch` is atomic: the batch planner
-///    (`batch_planner.h`) validates the whole batch against the
-///    pre-batch graph up front (a bad update rejects the batch with
-///    nothing applied), coalesces canceling pairs and redundant
-///    inserts to no-ops, and reduces the rest to its net effect.
-///    Deletion repair then coalesces across the net-deleted edges:
-///    affected regions are detected per edge against the still-exact
-///    pre-batch index, all edges are removed at once, and each
-///    affected hub repairs **once** — a hub shared by several regions
-///    escalates to a single full re-run over the union of the opposite
-///    regions instead of one run per edge. Insertions coalesce the
-///    same way: endpoint-hub seeds are gathered across all net-new
-///    edges and each hub runs one *multi-source* resumed BFS instead
-///    of one per (edge, endpoint-entry). Hubs repair in ascending rank
-///    order (the construction-order dependency); runs whose claimed
-///    regions are disjoint execute in parallel on a `std::thread` pool
-///    with per-thread BFS scratch, writing through staged label ops
-///    that commit in rank order — a task that would read another
-///    in-flight task's region aborts and re-runs sequentially, so the
-///    result is deterministic and identical to the sequential order.
+///    (`batch_planner.h`; directed, `u -> v` and `v -> u` are distinct
+///    edges) validates the whole batch against the pre-batch graph up
+///    front (a bad update rejects the batch with nothing applied),
+///    coalesces canceling pairs and redundant inserts to no-ops, and
+///    reduces the rest to its net effect. Insertions coalesce: seeds
+///    are gathered across all net-new edges and each (hub, direction)
+///    runs one *multi-source* resumed BFS instead of one per (edge,
+///    endpoint-entry). Directed net deletions replay the single-edge
+///    path. Undirected deletion repair coalesces across the net-deleted
+///    edges (batch_repair.cc): affected regions are detected per edge
+///    against the still-exact pre-batch index, all edges are removed at
+///    once, and each affected hub repairs **once** — a hub shared by
+///    several regions escalates to a single full re-run over the union
+///    of the opposite regions instead of one run per edge. Hubs repair
+///    in ascending rank order (the construction-order dependency); runs
+///    whose claimed regions are disjoint execute in parallel on a
+///    `std::thread` pool with per-thread BFS scratch, writing through
+///    staged label ops that commit in rank order — a task that would
+///    read another in-flight task's region aborts and re-runs
+///    sequentially, so the result is deterministic and identical to
+///    the sequential order.
 ///
 /// Between rebuilds the maintained labels satisfy: every pair with a
 /// positive trough count at the true shortest distance has a correct
@@ -83,53 +104,65 @@
 /// active defense: a grown pair distance can *meet* a stale entry's
 /// recorded distance, so any hub whose distance to the opposite region
 /// grew re-runs whenever an opposite label still holds an entry for it
-/// (see the task assembly in RepairDeletion). The staleness policy
-/// watches the overlay size and folds everything into a fresh rebuild
-/// (through the standard builder_facade pipeline, re-ordering
-/// included) past a threshold.
+/// (see `repair::RepairEdgeDeletionPair`). The staleness policy
+/// watches the overlay size (each distinct label side counted once)
+/// and folds everything into a fresh rebuild through the static
+/// pipeline of the edge direction (builder_facade, re-ordering
+/// included, undirected; `BuildDirectedPspcIndex` under
+/// `DirectedDegreeOrder`, directed) past a threshold.
 ///
-/// Scope: unweighted undirected graphs over a fixed vertex universe
-/// `[0, n)`; saturated counts remain saturating (as everywhere in the
-/// library).
+/// Scope: unweighted graphs over a fixed vertex universe `[0, n)`;
+/// saturated counts remain saturating (as everywhere in the library).
 ///
 /// Threading: the index itself is externally single-threaded (one
 /// thread of control for reads and writes); the parallel phases above
 /// are internal. Concurrent serving goes through `src/serve/`: a
 /// writer thread applies updates here and publishes immutable
 /// `IndexSnapshot` generations (captured via `Generation()`,
-/// `SharedBaseIndex()` and `CaptureOverlay()`), which readers query
+/// `SharedBaseIndex()` and `CaptureOverlays()`), which readers query
 /// without ever touching this object. Capture is O(delta since the
-/// previous capture): it freezes the chunked overlay by structural
-/// sharing instead of deep-copying it.
+/// previous capture) per label side: it freezes the chunked overlays
+/// by structural sharing instead of deep-copying them.
 namespace pspc {
 
-// DynamicOptions and DynamicStats (and the repair scratch/sink/kernel
-// machinery this class shares with the directed `DynamicDspcIndex`)
-// live in repair_core.h.
+// DynamicOptions and DynamicStats (and the repair scratch/sink/view/
+// kernel machinery) live in repair_core.h.
 
-class DynamicSpcIndex {
+template <class GraphT>
+class DynamicIndex {
  public:
-  /// Wraps a prebuilt index. `graph` must be the exact graph `index`
-  /// was built from.
-  DynamicSpcIndex(Graph graph, SpcIndex index, DynamicOptions options = {});
+  static constexpr bool kDirected = std::is_same_v<GraphT, DiGraph>;
+  /// Distinct label sides: out and in when directed, one otherwise.
+  static constexpr size_t kLabelSides = kDirected ? 2 : 1;
 
-  /// Builds the initial index for `graph` through builder_facade.
-  DynamicSpcIndex(Graph graph, const BuildOptions& build_options,
-                  DynamicOptions options = {});
+  /// Wraps a prebuilt index of the same edge direction. `graph` must
+  /// be the exact graph `index` was built from.
+  DynamicIndex(GraphT graph, SpcIndex index, DynamicOptions options = {});
+
+  /// Builds the initial index for `graph` through the static pipeline
+  /// of its edge direction (see the class comment).
+  DynamicIndex(GraphT graph, const BuildOptions& build_options,
+               DynamicOptions options = {});
 
   // Self-referential (graph/label views point into owned members).
-  DynamicSpcIndex(const DynamicSpcIndex&) = delete;
-  DynamicSpcIndex& operator=(const DynamicSpcIndex&) = delete;
+  DynamicIndex(const DynamicIndex&) = delete;
+  DynamicIndex& operator=(const DynamicIndex&) = delete;
 
-  /// Distance and exact shortest-path count on the *current* graph.
+  /// Distance and exact shortest-path count s -> t on the *current*
+  /// graph.
   SpcResult Query(VertexId s, VertexId t) const;
 
   /// Single-edge updates; label repair runs before returning. Errors
   /// (self-loop, out-of-range, duplicate insert, missing delete) leave
-  /// the index untouched.
+  /// the index untouched. Directed, `u -> v` and `v -> u` are distinct
+  /// edges.
   Status InsertEdge(VertexId u, VertexId v);
   Status DeleteEdge(VertexId u, VertexId v);
-  Status Apply(const EdgeUpdate& update);
+  Status Apply(const EdgeUpdate& update) {
+    return update.kind == EdgeUpdateKind::kInsert
+               ? InsertEdge(update.u, update.v)
+               : DeleteEdge(update.u, update.v);
+  }
 
   /// Applies the batch *atomically* with coalesced repair. The whole
   /// batch is validated against the pre-batch graph up front — on any
@@ -137,13 +170,13 @@ class DynamicSpcIndex {
   /// edge) nothing is applied and the index is untouched. Canceling
   /// pairs (`i u v` then `d u v`), redundant inserts (duplicates, or
   /// an edge the graph already has) and delete+reinsert round trips
-  /// coalesce to no-ops; the net updates repair with one run per
-  /// affected hub (see the class comment). Publishes one generation
-  /// bump for the whole batch.
+  /// coalesce to no-ops; the net updates repair as the class comment
+  /// describes. Publishes one generation bump for the whole batch.
   Status ApplyBatch(const EdgeUpdateBatch& batch);
 
-  /// Overlay entries relative to base entries — what the staleness
-  /// policy compares against `rebuild_threshold`.
+  /// Overlay entries (each distinct label side once) relative to base
+  /// entries — what the staleness policy compares against
+  /// `rebuild_threshold`.
   double StalenessRatio() const;
 
   /// Forces the full rebuild the staleness policy would trigger.
@@ -159,21 +192,29 @@ class DynamicSpcIndex {
   /// answer is bit-identical before and after. Bumps the generation
   /// like `Rebuild()`; snapshots captured earlier keep the old base.
   /// Writer thread only. Returns the number of entries pruned.
-  uint64_t Fold();
+  uint64_t Fold() requires(!kDirected);
 
+  bool Directed() const { return kDirected; }
   VertexId NumVertices() const { return graph_.NumVertices(); }
   EdgeId NumEdges() const { return graph_.NumEdges(); }
 
-  /// True iff `{u, v}` is an edge of the current graph.
+  /// True iff `u -> v` (undirected: `{u, v}`) is an edge of the
+  /// current graph.
   bool HasEdge(VertexId u, VertexId v) const { return graph_.HasEdge(u, v); }
 
   /// Current labels of `v` (base or overlay), rank-sorted.
-  std::span<const LabelEntry> Labels(VertexId v) const {
-    return overlay_.Labels(v);
+  std::span<const LabelEntry> OutLabels(VertexId v) const {
+    return OutOverlay().Labels(v);
+  }
+  std::span<const LabelEntry> InLabels(VertexId v) const {
+    return InOverlay().Labels(v);
+  }
+  std::span<const LabelEntry> Labels(VertexId v) const requires(!kDirected) {
+    return OutLabels(v);
   }
 
   /// CSR snapshot of the current graph.
-  Graph MaterializeGraph() const { return graph_.Materialize(); }
+  GraphT MaterializeGraph() const { return graph_.Materialize(); }
 
   /// Monotone label-state version: bumped by every applied update
   /// (once per coalesced batch) and every rebuild.
@@ -183,17 +224,23 @@ class DynamicSpcIndex {
   uint64_t Generation() const { return generation_; }
 
   /// Shared ownership of the current immutable base. Snapshots hold
-  /// this so a later Rebuild cannot free the CSR arrays out from under
-  /// an epoch still reading them.
+  /// this so a later Rebuild cannot free the label arrays out from
+  /// under an epoch still reading them.
   std::shared_ptr<const SpcIndex> SharedBaseIndex() const { return base_; }
 
-  /// Freezes the overlay into a structurally shared view and advances
-  /// its capture boundary (`ChunkedOverlay::Capture`). Writer thread
-  /// only — `IndexSnapshot::Capture` is the one intended caller.
-  OverlayView CaptureOverlay() { return overlay_.Capture(); }
+  /// Freezes each distinct label side's overlay into a structurally
+  /// shared view (out first) and advances its capture boundary
+  /// (`ChunkedOverlay::Capture`). Writer thread only —
+  /// `IndexSnapshot::Capture` is the one intended caller.
+  std::array<OverlayView, kLabelSides> CaptureOverlays();
 
-  /// The live chunked overlay (diagnostics: overlaid/copied counts).
-  const ChunkedOverlay& Overlay() const { return overlay_; }
+  /// The live chunked overlays (diagnostics: overlaid/copied counts).
+  /// Undirected, all three are the one overlay.
+  const ChunkedOverlay& OutOverlay() const { return overlays_.front(); }
+  const ChunkedOverlay& InOverlay() const { return overlays_.back(); }
+  const ChunkedOverlay& Overlay() const requires(!kDirected) {
+    return overlays_.front();
+  }
 
   const SpcIndex& BaseIndex() const { return *base_; }
   const VertexOrder& Order() const { return order_; }
@@ -201,9 +248,14 @@ class DynamicSpcIndex {
   const DynamicOptions& Options() const { return options_; }
 
  private:
-  // The repair scratch, staged-write sink, region/seed/side types, and
-  // the BFS kernels themselves are the direction-generic machinery of
-  // repair_core.h; this class binds them to the symmetric view.
+  using LiveGraph =
+      std::conditional_t<kDirected, DynamicDiGraph, DynamicGraph>;
+  using ForwardView =
+      std::conditional_t<kDirected, DirectedRepairView<true>,
+                         SymmetricRepairView>;
+  using BackwardView =
+      std::conditional_t<kDirected, DirectedRepairView<false>,
+                         SymmetricRepairView>;
 
   /// Compressed per-(edge, side) region of a coalesced deletion batch.
   /// `flags` parallels `touched` (values as in AffectedSide): the batch
@@ -237,25 +289,40 @@ class DynamicSpcIndex {
   };
   struct DeletedEdgePlan;
 
-  void InitScratch();
-  void MaybeRebuild();
+  void RebaseOverlays();
+  size_t OverlaidEntries() const;
+  void MaybeRebuild() {
+    if (StalenessRatio() > options_.rebuild_threshold) Rebuild();
+  }
   /// Mirrors `stats_` deltas into the registry and refreshes the
   /// overlay/generation gauges; tail of every public mutation.
   void PublishMetrics();
-  int ResolvedThreads() const;
-  /// The symmetric kernel view over the live graph/overlay/order.
-  SymmetricRepairView RepView() { return {&graph_, &overlay_, &order_}; }
+  int ResolvedThreads() const {
+    return options_.num_threads > 0 ? options_.num_threads : MaxThreads();
+  }
+
+  /// The kernel views over the live graph, overlays and order. The
+  /// forward view covers hubs' out-reach (expansion over out-edges,
+  /// entries written to in-labels), the backward view the mirror
+  /// image; undirected, both are the one symmetric view.
+  ForwardView Forward();
+  BackwardView Backward();
 
   // ------------------------------------------------------- insertion
+  /// Coalesced insertion repair across `edges` (already applied to the
+  /// graph): one multi-source resumed BFS per (hub, direction), in
+  /// ascending rank order.
   void RepairInsertions(
       std::span<const std::pair<VertexId, VertexId>> edges);
 
   // -------------------------------------------------------- deletion
-  void RepairDeletion(VertexId a, VertexId b);
+  void RepairDeletion(VertexId u, VertexId v);
+  // Coalesced batch deletion, undirected only (batch_repair.cc
+  // defines it for `Graph`): per-hub task planning, then an
+  // ascending-rank task run with disjoint-region waves on a thread
+  // pool.
   void RepairDeletionsBatch(
       const std::vector<std::pair<VertexId, VertexId>>& edges);
-  // Coalesced-batch execution: ascending-rank task run with
-  // disjoint-region waves on a thread pool (batch_repair.cc).
   void ExecuteDeletionTasks(std::vector<DeletionTask>& tasks,
                             const std::vector<DeletedEdgePlan>& plans);
   // `force_full` skips a subtract task's subtraction attempt (used
@@ -268,11 +335,12 @@ class DynamicSpcIndex {
                              RepairScratch& scratch) const;
   void CommitStagedOps(std::span<const StagedLabelOp> ops);
 
-  Graph base_graph_;
+  GraphT base_graph_;
   std::shared_ptr<const SpcIndex> base_;
   VertexOrder order_;
-  DynamicGraph graph_;
-  ChunkedOverlay overlay_;
+  LiveGraph graph_;
+  // One overlay per distinct label side: front() out, back() in.
+  std::array<ChunkedOverlay, kLabelSides> overlays_;
   DynamicOptions options_;
   DynamicStats stats_;
   obs::DynamicStatsExporter obs_;
@@ -280,10 +348,14 @@ class DynamicSpcIndex {
   uint64_t generation_ = 0;
 
   RepairScratch scratch_;                    // sequential paths
+  // Coalesced batch deletion only (undirected; empty when directed).
   std::vector<RepairScratch> scratch_pool_;  // parallel waves (lazy)
   std::vector<uint8_t> subtract_side_;  // by rank; 1 = a-side, 2 = b-side
   std::vector<uint32_t> bucket_max_;    // by rank; max target entry dist
 };
+
+using DynamicSpcIndex = DynamicIndex<Graph>;
+using DynamicDspcIndex = DynamicIndex<DiGraph>;
 
 }  // namespace pspc
 

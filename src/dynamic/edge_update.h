@@ -7,7 +7,8 @@
 #include "src/common/status.h"
 #include "src/common/types.h"
 
-/// Edge-update descriptions consumed by `DynamicSpcIndex`.
+/// Edge-update descriptions consumed by `DynamicIndex` (both edge
+/// directions).
 ///
 /// A batch is an ordered list of single-edge insertions and deletions
 /// over a fixed vertex universe `[0, n)` — graph churn as a serving

@@ -15,6 +15,7 @@
 #include "src/core/build_options.h"
 #include "src/core/scheduler.h"
 #include "src/dynamic/chunked_overlay.h"
+#include "src/dynamic/dynamic_digraph.h"
 #include "src/dynamic/dynamic_graph.h"
 #include "src/label/label_entry.h"
 #include "src/label/label_merge.h"
@@ -32,16 +33,18 @@
 /// adjacency) or directed (per-vertex out/in labels, dual adjacency).
 /// What differs is only *which label side a hub writes* and *which way
 /// the BFS expands*. The kernels here are therefore parameterized over
-/// a **repair view** binding those choices, and instantiated twice:
+/// a **repair view** binding those choices. `DynamicIndex<GraphT>`
+/// (dynamic_spc_index.h) binds one of two view families, by edge
+/// direction:
 ///
 ///  * `SymmetricRepairView` — `DynamicSpcIndex`. Both label sides are
 ///    the single undirected list; forward and reverse neighbors
-///    coincide.
-///  * `DirectedRepairView<kForward>` (dynamic_dspc_index.h) — the
-///    forward view covers hubs' *out-reach*: the BFS expands out-edges
-///    away from the hub, entries land in the in-labels of reached
-///    vertices, and pruning certificates read the hub's out-labels;
-///    the backward view is the mirror image.
+///    coincide, so the index's forward and backward views are this one.
+///  * `DirectedRepairView<kForward>` — `DynamicDspcIndex`. The forward
+///    view covers hubs' *out-reach*: the BFS expands out-edges away
+///    from the hub, entries land in the in-labels of reached vertices,
+///    and pruning certificates read the hub's out-labels; the backward
+///    view is the mirror image.
 ///
 /// A view must provide:
 ///
@@ -64,7 +67,7 @@
 /// view it is `t -> s`; for the symmetric view both coincide.
 namespace pspc {
 
-/// Configuration of both dynamic indexes.
+/// Configuration of the dynamic index (both edge directions).
 struct DynamicOptions {
   /// Rebuild when `overlay entries / base entries` exceeds this
   /// (repair-only callers set it to 1e18 and drive Rebuild() or Fold()
@@ -265,6 +268,59 @@ struct SymmetricRepairView {
   }
 };
 
+/// Directed view: per-vertex out/in labels, dual adjacency. The
+/// forward view covers hubs' out-reach: expansion over out-edges,
+/// entries written to in-labels, certificates from the hub's
+/// out-labels; `kForward = false` mirrors everything.
+template <bool kForward>
+struct DirectedRepairView {
+  const DynamicDiGraph* graph = nullptr;
+  ChunkedOverlay* write_side = nullptr;  // forward: the in-overlay
+  ChunkedOverlay* hub_side = nullptr;    // forward: the out-overlay
+  const VertexOrder* order = nullptr;
+
+  std::span<const LabelEntry> Labels(VertexId v) const {
+    return write_side->Labels(v);
+  }
+  std::span<const LabelEntry> HubLabels(VertexId v) const {
+    return hub_side->Labels(v);
+  }
+  std::vector<LabelEntry>& Mutable(VertexId v) const {
+    return write_side->Mutable(v);
+  }
+  ChunkedOverlay* WriteOverlay() const { return write_side; }
+  template <typename Fn>
+  void ForEachNeighbor(VertexId v, Fn&& fn) const {
+    if constexpr (kForward) {
+      graph->ForEachOutNeighbor(v, fn);
+    } else {
+      graph->ForEachInNeighbor(v, fn);
+    }
+  }
+  template <typename Fn>
+  void ForEachReverseNeighbor(VertexId v, Fn&& fn) const {
+    if constexpr (kForward) {
+      graph->ForEachInNeighbor(v, fn);
+    } else {
+      graph->ForEachOutNeighbor(v, fn);
+    }
+  }
+  Rank RankOf(VertexId v) const { return order->RankOf(v); }
+  VertexId VertexAt(Rank r) const { return order->VertexAt(r); }
+  const std::vector<Rank>& VertexToRank() const {
+    return order->VertexToRank();
+  }
+  VertexId NumVertices() const { return graph->NumVertices(); }
+  /// View-oriented query: `s` on the hub side. For the forward view
+  /// this is the real directed query `s -> t` (Lout(s) x Lin(t)); the
+  /// backward view answers `t -> s` through the same merge. Like the
+  /// undirected repair view, it runs the reference merge.
+  SpcResult Query(VertexId s, VertexId t) const {
+    if (s == t) return {0, 1};
+    return MergeLabelCounts(HubLabels(s), Labels(t));
+  }
+};
+
 namespace repair {
 
 inline Distance ToLabelDistance(uint32_t d) {
@@ -436,25 +492,6 @@ void ResumedInsertBfs(const View& view, Rank hub_rank,
   for (const VertexId v : s.bfs_touched) {
     s.bfs_dist[v] = kInfSpcDistance;
     s.bfs_count[v] = 0;
-  }
-}
-
-/// Runs sorted `(rank, seed)` pairs as one resumed BFS per distinct
-/// hub, in ascending rank order so each run prunes against already-
-/// repaired higher-ranked labels (the HP-SPC order dependency).
-template <class View>
-void RunInsertRepairs(const View& view,
-                      const std::vector<std::pair<Rank, InsertSeed>>& seeds,
-                      RepairScratch& s, DynamicStats* stats) {
-  std::vector<InsertSeed> hub_seeds;
-  for (size_t i = 0; i < seeds.size();) {
-    const Rank rank = seeds[i].first;
-    hub_seeds.clear();
-    for (; i < seeds.size() && seeds[i].first == rank; ++i) {
-      hub_seeds.push_back(seeds[i].second);
-    }
-    ResumedInsertBfs(view, rank, {hub_seeds.data(), hub_seeds.size()}, s,
-                     stats);
   }
 }
 

@@ -12,9 +12,21 @@
 namespace pspc {
 namespace {
 
-Result<std::vector<std::pair<uint64_t, uint64_t>>> ParseRawEdges(
-    std::istream& in) {
-  std::vector<std::pair<uint64_t, uint64_t>> edges;
+Result<Graph> ParseEdgeStream(std::istream& in) {
+  auto parsed = ParseEdgePairs(in);
+  if (!parsed.ok()) return parsed.status();
+  GraphBuilder builder(parsed.value().num_vertices);
+  for (const auto& [u, v] : parsed.value().edges) {
+    builder.AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));
+  }
+  return builder.Build();
+}
+
+}  // namespace
+
+Result<EdgeListPairs> ParseEdgePairs(std::istream& in) {
+  EdgeListPairs parsed;
+  uint64_t max_id = 0;
   std::string line;
   size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -26,31 +38,18 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> ParseRawEdges(
       return Status::Corruption("bad edge at line " + std::to_string(line_no) +
                                 ": '" + line + "'");
     }
-    edges.emplace_back(u, v);
-  }
-  return edges;
-}
-
-Result<Graph> ParseEdgeStream(std::istream& in) {
-  auto raw = ParseRawEdges(in);
-  if (!raw.ok()) return raw.status();
-  uint64_t max_id = 0;
-  for (const auto& [u, v] : raw.value()) {
     max_id = std::max({max_id, u, v});
+    parsed.edges.emplace_back(u, v);
   }
-  if (!raw.value().empty() && max_id >= kInvalidVertex) {
-    return Status::OutOfRange("vertex id " + std::to_string(max_id) +
-                              " exceeds the 32-bit id space");
+  if (!parsed.edges.empty()) {
+    if (max_id >= kInvalidVertex) {
+      return Status::OutOfRange("vertex id " + std::to_string(max_id) +
+                                " exceeds the 32-bit id space");
+    }
+    parsed.num_vertices = static_cast<VertexId>(max_id + 1);
   }
-  GraphBuilder builder(
-      raw.value().empty() ? 0 : static_cast<VertexId>(max_id + 1));
-  for (const auto& [u, v] : raw.value()) {
-    builder.AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));
-  }
-  return builder.Build();
+  return parsed;
 }
-
-}  // namespace
 
 Result<Graph> LoadEdgeList(const std::string& path) {
   std::ifstream in(path);

@@ -1,9 +1,14 @@
 #ifndef PSPC_SRC_GRAPH_GRAPH_IO_H_
 #define PSPC_SRC_GRAPH_GRAPH_IO_H_
 
+#include <cstdint>
+#include <istream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/status.h"
+#include "src/common/types.h"
 #include "src/graph/graph.h"
 
 /// Edge-list text persistence for undirected graphs.
@@ -21,6 +26,19 @@ Result<Graph> LoadEdgeList(const std::string& path);
 
 /// Parses edge-list text from a string (same dialect as LoadEdgeList).
 Result<Graph> ParseEdgeList(const std::string& text);
+
+/// The `u v` pairs of edge-list text in line order, each id checked to
+/// fit the 32-bit id space, and the vertex count they imply (`max id +
+/// 1`; 0 without edges). Both edge directions' loaders read through it.
+struct EdgeListPairs {
+  VertexId num_vertices = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+};
+
+/// Reads edge-list text (the dialect above) to its pairs. A line that
+/// is not a comment and does not start with two ids is Corruption; an
+/// id past the 32-bit id space is OutOfRange.
+Result<EdgeListPairs> ParseEdgePairs(std::istream& in);
 
 /// Writes `graph` as an edge-list text file (each undirected edge once,
 /// smaller endpoint first).

@@ -1,41 +1,33 @@
 #include "src/serve/index_snapshot.h"
 
 #include "src/common/logging.h"
-#include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/label/label_merge.h"
 
 namespace pspc {
 
+template <class GraphT>
 std::unique_ptr<const IndexSnapshot> IndexSnapshot::Capture(
-    DynamicSpcIndex& index) {
+    DynamicIndex<GraphT>& index) {
   auto snapshot = std::unique_ptr<IndexSnapshot>(new IndexSnapshot());
   snapshot->base_owner_ = index.SharedBaseIndex();
-  snapshot->out_ = {index.BaseIndex().LabelMap(), index.CaptureOverlay()};
-  snapshot->in_ = snapshot->out_;
+  const auto views = index.CaptureOverlays();
+  snapshot->out_ = {index.BaseIndex().LabelMap(), views.front()};
+  snapshot->in_ = {index.BaseIndex().InLabelMap(), views.back()};
+  for (const OverlayView& view : views) {
+    snapshot->overlaid_vertices_ += view.OverlaidVertices();
+    snapshot->copied_vertices_ += view.CopiedVertices();
+  }
   snapshot->generation_ = index.Generation();
   snapshot->num_vertices_ = index.NumVertices();
   snapshot->num_edges_ = index.NumEdges();
-  snapshot->overlaid_vertices_ = snapshot->out_.overlay.OverlaidVertices();
-  snapshot->copied_vertices_ = snapshot->out_.overlay.CopiedVertices();
   return snapshot;
 }
 
-std::unique_ptr<const IndexSnapshot> IndexSnapshot::Capture(
-    DynamicDspcIndex& index) {
-  auto snapshot = std::unique_ptr<IndexSnapshot>(new IndexSnapshot());
-  snapshot->base_owner_ = index.SharedBaseIndex();
-  snapshot->out_ = {index.BaseIndex().LabelMap(), index.CaptureOutOverlay()};
-  snapshot->in_ = {index.BaseIndex().InLabelMap(), index.CaptureInOverlay()};
-  snapshot->generation_ = index.Generation();
-  snapshot->num_vertices_ = index.NumVertices();
-  snapshot->num_edges_ = index.NumEdges();
-  snapshot->overlaid_vertices_ = snapshot->out_.overlay.OverlaidVertices() +
-                                 snapshot->in_.overlay.OverlaidVertices();
-  snapshot->copied_vertices_ = snapshot->out_.overlay.CopiedVertices() +
-                               snapshot->in_.overlay.CopiedVertices();
-  return snapshot;
-}
+template std::unique_ptr<const IndexSnapshot> IndexSnapshot::Capture(
+    DynamicSpcIndex& index);
+template std::unique_ptr<const IndexSnapshot> IndexSnapshot::Capture(
+    DynamicDspcIndex& index);
 
 SpcResult IndexSnapshot::Query(VertexId s, VertexId t) const {
   size_t merged_bytes = 0;

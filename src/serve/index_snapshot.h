@@ -9,13 +9,13 @@
 #include "src/dynamic/chunked_overlay.h"
 #include "src/label/label_entry.h"
 
-/// An immutable, queryable freeze of a dynamic-index generation —
-/// undirected (`DynamicSpcIndex`) or directed (`DynamicDspcIndex`).
+/// An immutable, queryable freeze of a dynamic-index generation, of
+/// either edge direction (`DynamicIndex<GraphT>`).
 ///
 /// Capture shares the base index (a `shared_ptr`, so a later staleness
 /// rebuild cannot free it while an epoch still reads it) and freezes
-/// the persistent chunked overlay into an `OverlayView` — for the
-/// directed index, one view per label side (out and in); an undirected
+/// each distinct label side's persistent chunked overlay into an
+/// `OverlayView` — out and in for a directed index; an undirected
 /// capture reads its one view through both sides. A view freeze is one
 /// `shared_ptr` copy of the page directory, under which every vertex
 /// untouched since the previous capture aliases the prior snapshot's
@@ -30,22 +30,19 @@
 /// their memory back (see `SnapshotManager::Reclaim`).
 namespace pspc {
 
-class DynamicSpcIndex;
-class DynamicDspcIndex;
+template <class GraphT>
+class DynamicIndex;
 
 class IndexSnapshot {
  public:
-  /// Freezes the current labels of `index` and advances the overlay's
-  /// capture boundary. Must be called from the thread that owns the
-  /// index's write path (the same thread of control that applies
-  /// updates).
+  /// Freezes the current labels of `index` and advances the capture
+  /// boundary of each of its overlays. Must be called from the thread
+  /// that owns the index's write path (the same thread of control that
+  /// applies updates). Defined for `DynamicSpcIndex` and
+  /// `DynamicDspcIndex`.
+  template <class GraphT>
   static std::unique_ptr<const IndexSnapshot> Capture(
-      DynamicSpcIndex& index);
-
-  /// Directed capture: freezes both label-side overlays (each O(delta
-  /// since its previous capture)) plus the shared base.
-  static std::unique_ptr<const IndexSnapshot> Capture(
-      DynamicDspcIndex& index);
+      DynamicIndex<GraphT>& index);
 
   /// Distance and exact shortest-path count on the captured graph
   /// generation — the same merge as every other label container.
@@ -71,13 +68,13 @@ class IndexSnapshot {
   VertexId NumVertices() const { return num_vertices_; }
   EdgeId NumEdges() const { return num_edges_; }
 
-  /// Vertices held out-of-line as of the capture (directed: summed
-  /// over both label sides).
+  /// Vertices held out-of-line as of the capture (summed over the
+  /// distinct label sides).
   size_t OverlaidVertices() const { return overlaid_vertices_; }
 
   /// Vertices whose label chunk was (re)copied since the previous
   /// capture — the publish-cost delta this snapshot actually paid
-  /// (directed: summed over both label sides). Everything else aliases
+  /// (summed over the distinct label sides). Everything else aliases
   /// the prior snapshot's chunks.
   size_t CopiedVertices() const { return copied_vertices_; }
 

@@ -36,7 +36,9 @@ std::string ServingCounters::ToString() const {
   return oss.str();
 }
 
-ServingEngine::ServingEngine(DynamicSpcIndex* index, ServingOptions options)
+template <class GraphT>
+ServingEngine::ServingEngine(DynamicIndex<GraphT>* index,
+                             ServingOptions options)
     : index_(index),
       options_(options),
       num_vertices_(index->NumVertices()),
@@ -46,7 +48,10 @@ ServingEngine::ServingEngine(DynamicSpcIndex* index, ServingOptions options)
       snapshots_(IndexSnapshot::Capture(*index), options.metrics,
                  options.flight_recorder),
       queue_(kQueueCapacity),
-      cache_(kCacheShards, options.cache_capacity_per_shard),
+      // Ordered-pair keys when directed: SPC(s -> t) must never be
+      // answered from a cached SPC(t -> s).
+      cache_(kCacheShards, options.cache_capacity_per_shard,
+             /*symmetric=*/!index->Directed()),
       published_generation_(index->Generation()),
       sampler_(options.trace_sample_every_n, options.trace_seed),
       traces_(options.slow_trace_capacity, options.slow_trace_us),
@@ -55,27 +60,10 @@ ServingEngine::ServingEngine(DynamicSpcIndex* index, ServingOptions options)
   StartWorkers();
 }
 
-ServingEngine::ServingEngine(DynamicDspcIndex* index, ServingOptions options)
-    : directed_index_(index),
-      options_(options),
-      num_vertices_(index->NumVertices()),
-      num_workers_(options.num_workers > 0
-                       ? static_cast<size_t>(options.num_workers)
-                       : static_cast<size_t>(MaxThreads())),
-      snapshots_(IndexSnapshot::Capture(*index), options.metrics,
-                 options.flight_recorder),
-      queue_(kQueueCapacity),
-      // Ordered-pair keys: directed SPC(s -> t) must never be answered
-      // from a cached SPC(t -> s).
-      cache_(kCacheShards, options.cache_capacity_per_shard,
-             /*symmetric=*/false),
-      published_generation_(index->Generation()),
-      sampler_(options.trace_sample_every_n, options.trace_seed),
-      traces_(options.slow_trace_capacity, options.slow_trace_us),
-      update_traces_(kUpdateTraceCapacity) {
-  BindMetrics(index->Generation());
-  StartWorkers();
-}
+template ServingEngine::ServingEngine(DynamicSpcIndex* index,
+                                      ServingOptions options);
+template ServingEngine::ServingEngine(DynamicDspcIndex* index,
+                                      ServingOptions options);
 
 void ServingEngine::BindMetrics(uint64_t generation) {
   metrics_ = options_.metrics != nullptr ? options_.metrics
@@ -211,9 +199,16 @@ std::future<std::vector<SpcResult>> ServingEngine::SubmitBatch(
 
 Status ServingEngine::ApplyUpdates(const EdgeUpdateBatch& batch) {
   spc::MutexLock lock(writer_mu_);
-  const bool directed = directed_index_ != nullptr;
-  const DynamicStats& stats =
-      directed ? directed_index_->Stats() : index_->Stats();
+  if (auto* const* directed = std::get_if<DynamicDspcIndex*>(&index_)) {
+    return ApplyLocked(**directed, batch);
+  }
+  return ApplyLocked(*std::get<DynamicSpcIndex*>(index_), batch);
+}
+
+template <class Index>
+Status ServingEngine::ApplyLocked(Index& index,
+                                  const EdgeUpdateBatch& batch) {
+  const DynamicStats& stats = index.Stats();
   const uint64_t applied_before =
       stats.insertions_applied + stats.deletions_applied;
   obs::UpdateTrace update_trace;
@@ -222,8 +217,7 @@ Status ServingEngine::ApplyUpdates(const EdgeUpdateBatch& batch) {
   update_trace.submitted = batch.Size();
   const int64_t apply_start_ns = obs::TraceNowNs();
   update_trace.start_ns = apply_start_ns;
-  const Status status = directed ? directed_index_->ApplyBatch(batch)
-                                 : index_->ApplyBatch(batch);
+  const Status status = index.ApplyBatch(batch);
   update_latency_us_->Record(
       static_cast<double>(obs::TraceNowNs() - apply_start_ns) * 1e-3);
   const uint64_t applied =
@@ -243,12 +237,10 @@ Status ServingEngine::ApplyUpdates(const EdgeUpdateBatch& batch) {
   // ApplyBatch is atomic and bumps the generation once per batch, so
   // this publishes exactly one snapshot for a batch that changed
   // anything and none for a rejected or fully coalesced one.
-  const uint64_t generation =
-      directed ? directed_index_->Generation() : index_->Generation();
+  const uint64_t generation = index.Generation();
   if (generation != published_generation_) {
     const int64_t publish_start_ns = obs::TraceNowNs();
-    snapshots_.Publish(directed ? IndexSnapshot::Capture(*directed_index_)
-                                : IndexSnapshot::Capture(*index_));
+    snapshots_.Publish(IndexSnapshot::Capture(index));
     const double publish_micros =
         static_cast<double>(obs::TraceNowNs() - publish_start_ns) * 1e-3;
     publish_us_->Record(publish_micros);

@@ -7,13 +7,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/types.h"
-#include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/label/query_engine.h"
 #include "src/obs/flight_recorder.h"
@@ -33,9 +33,9 @@
 /// generation-tagged result cache, and answers the rest from the
 /// pinned `IndexSnapshot` (the §IV parallel-batch kernel's merge path).
 /// The write side — ApplyUpdate(s) — is serialized on a writer mutex
-/// no reader ever touches: it repairs the `DynamicSpcIndex` and
-/// publishes a fresh snapshot generation, which retires the previous
-/// one into the epoch reclamation queue.
+/// no reader ever touches: it repairs the dynamic index (either edge
+/// direction) and publishes a fresh snapshot generation, which retires
+/// the previous one into the epoch reclamation queue.
 ///
 /// Every answer is exact for the generation it was computed against;
 /// a query admitted before a publish may be answered from the prior
@@ -93,13 +93,12 @@ class ServingEngine {
  public:
   /// Takes over `index`'s write path: from here on, all updates must
   /// go through ApplyUpdate(s) and all queries through Submit*.
-  /// `index` must outlive the engine.
-  explicit ServingEngine(DynamicSpcIndex* index, ServingOptions options = {});
-
-  /// Directed variant: identical wiring over a `DynamicDspcIndex`
-  /// (queries answer the directed pair s -> t; publication freezes
-  /// both label-side overlays, each O(delta) per batch).
-  explicit ServingEngine(DynamicDspcIndex* index,
+  /// `index` must outlive the engine. Over a `DynamicDspcIndex`,
+  /// queries answer the directed pair s -> t and the result cache keys
+  /// ordered pairs. Defined for `DynamicSpcIndex` and
+  /// `DynamicDspcIndex`.
+  template <class GraphT>
+  explicit ServingEngine(DynamicIndex<GraphT>* index,
                          ServingOptions options = {});
 
   /// Stops (drains, joins workers) if Stop was not called explicitly.
@@ -116,7 +115,7 @@ class ServingEngine {
   std::future<std::vector<SpcResult>> SubmitBatch(const QueryBatch& batch);
 
   /// Applies the batch *atomically* to the index (coalesced repair,
-  /// see DynamicSpcIndex::ApplyBatch) and publishes at most one
+  /// see DynamicIndex::ApplyBatch) and publishes at most one
   /// snapshot generation for it. On a validation error nothing applies
   /// and nothing publishes; a batch that coalesces to a net no-op also
   /// publishes nothing. Serialized internally; thread-safe. Queries
@@ -173,11 +172,14 @@ class ServingEngine {
   void AttachTrace(ServeRequest* request);
   bool Enqueue(ServeRequest request);
   void FinishRequests(size_t n);
+  /// ApplyUpdates' body, once per edge direction.
+  template <class Index>
+  Status ApplyLocked(Index& index, const EdgeUpdateBatch& batch)
+      REQUIRES(writer_mu_);
 
-  // Exactly one of the two is non-null; the write path dispatches on
-  // it, the read path only ever sees published snapshots.
-  DynamicSpcIndex* index_ = nullptr;
-  DynamicDspcIndex* directed_index_ = nullptr;
+  // Only the write path touches the index; the read path only ever
+  // sees published snapshots.
+  std::variant<DynamicSpcIndex*, DynamicDspcIndex*> index_;
   ServingOptions options_;
   VertexId num_vertices_;
   size_t num_workers_;

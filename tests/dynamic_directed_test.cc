@@ -16,9 +16,11 @@
 #include "src/core/builder_facade.h"
 #include "src/digraph/dbfs_spc.h"
 #include "src/digraph/digraph.h"
-#include "src/dynamic/dynamic_dspc_index.h"
+#include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
 #include "src/graph/generators.h"
+#include "src/obs/metric_names.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace pspc {
@@ -353,6 +355,36 @@ TEST(DynamicDspcTest, StalenessRebuildStaysExact) {
   EXPECT_GT(index.Stats().rebuilds, 0u);
   // A rebuild folds both overlays away.
   EXPECT_LE(index.StalenessRatio(), 0.05);
+}
+
+// A directed index has two label sides: the staleness ratio and the
+// overlay gauges must count each side's overlay exactly once.
+TEST(DynamicDspcTest, StalenessAndGaugesSumBothOverlays) {
+  obs::MetricsRegistry registry;
+  DynamicOptions options = NoRebuildOptions();
+  options.metrics = &registry;
+  const DiGraph start = GenerateRandomDiGraph(28, 110, 77);
+  DynamicDspcIndex index(start, BuildOptions{}, options);
+  DiEdgeMirror mirror(start);
+  Rng rng(78);
+
+  for (int step = 0; step < 8; ++step) {
+    const EdgeUpdateBatch one = mirror.SampleBatch(rng, 1);
+    ASSERT_TRUE(index.Apply(one.Updates()[0]).ok()) << "step " << step;
+  }
+  const size_t entries = index.OutOverlay().OverlaidEntries() +
+                         index.InOverlay().OverlaidEntries();
+  const size_t vertices = index.OutOverlay().OverlaidVertices() +
+                          index.InOverlay().OverlaidVertices();
+  ASSERT_GT(index.OutOverlay().OverlaidEntries(), 0u);
+  ASSERT_GT(index.InOverlay().OverlaidEntries(), 0u);
+  EXPECT_DOUBLE_EQ(index.StalenessRatio(),
+                   static_cast<double>(entries) /
+                       static_cast<double>(index.BaseIndex().TotalEntries()));
+  EXPECT_EQ(registry.GetGauge(obs::kDynamicOverlayEntries)->Value(),
+            static_cast<int64_t>(entries));
+  EXPECT_EQ(registry.GetGauge(obs::kDynamicOverlayVertices)->Value(),
+            static_cast<int64_t>(vertices));
 }
 
 }  // namespace

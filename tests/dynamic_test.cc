@@ -16,6 +16,8 @@
 #include "src/dynamic/edge_update.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_builder.h"
+#include "src/obs/metric_names.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace pspc {
@@ -294,6 +296,36 @@ TEST(DynamicSpcIndexTest, StalenessPolicyTriggersRebuild) {
   EXPECT_GT(index.Stats().rebuilds, 0u);
   EXPECT_NEAR(index.StalenessRatio(), 0.0, 1e-12);  // overlay folded away
   ExpectAllPairsMatchOracle(index, mirror.Materialize(), "post rebuild");
+}
+
+// An undirected index has one label side, so the staleness ratio and
+// the overlay gauges must equal that one overlay's counts. Counting it
+// twice would fire the staleness rebuild at half the threshold while
+// every oracle test stayed green.
+TEST(DynamicSpcIndexTest, StalenessAndGaugesCountTheOverlayOnce) {
+  obs::MetricsRegistry registry;
+  DynamicOptions options = NoRebuildOptions();
+  options.metrics = &registry;
+  const Graph g = GenerateErdosRenyi(32, 70, 21);
+  DynamicSpcIndex index(g, SmallBuildOptions(), options);
+  EdgeMirror mirror(g);
+  Rng rng(99);
+
+  for (int step = 0; step < 8; ++step) {
+    const EdgeUpdate up = mirror.Sample(rng);
+    ASSERT_TRUE(index.Apply(up).ok());
+    mirror.Apply(up);
+  }
+  const size_t entries = index.Overlay().OverlaidEntries();
+  const size_t vertices = index.Overlay().OverlaidVertices();
+  ASSERT_GT(entries, 0u);
+  EXPECT_DOUBLE_EQ(index.StalenessRatio(),
+                   static_cast<double>(entries) /
+                       static_cast<double>(index.BaseIndex().TotalEntries()));
+  EXPECT_EQ(registry.GetGauge(obs::kDynamicOverlayEntries)->Value(),
+            static_cast<int64_t>(entries));
+  EXPECT_EQ(registry.GetGauge(obs::kDynamicOverlayVertices)->Value(),
+            static_cast<int64_t>(vertices));
 }
 
 TEST(DynamicSpcIndexTest, ApplyBatchValidatesUpFront) {

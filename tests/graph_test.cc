@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <string>
 
+#include "src/digraph/digraph.h"
+#include "src/digraph/digraph_io.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/graph_io.h"
@@ -111,6 +113,10 @@ TEST(GraphIoTest, ParseEdgeListBasic) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().NumVertices(), 3u);
   EXPECT_EQ(r.value().NumEdges(), 2u);
+  const auto d = ParseDirectedEdgeList("# comment\n0 1\n1 2\n");
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d.value().NumVertices(), 3u);
+  EXPECT_EQ(d.value().NumEdges(), 2u);
 }
 
 TEST(GraphIoTest, ParsePreservesNumericIds) {
@@ -133,18 +139,63 @@ TEST(GraphIoTest, ParseToleratesPercentComments) {
   const auto r = ParseEdgeList("% konect header\n0 1\n");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().NumEdges(), 1u);
+  const auto d = ParseDirectedEdgeList("% konect header\n0 1\n");
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d.value().NumEdges(), 1u);
 }
 
 TEST(GraphIoTest, ParseRejectsGarbageLine) {
   const auto r = ParseEdgeList("0 1\nnot an edge\n");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
+  const auto d = ParseDirectedEdgeList("0 1\nnot an edge\n");
+  EXPECT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), Status::Code::kCorruption);
 }
 
 TEST(GraphIoTest, LoadMissingFileFails) {
   const auto r = LoadEdgeList("/nonexistent/never/graph.txt");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kIOError);
+  const auto d = LoadDirectedEdgeList("/nonexistent/never/graph.txt");
+  EXPECT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), Status::Code::kIOError);
+}
+
+TEST(GraphIoTest, BothLoadersReportTheSameErrors) {
+  const std::string garbage = "0 1\nnot an edge\n";
+  const std::string expected = "Corruption: bad edge at line 2: 'not an edge'";
+  EXPECT_EQ(ParseEdgeList(garbage).status().ToString(), expected);
+  EXPECT_EQ(ParseDirectedEdgeList(garbage).status().ToString(), expected);
+  const std::string missing = "/nonexistent/never/graph.txt";
+  EXPECT_EQ(LoadEdgeList(missing).status().ToString(),
+            "IOError: cannot open " + missing);
+  EXPECT_EQ(LoadDirectedEdgeList(missing).status().ToString(),
+            "IOError: cannot open " + missing);
+}
+
+TEST(GraphIoTest, ParseDirectedKeepsReverseEdgesDistinct) {
+  const auto d = ParseDirectedEdgeList("0 1\n1 0\n");
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d.value().NumEdges(), 2u);
+  EXPECT_TRUE(d.value().HasEdge(0, 1));
+  EXPECT_TRUE(d.value().HasEdge(1, 0));
+}
+
+TEST(GraphIoTest, BothLoadersRejectIdsPast32Bits) {
+  // 4294967295 is kInvalidVertex itself, the first id that cannot be
+  // a vertex.
+  const std::string text = "0 4294967295\n";
+  const std::string expected =
+      "OutOfRange: vertex id 4294967295 exceeds the 32-bit id space";
+  const auto r = ParseEdgeList(text);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Status::Code::kOutOfRange);
+  EXPECT_EQ(r.status().ToString(), expected);
+  const auto d = ParseDirectedEdgeList(text);
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), Status::Code::kOutOfRange);
+  EXPECT_EQ(d.status().ToString(), expected);
 }
 
 TEST(GraphIoTest, EdgeListRoundTrip) {

@@ -13,7 +13,6 @@
 #include "src/common/types.h"
 #include "src/core/builder_facade.h"
 #include "src/digraph/digraph.h"
-#include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/graph/generators.h"
 #include "src/label/label_merge.h"

@@ -15,7 +15,7 @@
 #include "src/common/random.h"
 #include "src/digraph/dbfs_spc.h"
 #include "src/digraph/digraph.h"
-#include "src/dynamic/dynamic_dspc_index.h"
+#include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
 #include "src/graph/generators.h"
 #include "src/label/query_engine.h"
