@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/digraph/digraph.h"
 #include "src/digraph/digraph_io.h"
@@ -196,6 +199,92 @@ TEST(GraphIoTest, BothLoadersRejectIdsPast32Bits) {
   ASSERT_FALSE(d.ok());
   EXPECT_EQ(d.status().code(), Status::Code::kOutOfRange);
   EXPECT_EQ(d.status().ToString(), expected);
+}
+
+// Edge-list texts and what both loaders make of them. The id dialect
+// is `istream >> uint64_t` in the classic locale: blanks are space, \t,
+// \v, \f and \r; one optional sign, where `-` negates modulo 2^64;
+// decimal digits, with overflow rejected; anything after the second id
+// ignored; a comment only at column 0.
+struct AcceptedText {
+  std::string text;
+  VertexId n = 0;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+};
+
+struct RejectedText {
+  std::string text;
+  std::string error;  // the exact Status::ToString()
+};
+
+TEST(GraphIoTest, BothLoadersKeepTheIdDialect) {
+  const AcceptedText accepted[] = {
+      {"+1 2\n", 3, {{1, 2}}},
+      {"1+2\n", 3, {{1, 2}}},
+      {"1 2x\n", 3, {{1, 2}}},
+      {"1 2 7\n", 3, {{1, 2}}},
+      {"1\t2\r\n", 3, {{1, 2}}},
+      {"\v1 2\n", 3, {{1, 2}}},
+      {"1\f2\n", 3, {{1, 2}}},
+      {"01 002\n", 3, {{1, 2}}},
+      {"-0 1\n", 2, {{0, 1}}},
+      {"-18446744073709551615 2\n", 3, {{1, 2}}},
+      {"\n\n0 1\n", 2, {{0, 1}}},
+      {"1 2", 3, {{1, 2}}},
+      {"", 0, {}},
+  };
+  for (const AcceptedText& c : accepted) {
+    SCOPED_TRACE("text '" + c.text + "'");
+    const auto r = ParseEdgeList(c.text);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value(), MakeGraph(c.n, c.edges));
+    const auto d = ParseDirectedEdgeList(c.text);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    EXPECT_EQ(d.value(), MakeDiGraph(c.n, c.edges));
+  }
+
+  const std::string bad = "Corruption: bad edge at line ";
+  const std::string past = " exceeds the 32-bit id space";
+  const RejectedText rejected[] = {
+      {"-1 2\n", "OutOfRange: vertex id 18446744073709551615" + past},
+      {"1 -2\n", "OutOfRange: vertex id 18446744073709551614" + past},
+      {"1-2\n", "OutOfRange: vertex id 18446744073709551614" + past},
+      {"18446744073709551615 2\n",
+       "OutOfRange: vertex id 18446744073709551615" + past},
+      {"0 4294967295\n", "OutOfRange: vertex id 4294967295" + past},
+      {"1 99999999999999999999\n", bad + "1: '1 99999999999999999999'"},
+      {"18446744073709551616 2\n", bad + "1: '18446744073709551616 2'"},
+      {"-18446744073709551616 2\n", bad + "1: '-18446744073709551616 2'"},
+      {"+-1 2\n", bad + "1: '+-1 2'"},
+      {"- 1 2\n", bad + "1: '- 1 2'"},
+      {"1x 2\n", bad + "1: '1x 2'"},
+      {"1,2\n", bad + "1: '1,2'"},
+      {"1.5 2\n", bad + "1: '1.5 2'"},
+      {"1\n2\n", bad + "1: '1'"},
+      {" \n", bad + "1: ' '"},
+      {"\r\n", bad + "1: '\r'"},
+      {" # c\n", bad + "1: ' # c'"},
+      {"0 1\n# c\n\r\n", bad + "3: '\r'"},
+      // Every line is read before the id-space check.
+      {"4294967295 0\nx\n", bad + "2: 'x'"},
+  };
+  for (const RejectedText& c : rejected) {
+    SCOPED_TRACE("text '" + c.text + "'");
+    EXPECT_EQ(ParseEdgeList(c.text).status().ToString(), c.error);
+    EXPECT_EQ(ParseDirectedEdgeList(c.text).status().ToString(), c.error);
+  }
+}
+
+TEST(GraphIoTest, LoadReadsCrlfWithoutFinalNewline) {
+  const std::string path = TempPath("crlf.txt");
+  std::ofstream(path, std::ios::binary) << "# crlf\r\n0 1\r\n1 2\r\n2 3";
+  const auto r = LoadEdgeList(path);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), MakeGraph(4, {{0, 1}, {1, 2}, {2, 3}}));
+  const auto d = LoadDirectedEdgeList(path);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d.value(), MakeDiGraph(4, {{0, 1}, {1, 2}, {2, 3}}));
+  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, EdgeListRoundTrip) {

@@ -10,6 +10,7 @@
 #include "src/core/pspc_builder.h"
 #include "src/digraph/digraph.h"
 #include "src/graph/generators.h"
+#include "src/label/label_entry.h"
 #include "src/label/spc_index.h"
 
 namespace pspc {
@@ -18,6 +19,10 @@ namespace {
 // On-disk layout (see SpcIndex::Save): magic(8) n(8) total(8),
 // order n*4, offsets (n+1)*8, entries total*(4+2+8).
 constexpr size_t kHeaderBytes = 24;
+constexpr size_t kEntryBytes = 14;
+// Entries SpcIndex moves per stream call; the multi-chunk cases below
+// cut files at its boundaries.
+constexpr size_t kChunkEntries = 65536;
 
 SpcIndex BuildSmallIndex() {
   BuildOptions options;
@@ -44,11 +49,90 @@ void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// An index of 83,579 entries: more than one chunk, ending in a partial
+// one.
+SpcIndex BuildMultiChunkIndex() {
+  return BuildIndex(GenerateBarabasiAlbert(1000, 5, 0xCAFE), BuildOptions{})
+      .index;
+}
+
+void PutLittleEndian(std::vector<char>& out, uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+  }
+}
+
+// The v1 file of `index`, encoded field by field and little-endian from
+// the public accessors alone, so Save is pinned independently of Load.
+std::vector<char> ReferenceEncoding(const SpcIndex& index) {
+  std::vector<char> out;
+  const VertexId n = index.NumVertices();
+  PutLittleEndian(out, 0x5053'5043'4944'5801ull, 8);  // "PSPCIDX" v1
+  PutLittleEndian(out, n, 8);
+  PutLittleEndian(out, index.TotalEntries(), 8);
+  for (const VertexId v : index.Order().OrderToVertex()) {
+    PutLittleEndian(out, v, 4);
+  }
+  uint64_t offset = 0;
+  PutLittleEndian(out, offset, 8);
+  for (VertexId v = 0; v < n; ++v) {
+    offset += index.Labels(v).size();
+    PutLittleEndian(out, offset, 8);
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    for (const LabelEntry& e : index.Labels(v)) {
+      PutLittleEndian(out, e.hub_rank, 4);
+      PutLittleEndian(out, e.dist, 2);
+      PutLittleEndian(out, e.count, 8);
+    }
+  }
+  return out;
+}
+
 TEST(SpcIndexIoTest, RoundTrip) {
   const SpcIndex index = BuildSmallIndex();
   const auto loaded = SpcIndex::Load(SavedIndexPath());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value(), index);
+}
+
+TEST(SpcIndexIoTest, SaveWritesTheReferenceBytes) {
+  EXPECT_EQ(ReadAll(SavedIndexPath()), ReferenceEncoding(BuildSmallIndex()));
+  const SpcIndex index = BuildMultiChunkIndex();
+  const std::string path = ::testing::TempDir() + "/golden_multi.idx";
+  ASSERT_TRUE(index.Save(path).ok());
+  EXPECT_EQ(ReadAll(path), ReferenceEncoding(index));
+}
+
+TEST(SpcIndexIoTest, MultiChunkRoundTrip) {
+  const SpcIndex index = BuildMultiChunkIndex();
+  ASSERT_GT(index.TotalEntries(), kChunkEntries);
+  ASSERT_NE(index.TotalEntries() % kChunkEntries, 0u);
+  const std::string path = ::testing::TempDir() + "/multi_chunk.idx";
+  ASSERT_TRUE(index.Save(path).ok());
+  const auto loaded = SpcIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value(), index);
+}
+
+// Cuts at the first chunk boundary of the entry block, one byte either
+// side of it, and one byte short of the end.
+TEST(SpcIndexIoTest, ChunkBoundaryTruncationsAreCorruption) {
+  const SpcIndex index = BuildMultiChunkIndex();
+  const std::string path = ::testing::TempDir() + "/chunk_cut.idx";
+  ASSERT_TRUE(index.Save(path).ok());
+  const auto bytes = ReadAll(path);
+  const size_t n = index.NumVertices();
+  const size_t boundary = kHeaderBytes + n * sizeof(VertexId) +
+                          (n + 1) * sizeof(uint64_t) +
+                          kChunkEntries * kEntryBytes;
+  ASSERT_LT(boundary + 1, bytes.size());
+  for (const size_t cut :
+       {boundary - 1, boundary, boundary + 1, bytes.size() - 1}) {
+    WriteAll(path, {bytes.begin(), bytes.begin() + static_cast<long>(cut)});
+    EXPECT_EQ(SpcIndex::Load(path).status().code(), Status::Code::kCorruption)
+        << "cut at " << cut;
+  }
 }
 
 TEST(SpcIndexIoTest, MissingFileIsIOError) {
