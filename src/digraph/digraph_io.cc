@@ -1,15 +1,11 @@
 #include "src/digraph/digraph_io.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "src/graph/graph_io.h"
 
 namespace pspc {
 namespace {
 
-Result<DiGraph> ParseDirectedStream(std::istream& in) {
-  auto parsed = ParseEdgePairs(in);
+Result<DiGraph> BuildDiGraph(const Result<EdgeListPairs>& parsed) {
   if (!parsed.ok()) return parsed.status();
   DiGraphBuilder builder(parsed.value().num_vertices);
   for (const auto& [u, v] : parsed.value().edges) {
@@ -21,14 +17,11 @@ Result<DiGraph> ParseDirectedStream(std::istream& in) {
 }  // namespace
 
 Result<DiGraph> LoadDirectedEdgeList(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  return ParseDirectedStream(in);
+  return BuildDiGraph(LoadEdgePairs(path));
 }
 
 Result<DiGraph> ParseDirectedEdgeList(const std::string& text) {
-  std::istringstream in(text);
-  return ParseDirectedStream(in);
+  return BuildDiGraph(ParseEdgePairs(text));
 }
 
 }  // namespace pspc

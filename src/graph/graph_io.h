@@ -2,8 +2,8 @@
 #define PSPC_SRC_GRAPH_GRAPH_IO_H_
 
 #include <cstdint>
-#include <istream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,10 +35,15 @@ struct EdgeListPairs {
   std::vector<std::pair<uint64_t, uint64_t>> edges;
 };
 
-/// Reads edge-list text (the dialect above) to its pairs. A line that
-/// is not a comment and does not start with two ids is Corruption; an
-/// id past the 32-bit id space is OutOfRange.
-Result<EdgeListPairs> ParseEdgePairs(std::istream& in);
+/// Reads edge-list text (the dialect above) to its pairs. Ids are read
+/// as `istream >> uint64_t` reads them. A line that is not a comment
+/// and does not start with two ids is Corruption; an id past the
+/// 32-bit id space is OutOfRange.
+Result<EdgeListPairs> ParseEdgePairs(std::string_view text);
+
+/// ParseEdgePairs over the whole file at `path`, read into one buffer
+/// that is freed before this returns. IOError if it cannot be opened.
+Result<EdgeListPairs> LoadEdgePairs(const std::string& path);
 
 /// Writes `graph` as an edge-list text file (each undirected edge once,
 /// smaller endpoint first).

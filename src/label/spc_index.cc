@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 
 #include "src/common/logging.h"
@@ -17,6 +18,28 @@ constexpr uint64_t kIndexMagic = 0x5053'5043'4944'5801ull;  // "PSPCIDX" v1
 // field-by-field (no struct padding).
 constexpr uint64_t kEntryBytes = sizeof(Rank) + sizeof(Distance) +
                                  sizeof(Count);
+
+// Entries Save and Load move per stream call (~0.9 MB of file): a
+// per-entry call costs more than the bytes it moves.
+constexpr uint64_t kChunkEntries = 65536;
+
+// One entry's kEntryBytes file bytes: the fields in declaration order,
+// each in host byte order, with no padding.
+void PackEntry(const LabelEntry& e, char* out) {
+  std::memcpy(out, &e.hub_rank, sizeof(e.hub_rank));
+  std::memcpy(out + sizeof(Rank), &e.dist, sizeof(e.dist));
+  std::memcpy(out + sizeof(Rank) + sizeof(Distance), &e.count,
+              sizeof(e.count));
+}
+
+LabelEntry UnpackEntry(const char* in) {
+  LabelEntry e;
+  std::memcpy(&e.hub_rank, in, sizeof(e.hub_rank));
+  std::memcpy(&e.dist, in + sizeof(Rank), sizeof(e.dist));
+  std::memcpy(&e.count, in + sizeof(Rank) + sizeof(Distance),
+              sizeof(e.count));
+  return e;
+}
 
 /// Puts `slot` in rank order by merging its rank-sorted runs (split
 /// where a hub rank falls) pairwise, bottom up, until one is left.
@@ -117,10 +140,13 @@ Status SpcIndex::Save(const std::string& path) const {
   put(&total, sizeof(total));
   put(order_.OrderToVertex().data(), n * sizeof(VertexId));
   put(out_.offsets.data(), out_.offsets.size() * sizeof(uint64_t));
-  for (const LabelEntry& e : out_.entries) {
-    put(&e.hub_rank, sizeof(e.hub_rank));
-    put(&e.dist, sizeof(e.dist));
-    put(&e.count, sizeof(e.count));
+  std::vector<char> chunk(std::min(total, kChunkEntries) * kEntryBytes);
+  for (uint64_t first = 0; first < total; first += kChunkEntries) {
+    const uint64_t size = std::min(total - first, kChunkEntries);
+    for (uint64_t i = 0; i < size; ++i) {
+      PackEntry(out_.entries[first + i], chunk.data() + i * kEntryBytes);
+    }
+    put(chunk.data(), size * kEntryBytes);
   }
   if (!out) return Status::IOError("write failed for " + path);
   return Status::OK();
@@ -190,10 +216,14 @@ Result<SpcIndex> SpcIndex::Load(const std::string& path) {
     }
   }
   entries.resize(total);
-  for (LabelEntry& e : entries) {
-    if (!get(&e.hub_rank, sizeof(e.hub_rank)) ||
-        !get(&e.dist, sizeof(e.dist)) || !get(&e.count, sizeof(e.count))) {
+  std::vector<char> chunk(std::min(total, kChunkEntries) * kEntryBytes);
+  for (uint64_t first = 0; first < total; first += kChunkEntries) {
+    const uint64_t size = std::min(total - first, kChunkEntries);
+    if (!get(chunk.data(), size * kEntryBytes)) {
       return Status::Corruption("truncated entries in " + path);
+    }
+    for (uint64_t i = 0; i < size; ++i) {
+      entries[first + i] = UnpackEntry(chunk.data() + i * kEntryBytes);
     }
   }
   // Per-vertex lists must be strictly rank-sorted with in-range hubs —

@@ -77,17 +77,17 @@ void FlightRecorder::Record(FlightEventKind kind, uint64_t a0, uint64_t a1,
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & (capacity_ - 1)];
   // Seqlock write: odd version while the payload is in flux, even
-  // version (release) to commit. Payload stores are relaxed — the
-  // release on the final version store orders them for any reader
-  // whose acquire load observes it.
+  // version (release) to commit. The payload stores are release too: a
+  // reader whose acquire load sees one of them also sees the odd
+  // version stored before it, so its recheck fails.
   slot.version.fetch_add(1, std::memory_order_relaxed);
-  slot.seq.store(seq, std::memory_order_relaxed);
-  slot.ns.store(TraceNowNs(), std::memory_order_relaxed);
-  slot.kind.store(static_cast<uint32_t>(kind), std::memory_order_relaxed);
-  slot.args[0].store(a0, std::memory_order_relaxed);
-  slot.args[1].store(a1, std::memory_order_relaxed);
-  slot.args[2].store(a2, std::memory_order_relaxed);
-  slot.args[3].store(a3, std::memory_order_relaxed);
+  slot.seq.store(seq, std::memory_order_release);
+  slot.ns.store(TraceNowNs(), std::memory_order_release);
+  slot.kind.store(static_cast<uint32_t>(kind), std::memory_order_release);
+  slot.args[0].store(a0, std::memory_order_release);
+  slot.args[1].store(a1, std::memory_order_release);
+  slot.args[2].store(a2, std::memory_order_release);
+  slot.args[3].store(a3, std::memory_order_release);
   slot.version.fetch_add(1, std::memory_order_release);
 }
 
@@ -99,19 +99,18 @@ std::vector<FlightEvent> FlightRecorder::Events() const {
     for (int attempt = 0; attempt < 4; ++attempt) {
       const uint64_t before = slot.version.load(std::memory_order_acquire);
       if (before == 0 || (before & 1) != 0) break;  // unwritten / in flux
+      // acquire: each payload load keeps the recheck below after it,
+      // and pairs with the writer's release payload stores.
       FlightEvent event;
-      event.seq = slot.seq.load(std::memory_order_relaxed);
-      event.ns = slot.ns.load(std::memory_order_relaxed);
+      event.seq = slot.seq.load(std::memory_order_acquire);
+      event.ns = slot.ns.load(std::memory_order_acquire);
       event.kind = static_cast<FlightEventKind>(
-          slot.kind.load(std::memory_order_relaxed));
+          slot.kind.load(std::memory_order_acquire));
       for (size_t a = 0; a < 4; ++a) {
-        // relaxed: seqlock payload read, bracketed by the acquire
-        // load above and the acquire fence below.
-        event.args[a] = slot.args[a].load(std::memory_order_relaxed);
+        event.args[a] = slot.args[a].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      // relaxed: the fence above pairs the recheck with the writer's
-      // release commit; a changed version means a torn copy.
+      // relaxed: the acquire payload loads above order the recheck; a
+      // changed version means a torn copy.
       if (slot.version.load(std::memory_order_relaxed) != before) {
         continue;  // torn copy: the writer moved under us, retry
       }

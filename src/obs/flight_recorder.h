@@ -12,21 +12,24 @@
 /// Flight recorder: a lock-free bounded ring of structured control-
 /// plane events (snapshot publishes, reclaims, rebuild start/end,
 /// batch applies, health transitions, queue high-water marks, epoch
-/// overflow pins). The hot paths emit events with a couple of relaxed
-/// atomic stores; a diagnostic reader (the `/flightrecorder` endpoint
+/// overflow pins). The hot paths emit events with a handful of atomic
+/// stores; a diagnostic reader (the `/flightrecorder` endpoint
 /// or the watchdog's UNHEALTHY bundle dump) reconstructs the most
 /// recent `capacity` events without ever blocking a writer.
 ///
 /// Concurrency design — a per-slot seqlock. `Record` claims a slot by
 /// one global `fetch_add` on the sequence counter, bumps the slot's
-/// version to odd (write in progress), stores the payload with relaxed
+/// version to odd (write in progress), stores the payload with release
 /// atomics, then publishes by storing the even version with release
-/// order. A reader loads the version (acquire), copies the payload,
-/// and re-loads the version: odd or changed means the copy was torn
-/// and the slot is discarded. All payload fields are themselves
-/// atomics, so writer/reader overlap is a value race the protocol
-/// discards, never a data race — the recorder is TSan-clean by
-/// construction. A writer lapped by `capacity` newer events while
+/// order. A reader loads the version (acquire), copies the payload
+/// with acquire loads, and re-loads the version: odd or changed means
+/// the copy was torn and the slot is discarded. The orderings are all
+/// on atomics, with no standalone fence, so ThreadSanitizer models the
+/// whole protocol; all payload fields are themselves atomics, so
+/// writer/reader overlap is a value race the protocol discards, never
+/// a data race — the recorder is TSan-clean by construction. On x86
+/// release stores and acquire loads are plain moves, as relaxed ones
+/// are. A writer lapped by `capacity` newer events while
 /// mid-write loses that slot to the newer event (last store wins);
 /// with capacity in the hundreds and control-plane event rates this is
 /// a non-event, and the reader-side discard keeps it safe regardless.
@@ -75,7 +78,7 @@ class FlightRecorder {
   static FlightRecorder& Global();
 
   /// Emits one event. Wait-free: one fetch_add plus a handful of
-  /// relaxed stores. Safe from any thread, including hot paths.
+  /// release stores. Safe from any thread, including hot paths.
   void Record(FlightEventKind kind, uint64_t a0 = 0, uint64_t a1 = 0,
               uint64_t a2 = 0, uint64_t a3 = 0);
 

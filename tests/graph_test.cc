@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/digraph/digraph.h"
 #include "src/digraph/digraph_io.h"
 #include "src/graph/graph.h"
@@ -272,6 +274,60 @@ TEST(GraphIoTest, BothLoadersKeepTheIdDialect) {
     SCOPED_TRACE("text '" + c.text + "'");
     EXPECT_EQ(ParseEdgeList(c.text).status().ToString(), c.error);
     EXPECT_EQ(ParseDirectedEdgeList(c.text).status().ToString(), c.error);
+  }
+}
+
+// The dialect's reference: getline per line, then `>> u >> v` on an
+// istringstream of it, with ParseEdgePairs' messages.
+Result<EdgeListPairs> IstreamEdgePairs(const std::string& text) {
+  std::istringstream in(text);
+  EdgeListPairs parsed;
+  uint64_t max_id = 0;
+  std::string line;
+  size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
+    std::istringstream ls(line);
+    uint64_t u = 0, v = 0;
+    if (!(ls >> u >> v)) {
+      return Status::Corruption("bad edge at line " + std::to_string(line_no) +
+                                ": '" + line + "'");
+    }
+    max_id = std::max({max_id, u, v});
+    parsed.edges.emplace_back(u, v);
+  }
+  if (!parsed.edges.empty()) {
+    if (max_id >= kInvalidVertex) {
+      return Status::OutOfRange("vertex id " + std::to_string(max_id) +
+                                " exceeds the 32-bit id space");
+    }
+    parsed.num_vertices = static_cast<VertexId>(max_id + 1);
+  }
+  return parsed;
+}
+
+TEST(GraphIoTest, ParseEdgePairsMatchesIstreamOnRandomTexts) {
+  const std::string atoms[] = {
+      "0", "1", "7", "00", "42", " ", "\t", "\r", "\n", "\v", "\f", "+", "-",
+      "#", "%", "x", ".", ",", std::string(1, '\0'), "4294967295",
+      "18446744073709551615", "18446744073709551616", "1844674407370955161",
+      "99999999999999999999", "1 2\n"};
+  Rng rng(24);
+  for (int c = 0; c < 20000; ++c) {
+    std::string text;
+    for (uint64_t i = rng.NextBounded(12); i > 0; --i) {
+      text += atoms[rng.NextBounded(std::size(atoms))];
+    }
+    const auto want = IstreamEdgePairs(text);
+    const auto got = ParseEdgePairs(text);
+    ASSERT_EQ(got.status().ToString(), want.status().ToString())
+        << "text '" << text << "'";
+    if (want.ok()) {
+      EXPECT_EQ(got.value().num_vertices, want.value().num_vertices);
+      ASSERT_EQ(got.value().edges, want.value().edges)
+          << "text '" << text << "'";
+    }
   }
 }
 
