@@ -6,6 +6,7 @@
 #include "src/core/builder_facade.h"
 #include "src/core/hp_spc_builder.h"
 #include "src/core/pspc_builder.h"
+#include "src/digraph/digraph.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_builder.h"
@@ -208,6 +209,84 @@ TEST(PspcBuilderTest, DeterministicAcrossRepeatedRuns) {
   EXPECT_EQ(a.index, b.index);
   EXPECT_EQ(a.stats.total_entries, b.stats.total_entries);
   EXPECT_EQ(a.stats.candidates_after_merge, b.stats.candidates_after_merge);
+}
+
+// --------------------------------------------------- Pinned funnels --
+//
+// Finalize merges a side's distance and count stores into one
+// rank-sorted CSR, so a survivor filed in the wrong store, or a verdict
+// reached by the wrong stage, leaves every index byte unchanged. These
+// counts show it: they are pinned to values recorded from builds whose
+// indexes match HP-SPC and the BFS oracle.
+
+struct Funnel {
+  size_t candidates;
+  size_t pruned_by_landmark;
+  size_t pruned_by_query;
+  size_t canonical;
+  size_t non_canonical;
+  size_t num_iterations;
+  std::vector<size_t> entries_per_level;
+};
+
+void ExpectFunnel(const BuildStats& stats, const Funnel& expected) {
+  EXPECT_EQ(stats.candidates_after_merge, expected.candidates);
+  EXPECT_EQ(stats.pruned_by_landmark, expected.pruned_by_landmark);
+  EXPECT_EQ(stats.pruned_by_query, expected.pruned_by_query);
+  EXPECT_EQ(stats.canonical_labels, expected.canonical);
+  EXPECT_EQ(stats.non_canonical_labels, expected.non_canonical);
+  EXPECT_EQ(stats.num_iterations, expected.num_iterations);
+  EXPECT_EQ(stats.entries_per_level, expected.entries_per_level);
+}
+
+const std::vector<size_t> kScaleFreeLevels = {2000,   9985,  53235,
+                                              146958, 43281, 25};
+
+TEST(PspcBuilderTest, FunnelPinnedOnScaleFreeGraph) {
+  const Graph g = GenerateBarabasiAlbert(2000, 5, 25);
+  const VertexOrder order = DegreeOrder(g);
+  // Landmark-kept entries are distance entries whether or not they are
+  // canonical, so the split moves with the landmarks; the sum does not.
+  const Funnel with_landmarks{824940, 243946, 327510, 164527,
+                              88957,  6,      kScaleFreeLevels};
+  const Funnel without_landmarks{824940, 0, 571456, 80680,
+                                 172804, 6, kScaleFreeLevels};
+  for (int threads : {1, 4}) {
+    BuildOptions with;
+    with.num_threads = threads;
+    BuildOptions without = with;
+    without.num_landmarks = 0;
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    ExpectFunnel(BuildPspcIndex(g, order, with).stats, with_landmarks);
+    ExpectFunnel(BuildPspcIndex(g, order, without).stats, without_landmarks);
+  }
+}
+
+TEST(PspcBuilderTest, DirectedFunnelPinnedOnRandomDigraph) {
+  const DiGraph g = GenerateRandomDiGraph(1500, 6000, 25);
+  const VertexOrder order = DirectedDegreeOrder(g);
+  const Funnel expected{1180738,
+                        0,
+                        704822,
+                        294998,
+                        180918,
+                        12,
+                        {3000, 6000, 13492, 35283, 88545, 160330, 130674,
+                         35647, 5251, 603, 86, 5}};
+  for (int threads : {1, 4}) {
+    BuildOptions options;
+    options.num_threads = threads;
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    ExpectFunnel(BuildDirectedPspcIndex(g, order, options).stats, expected);
+  }
+}
+
+TEST(PspcBuilderTest, HpSpcFunnelPinnedOnScaleFreeGraph) {
+  const Graph g = GenerateBarabasiAlbert(2000, 5, 25);
+  // One iteration per hub and no level histogram. Its canonical split
+  // equals PSPC's without landmarks.
+  ExpectFunnel(BuildHpSpcIndex(g, DegreeOrder(g)).stats,
+               {515549, 0, 262065, 80680, 172804, 2000, {}});
 }
 
 }  // namespace
