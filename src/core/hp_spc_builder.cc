@@ -1,5 +1,8 @@
 #include "src/core/hp_spc_builder.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -9,6 +12,10 @@
 #include "src/label/label_entry.h"
 
 namespace pspc {
+
+// The prune scan's 32-bit sum of two 16-bit distances cannot wrap.
+static_assert(2 * uint64_t{kInfDistance} <=
+              std::numeric_limits<uint32_t>::max());
 
 BuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
                             std::span<const Count> vertex_weights) {
@@ -77,14 +84,14 @@ BuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
       }
       // Phase 2: prune/label each level-d vertex. Pruning uses only
       // labels of hubs ranked above r, all finalized — Lemma 1's order
-      // dependency in action.
+      // dependency in action. A hub absent from h's label reads
+      // kInfDistance, and the sum cannot wrap (see above), so it stays
+      // above every level d and the scan needs no skip for it.
       size_t keep = 0;
       for (VertexId v : next_frontier) {
         uint32_t q = kInfDistance;
         for (const LabelEntry& e : canonical[v]) {
-          const Distance hd = tmp_dist[e.hub_rank];
-          if (hd == kInfDistance) continue;
-          q = std::min<uint32_t>(q, static_cast<uint32_t>(hd) + e.dist);
+          q = std::min<uint32_t>(q, uint32_t{tmp_dist[e.hub_rank]} + e.dist);
           if (q < d) break;
         }
         ++result.stats.candidates_after_merge;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -106,14 +107,23 @@ struct BuildContext {
   }
 };
 
+/// The prune scan adds two 16-bit distances in 32 bits. An absent hub
+/// reads kInfDistance, and since the sum cannot wrap, it stays at or
+/// above kInfDistance, above every level d: it can neither prune a
+/// candidate nor mark it count-only, so the scan needs no skip for it.
+static_assert(2 * uint64_t{kInfDistance} <=
+              std::numeric_limits<uint32_t>::max());
+
 /// Applies Lemma 4 (+ landmark fast path) to the merged candidates in
-/// `s.cand_hubs` and stages the survivors as `L_d(u)` in the buffer of
-/// thread `thread`. Candidate hub ranks are sorted first, so staged
-/// levels are deterministic.
+/// `s.cand_hubs`, in gather order, and stages the survivors as `L_d(u)`
+/// in the buffer of thread `thread`. A verdict reads only the landmark
+/// tables, `tmp_dist` and committed witness entries, so the candidate
+/// order cannot change it. Only the survivors are sorted, each run by
+/// hub rank (unique within a level), so staged levels are
+/// deterministic.
 void PruneAndStage(BuildContext& ctx, const LabelSide& side, uint32_t thread,
                    VertexId u, Distance d) {
   ThreadScratch& s = ctx.scratch[thread];
-  std::sort(s.cand_hubs.begin(), s.cand_hubs.end());
   const auto my_labels = side.dist->Entries(u);
   for (const LabelEntry& e : my_labels) s.tmp_dist[e.hub_rank] = e.dist;
 
@@ -141,12 +151,11 @@ void PruneAndStage(BuildContext& ctx, const LabelSide& side, uint32_t thread,
     // 2-hop query against committed distance entries (distance < d on
     // both sides). Entries of w are committed level by level, hence
     // sorted by distance: once e.dist >= d no witness < d can follow.
+    // A hub absent from u's entries needs no skip (see above).
     uint32_t q = kInfDistance;
     for (const LabelEntry& e : side.witness->Entries(w)) {
       if (e.dist >= d) break;
-      const Distance ud = s.tmp_dist[e.hub_rank];
-      if (ud == kInfDistance) continue;
-      q = std::min<uint32_t>(q, static_cast<uint32_t>(ud) + e.dist);
+      q = std::min<uint32_t>(q, uint32_t{s.tmp_dist[e.hub_rank]} + e.dist);
       if (q < d) break;
     }
     if (q < d) {
@@ -159,6 +168,8 @@ void PruneAndStage(BuildContext& ctx, const LabelSide& side, uint32_t thread,
   }
 
   for (const LabelEntry& e : my_labels) s.tmp_dist[e.hub_rank] = kInfDistance;
+  std::sort(s.staged.begin() + begin, s.staged.end(), ByHubRank);
+  std::sort(s.count_only.begin(), s.count_only.end(), ByHubRank);
   const size_t num_dist = s.staged.size() - begin;
   s.staged.insert(s.staged.end(), s.count_only.begin(), s.count_only.end());
   ctx.staged[u] = {thread, static_cast<uint32_t>(num_dist),

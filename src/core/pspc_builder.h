@@ -43,6 +43,14 @@
 /// count-only or as a distance entry. Each side keeps the two kinds in
 /// separate stores; propagation reads both.
 ///
+/// The query pairs each witness entry of `w` with `u`'s distance to the
+/// same hub, read from an array in which an absent hub holds
+/// `kInfDistance`. Their 32-bit sum then stays above every level, so
+/// the scan has no data-dependent skip. A verdict reads only committed
+/// entries, so candidates are pruned in the order the gather found
+/// them, and only the survivors are sorted by hub rank before they are
+/// staged.
+///
 /// Propagation is §III-E's PULL: each vertex gathers its neighbors'
 /// last-level labels and merges duplicates in place. PUSH is not kept:
 /// it built the same index and was slower on every dataset analogue.

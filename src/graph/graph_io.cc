@@ -84,6 +84,9 @@ Result<EdgeListPairs> LoadEdgePairs(const std::string& path) {
     in.read(chunk, sizeof(chunk));
     text.append(chunk, static_cast<size_t>(in.gcount()));
   } while (in);
+  // A read that stops short of the end failed (a directory opens, then
+  // fails its first read), so it must not pass for an empty file.
+  if (!in.eof()) return Status::IOError("read failed for " + path);
   return ParseEdgePairs(text);
 }
 

@@ -42,7 +42,8 @@ struct EdgeListPairs {
 Result<EdgeListPairs> ParseEdgePairs(std::string_view text);
 
 /// ParseEdgePairs over the whole file at `path`, read into one buffer
-/// that is freed before this returns. IOError if it cannot be opened.
+/// that is freed before this returns. IOError if it cannot be opened
+/// or a read fails before the end of the file (as on a directory).
 Result<EdgeListPairs> LoadEdgePairs(const std::string& path);
 
 /// Writes `graph` as an edge-list text file (each undirected edge once,

@@ -179,6 +179,25 @@ TEST(GraphIoTest, BothLoadersReportTheSameErrors) {
             "IOError: cannot open " + missing);
 }
 
+// A directory opens as a stream, but its first read fails. That must
+// not pass for an empty file, which still loads as the empty graph.
+TEST(GraphIoTest, BothLoadersRejectADirectory) {
+  const std::string dir = ::testing::TempDir();
+  const std::string expected = "IOError: read failed for " + dir;
+  EXPECT_EQ(LoadEdgeList(dir).status().ToString(), expected);
+  EXPECT_EQ(LoadDirectedEdgeList(dir).status().ToString(), expected);
+
+  const std::string empty = TempPath("empty.txt");
+  std::ofstream(empty, std::ios::binary).flush();
+  const auto r = LoadEdgeList(empty);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().NumVertices(), 0u);
+  const auto d = LoadDirectedEdgeList(empty);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d.value().NumVertices(), 0u);
+  std::remove(empty.c_str());
+}
+
 TEST(GraphIoTest, ParseDirectedKeepsReverseEdgesDistinct) {
   const auto d = ParseDirectedEdgeList("0 1\n1 0\n");
   ASSERT_TRUE(d.ok());
