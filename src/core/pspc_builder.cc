@@ -107,10 +107,9 @@ struct BuildContext {
   }
 };
 
-/// The prune scan adds two 16-bit distances in 32 bits. An absent hub
-/// reads kInfDistance, and since the sum cannot wrap, it stays at or
-/// above kInfDistance, above every level d: it can neither prune a
-/// candidate nor mark it count-only, so the scan needs no skip for it.
+/// The prune scan's 32-bit sum of two 16-bit distances cannot wrap, so
+/// an absent hub's kInfDistance keeps it above every level d: it can
+/// neither prune a candidate nor mark it count-only.
 static_assert(2 * uint64_t{kInfDistance} <=
               std::numeric_limits<uint32_t>::max());
 
