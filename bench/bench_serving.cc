@@ -205,7 +205,8 @@ Row RunEngine(const pspc::Graph& graph, const pspc::SpcIndex& index,
 Row RunGlobalLock(const pspc::Graph& graph, const pspc::SpcIndex& index,
                   double write_share, int loaders, double duration) {
   pspc::DynamicSpcIndex dynamic(graph, index);  // fresh copy per run
-  pspc::spc::Mutex whole_index;  // the snapshot-off design: one lock for all
+  // The snapshot-off design: one lock for all.
+  pspc::spc::Mutex whole_index{pspc::spc::LockRank::kClient};
   pspc::ClosureChurn churn(graph);
   RunResult result = RunMixed(
       graph.NumVertices(), write_share, loaders, duration,

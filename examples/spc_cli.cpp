@@ -207,7 +207,7 @@ class MetricsReporter {
   pspc::obs::MetricsRegistry* registry_;
   std::string json_path_;
   std::string prom_path_;
-  pspc::spc::Mutex mu_;
+  pspc::spc::Mutex mu_{pspc::spc::LockRank::kClient};
   pspc::spc::CondVar cv_;
   bool stop_ GUARDED_BY(mu_) = false;
   std::thread thread_;

@@ -3,11 +3,13 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 
+#include "src/common/logging.h"
 #include "src/common/thread_annotations.h"
 
-/// The project's annotated locking primitives.
+/// The project's annotated, ranked locking primitives.
 ///
 /// Every mutex in the concurrent subsystems goes through `spc::Mutex`
 /// (never raw `std::mutex` — `spc_lint` enforces this) so that Clang's
@@ -16,6 +18,16 @@
 /// `clang++ -Wthread-safety` then proves — at compile time, on every
 /// path — that no guarded field is ever touched without its lock.
 ///
+/// Lock order is a rank. Every `spc::Mutex` is constructed with a
+/// `LockRank` (there is no default constructor, so an unranked mutex
+/// does not compile), and `Lock()` checks that the calling thread
+/// holds no mutex of equal or higher rank. Locks are therefore taken
+/// outermost rank first, and re-locking a held mutex dies instead of
+/// deadlocking. The check is unconditional, not debug-only: the tests
+/// and benchmarks run Release builds, so a debug-only check would
+/// never run where the locks are exercised. It costs a thread-local
+/// compare and bit set per lock and a bit clear per unlock.
+///
 /// Waits are written as explicit condition loops
 /// (`while (!pred) cv_.Wait(mu_);`) rather than predicate lambdas:
 /// the analysis checks the loop body directly, whereas a lambda handed
@@ -23,21 +35,62 @@
 namespace pspc {
 namespace spc {
 
+/// Lock ranks, outermost first: a thread may take a mutex only while
+/// every mutex it holds ranks lower. One rank per mutex member in src/.
+enum class LockRank : uint8_t {
+  /// Locks owned outside src/ (benches, the CLI, tests). Callers take
+  /// them before calling into the library.
+  kClient,
+  /// ServingEngine::writer_mu_: the outermost library lock; everything
+  /// the apply/publish path touches nests under it.
+  kServingWriter,
+  kServingDrain,  // ServingEngine::drain_mu_
+  /// RequestQueue::mu_: released before a request is processed.
+  kRequestQueue,
+  kWatchdogThread,  // HealthWatchdog::thread_mu_ (thread lifecycle)
+  kWatchdog,        // HealthWatchdog::mu_ (report and rule state)
+  // Leaf locks: short critical sections that take nothing inside.
+  kResultCacheShard,  // ResultCache::Shard::mu
+  kEpochOverflow,     // EpochManager::overflow_mu_
+  kTraceCollector,    // obs::TraceCollector::mu_
+  kUpdateTraceLog,    // obs::UpdateTraceLog::mu_
+  kMetricsRegistry,   // obs::MetricsRegistry::mu_
+};
+
+namespace internal {
+/// Bit r is set while this thread holds the mutex of rank r.
+inline thread_local uint32_t held_lock_ranks = 0;
+}  // namespace internal
+
 class CondVar;
 
-/// Annotated exclusive mutex. Declare `mutable` when const methods
-/// lock it (the std::mutex convention this wraps).
+/// Annotated, ranked exclusive mutex. Declare `mutable` when const
+/// methods lock it (the std::mutex convention this wraps).
 class CAPABILITY("mutex") Mutex {
  public:
-  Mutex() = default;
+  explicit Mutex(LockRank rank) : rank_(rank) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock() ACQUIRE() { mu_.lock(); }
-  void Unlock() RELEASE() { mu_.unlock(); }
+  void Lock() ACQUIRE() {
+    // A held bit at or above ours makes the mask at least our bit.
+    PSPC_CHECK_MSG(internal::held_lock_ranks < Bit(),
+                   "lock order: rank " << static_cast<int>(rank_)
+                                       << " taken while holding rank mask "
+                                       << internal::held_lock_ranks);
+    mu_.lock();
+    internal::held_lock_ranks |= Bit();
+  }
+  void Unlock() RELEASE() {
+    internal::held_lock_ranks &= ~Bit();
+    mu_.unlock();
+  }
 
  private:
   friend class CondVar;
+  uint32_t Bit() const { return uint32_t{1} << static_cast<int>(rank_); }
+
+  const LockRank rank_;
   std::mutex mu_;
 };
 
@@ -62,7 +115,7 @@ class SCOPED_CAPABILITY MutexLock {
     mu_.Unlock();
   }
 
-  /// Re-acquires after an early Unlock().
+  /// Re-acquires after an early Unlock(); the rank check applies again.
   void Lock() ACQUIRE() {
     mu_.Lock();
     held_ = true;
@@ -76,6 +129,8 @@ class SCOPED_CAPABILITY MutexLock {
 /// Condition variable over `spc::Mutex`. Wait/WaitFor take the Mutex
 /// itself (caller must hold it — enforced by REQUIRES), so the
 /// analysis knows the lock is held around the wait and re-held after.
+/// The mutex's rank bit stays set across a wait, which returns only
+/// once the thread holds the mutex again.
 class CondVar {
  public:
   CondVar() = default;

@@ -18,8 +18,8 @@
 /// does not compile.
 ///
 /// Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
-/// (the macro set below is the one that page documents, and the same
-/// shape Abseil ships in absl/base/thread_annotations.h).
+/// (the macros below are the subset of that page's set the tree uses,
+/// in the shape Abseil ships in absl/base/thread_annotations.h).
 
 #if defined(__clang__) && (!defined(SWIG))
 #define PSPC_THREAD_ANNOTATION(x) __attribute__((x))
@@ -32,18 +32,10 @@
 /// writes require it exclusive.
 #define GUARDED_BY(x) PSPC_THREAD_ANNOTATION(guarded_by(x))
 
-/// Like GUARDED_BY for pointers: the pointed-to data (not the pointer
-/// itself) is protected by the capability.
-#define PT_GUARDED_BY(x) PSPC_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /// The calling thread must hold the given capability(ies) exclusively
 /// to call this function; the function neither acquires nor releases.
 #define REQUIRES(...) \
   PSPC_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-/// Shared-hold variant of REQUIRES.
-#define REQUIRES_SHARED(...) \
-  PSPC_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /// The function acquires the capability and holds it past return.
 #define ACQUIRE(...) \
@@ -57,10 +49,6 @@
 /// functions that acquire it themselves).
 #define EXCLUDES(...) PSPC_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
-/// Declares that a function returns a reference to the given
-/// capability (accessor pattern).
-#define RETURN_CAPABILITY(x) PSPC_THREAD_ANNOTATION(lock_returned(x))
-
 /// Marks a class as a capability (something that can be held). The
 /// string names the capability kind in diagnostics ("mutex").
 #define CAPABILITY(x) PSPC_THREAD_ANNOTATION(capability(x))
@@ -68,10 +56,5 @@
 /// Marks an RAII class whose constructor acquires and destructor
 /// releases a capability.
 #define SCOPED_CAPABILITY PSPC_THREAD_ANNOTATION(scoped_lockable)
-
-/// Asserts at analysis level (no runtime effect) that the capability
-/// is held — for callbacks whose caller provably holds the lock but
-/// whose signature cannot carry REQUIRES.
-#define ASSERT_CAPABILITY(x) PSPC_THREAD_ANNOTATION(assert_capability(x))
 
 #endif  // PSPC_SRC_COMMON_THREAD_ANNOTATIONS_H_

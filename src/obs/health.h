@@ -142,7 +142,8 @@ class HealthWatchdog {
 
   std::atomic<uint64_t> transitions_{0};
 
-  mutable spc::Mutex mu_;  // guards the report + rule state below
+  // Guards the report + rule state below.
+  mutable spc::Mutex mu_{spc::LockRank::kWatchdog};
   HealthReport current_ GUARDED_BY(mu_);
   std::string last_bundle_ GUARDED_BY(mu_);
   uint64_t tick_ GUARDED_BY(mu_) = 0;
@@ -157,7 +158,7 @@ class HealthWatchdog {
   uint64_t prev_published_total_ GUARDED_BY(mu_) = 0;
   bool have_prev_ GUARDED_BY(mu_) = false;
 
-  spc::Mutex thread_mu_;
+  spc::Mutex thread_mu_{spc::LockRank::kWatchdogThread};
   spc::CondVar cv_;
   bool stop_requested_ GUARDED_BY(thread_mu_) = false;
   std::thread thread_;

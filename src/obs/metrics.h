@@ -228,7 +228,7 @@ class MetricsRegistry {
   std::string ToPrometheusText() const;
 
  private:
-  mutable spc::Mutex mu_;
+  mutable spc::Mutex mu_{spc::LockRank::kMetricsRegistry};
   // std::map: stable iteration order for deterministic export, and
   // node-based so metric pointers never move.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_

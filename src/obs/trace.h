@@ -145,7 +145,7 @@ class TraceCollector {
   const double slow_threshold_us_;
   std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> slow_{0};
-  mutable spc::Mutex mu_;
+  mutable spc::Mutex mu_{spc::LockRank::kTraceCollector};
   std::deque<QueryTrace> slow_log_ GUARDED_BY(mu_);
 };
 
@@ -198,7 +198,7 @@ class UpdateTraceLog {
  private:
   const size_t capacity_;
   std::atomic<uint64_t> recorded_{0};
-  mutable spc::Mutex mu_;
+  mutable spc::Mutex mu_{spc::LockRank::kUpdateTraceLog};
   std::deque<UpdateTrace> log_ GUARDED_BY(mu_);
 };
 

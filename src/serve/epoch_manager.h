@@ -121,7 +121,7 @@ class EpochManager {
   // the minimum non-zero entry (0 = table empty) so MinActiveEpoch
   // can read it from the writer without the lock; the mutex
   // serializes table updates against that cache refresh.
-  spc::Mutex overflow_mu_;
+  spc::Mutex overflow_mu_{spc::LockRank::kEpochOverflow};
   std::vector<uint64_t> overflow_epochs_ GUARDED_BY(overflow_mu_);
   // Atomics, not GUARDED_BY: mutated only under overflow_mu_ but read
   // lock-free by the writer (MinActiveEpoch / ActiveReaders).

@@ -183,7 +183,7 @@ class RequestQueue {
     }
   }
 
-  mutable spc::Mutex mu_;
+  mutable spc::Mutex mu_{spc::LockRank::kRequestQueue};
   spc::CondVar not_empty_;
   spc::CondVar not_full_;
   std::deque<ServeRequest> items_ GUARDED_BY(mu_);

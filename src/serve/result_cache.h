@@ -54,7 +54,7 @@ class ResultCache {
 
  private:
   struct Shard {
-    spc::Mutex mu;
+    spc::Mutex mu{spc::LockRank::kResultCacheShard};
     uint64_t generation GUARDED_BY(mu) = 0;
     std::unordered_map<uint64_t, SpcResult> entries GUARDED_BY(mu);
   };

@@ -191,14 +191,14 @@ class ServingEngine {
 
   // Write path. Counters() no longer takes this: every counter it
   // reports lives in an atomic any thread can read.
-  spc::Mutex writer_mu_;
+  spc::Mutex writer_mu_{spc::LockRank::kServingWriter};
   uint64_t published_generation_ GUARDED_BY(writer_mu_);
   std::atomic<uint64_t> updates_applied_{0};
   std::atomic<uint64_t> publishes_{0};
 
   // Completion tracking for Drain().
   std::atomic<uint64_t> pending_{0};
-  spc::Mutex drain_mu_;
+  spc::Mutex drain_mu_{spc::LockRank::kServingDrain};
   spc::CondVar drain_cv_;
 
   std::atomic<uint64_t> queries_served_{0};

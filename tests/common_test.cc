@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <set>
+#include <type_traits>
 #include <vector>
 
+#include "src/common/mutex.h"
 #include "src/common/random.h"
 #include "src/common/saturating.h"
 #include "src/common/status.h"
@@ -190,6 +195,65 @@ TEST(TypesTest, SpcResultEquality) {
   EXPECT_EQ((SpcResult{3, 7}), (SpcResult{3, 7}));
   EXPECT_NE((SpcResult{3, 7}), (SpcResult{3, 8}));
   EXPECT_NE((SpcResult{2, 7}), (SpcResult{3, 7}));
+}
+
+// -------------------------------------------------------- LockRank --
+
+static_assert(!std::is_default_constructible_v<spc::Mutex>,
+              "an unranked mutex must not compile");
+
+// `mu` under another name, so clang's thread-safety analysis lets the
+// deliberate re-lock below compile; the rank check still sees it.
+spc::Mutex& SameMutex(spc::Mutex& mu) { return mu; }
+
+TEST(LockRankDeathTest, InvertedPairDies) {
+  spc::Mutex outer(spc::LockRank::kServingWriter);
+  spc::Mutex inner(spc::LockRank::kUpdateTraceLog);
+  EXPECT_DEATH(
+      {
+        spc::MutexLock a(inner);
+        spc::MutexLock b(outer);
+      },
+      "lock order");
+}
+
+TEST(LockRankDeathTest, RelockingAHeldMutexDies) {
+  spc::Mutex mu(spc::LockRank::kRequestQueue);
+  EXPECT_DEATH(
+      {
+        alarm(10);  // without the check the re-lock would block forever
+        spc::MutexLock a(mu);
+        spc::MutexLock b(SameMutex(mu));
+      },
+      "lock order");
+}
+
+// HealthWatchdog::Evaluate drops its lock across a call that takes other
+// locks, then re-locks; that call must have released them by then.
+TEST(LockRankDeathTest, RelockAfterEarlyUnlockUnderAnInnerLockDies) {
+  spc::Mutex outer(spc::LockRank::kWatchdog);
+  spc::Mutex inner(spc::LockRank::kMetricsRegistry);
+  EXPECT_DEATH(
+      {
+        spc::MutexLock lock(outer);
+        lock.Unlock();
+        spc::MutexLock held(inner);
+        lock.Lock();
+      },
+      "lock order");
+}
+
+TEST(LockRankTest, OuterThenInnerNestsAcrossWaits) {
+  spc::Mutex outer(spc::LockRank::kServingWriter);
+  spc::Mutex inner(spc::LockRank::kUpdateTraceLog);
+  spc::CondVar cv;
+  for (int round = 0; round < 2; ++round) {
+    spc::MutexLock a(outer);
+    cv.WaitFor(outer, std::chrono::milliseconds(1));
+    spc::MutexLock b(inner);
+    cv.WaitFor(inner, std::chrono::milliseconds(1));
+  }
+  spc::MutexLock c(inner);  // both released: inner alone is fine
 }
 
 }  // namespace

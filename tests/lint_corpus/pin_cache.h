@@ -18,5 +18,5 @@ class PinHolder {
   void Reset();
 
  private:
-  SnapshotRef ref_;  // fine: Reset() releases it explicitly
+  SnapshotRef ref_;  // a member pin, even one that Reset() releases
 };

@@ -10,6 +10,6 @@ class Worklist {
   int Pop();
 
  private:
-  spc::Mutex mu_;
+  spc::Mutex mu_{spc::LockRank::kRequestQueue};
   int depth_ = 0;
 };

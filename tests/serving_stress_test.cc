@@ -63,7 +63,7 @@ class QuiesceGate {
   }
 
  private:
-  spc::Mutex mu_;
+  spc::Mutex mu_{spc::LockRank::kClient};
   spc::CondVar parked_cv_;
   spc::CondVar resume_cv_;
   int parked_ GUARDED_BY(mu_) = 0;

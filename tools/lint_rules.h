@@ -42,6 +42,17 @@
 ///                     within the five lines above — the escape hatch
 ///                     for `[[nodiscard]]` Status/Result must say
 ///                     why the value is safe to drop
+///   layer-back-edge   a src/ file includes headers of its own layer
+///                     or a lower one only (the kLayers table below)
+///   layer-unknown     every src/ directory, and every directory a
+///                     src/ file includes from, has a kLayers entry
+///   pin-escape        outside tests/ and src/serve/snapshot_manager.*,
+///                     an epoch pin (SnapshotRef) is named only to
+///                     declare a local initialised on that line or a
+///                     function returning one, and no lambda captures
+///                     a pin local: a pin in a member, container,
+///                     parameter or capture can outlive its scope and
+///                     stall reclamation of every later generation
 namespace spclint {
 
 struct Violation {
@@ -193,12 +204,44 @@ inline std::vector<std::string> StringLiterals(const std::string& line) {
   return out;
 }
 
+/// The layer DAG, bottom-up: a src/ file may include headers of its
+/// own layer or a lower one. common is dependency-free; graph, digraph,
+/// label and order are the index building blocks; core, reduce and
+/// baseline are the builders over them; obs sits below the concurrent
+/// layers because dynamic and serve are instrumented with it; serve
+/// consumes dynamic snapshots; tools, bench and examples sit on top.
+struct LayerDir {
+  std::string_view dir;
+  int layer;
+};
+inline constexpr LayerDir kLayers[] = {
+    {"src/common", 0},   {"src/graph", 1},    {"src/digraph", 1},
+    {"src/label", 1},    {"src/order", 1},    {"src/core", 2},
+    {"src/reduce", 2},   {"src/baseline", 2}, {"src/obs", 3},
+    {"src/dynamic", 4},  {"src/serve", 5},    {"tools", 6},
+    {"bench", 6},        {"examples", 6},
+};
+
+/// The kLayers layer of `path`'s directory ("src/common/x.h" ->
+/// "src/common", "tools/x.cc" -> "tools"), or -1 if it has none.
+inline int LayerOf(std::string_view path) {
+  const size_t cut = path.rfind("src/", 0) == 0 ? path.find('/', 4)
+                                                 : path.find('/');
+  for (const LayerDir& entry : kLayers) {
+    if (entry.dir == path.substr(0, cut)) return entry.layer;
+  }
+  return -1;
+}
+
 /// How the rules see one file. Derived from its repo-relative path.
 struct FileClass {
   bool is_header = false;
   bool is_hot_path = false;       // src/serve/ or src/dynamic/
   bool is_metric_catalog = false; // src/obs/metric_names.h
   bool is_mutex_wrapper = false;  // src/common/mutex.h
+  bool is_src = false;            // layering applies
+  int layer = -1;                 // src/ files: LayerOf, -1 if none
+  bool checks_pins = false;       // pin-escape applies
   std::string expected_guard;     // canonical PSPC_..._H_ (headers)
 };
 
@@ -226,6 +269,10 @@ inline FileClass ClassifyFile(const std::string& relative_path) {
                    relative_path.rfind("src/dynamic/", 0) == 0;
   fc.is_metric_catalog = relative_path == "src/obs/metric_names.h";
   fc.is_mutex_wrapper = relative_path == "src/common/mutex.h";
+  fc.is_src = relative_path.rfind("src/", 0) == 0;
+  if (fc.is_src) fc.layer = LayerOf(relative_path);
+  fc.checks_pins = relative_path.rfind("tests/", 0) != 0 &&
+                   relative_path.rfind("src/serve/snapshot_manager.", 0) != 0;
   if (fc.is_header) fc.expected_guard = CanonicalGuard(relative_path);
   return fc;
 }
@@ -255,6 +302,46 @@ inline bool HasBannedCall(const std::string& line, std::string_view token) {
     pos = end;
   }
   return false;
+}
+
+inline std::string_view Trim(std::string_view s) {
+  const size_t b = s.find_first_not_of(" \t");
+  if (b == std::string_view::npos) return {};
+  return s.substr(b, s.find_last_not_of(" \t") - b + 1);
+}
+
+inline bool IsIdentChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+/// The identifier starting at `pos` of `line` (empty if none).
+inline std::string_view IdentAt(std::string_view line, size_t pos) {
+  size_t end = pos;
+  while (end < line.size() && IsIdentChar(line[end])) ++end;
+  return line.substr(pos, end - pos);
+}
+
+/// Position of the next standalone identifier `token` in `line` at or
+/// after `from`, or npos.
+inline size_t FindIdent(std::string_view line, std::string_view token,
+                        size_t from) {
+  for (size_t pos = line.find(token, from); pos != std::string_view::npos;
+       pos = line.find(token, pos + 1)) {
+    const size_t end = pos + token.size();
+    if ((pos == 0 || !IsIdentChar(line[pos - 1])) &&
+        (end == line.size() || !IsIdentChar(line[end]))) {
+      return pos;
+    }
+  }
+  return std::string_view::npos;
+}
+
+/// The path of a `#include "path"` line, or empty for any other line.
+inline std::string_view QuotedInclude(std::string_view line) {
+  line = Trim(line);
+  if (line.rfind("#include \"", 0) != 0) return {};
+  line.remove_prefix(10);
+  return line.substr(0, line.find('"'));
 }
 
 struct LintOptions {
@@ -290,6 +377,20 @@ inline std::vector<Violation> LintFile(const std::string& relative_path,
   static constexpr std::string_view kBannedHotCalls[] = {
       "rand", "srand", "time", "printf", "fprintf", "sprintf", "puts",
   };
+
+  // The epoch pin type, composed like the prefixes above, and the calls
+  // that return one (SnapshotManager::Acquire, ServingEngine's pin).
+  const std::string kPinType = "Snapshot" "Ref";
+  static constexpr std::string_view kPinSources[] = {"Acquire",
+                                                     "PinSnapshot"};
+  std::set<std::string> pins;  // pin locals declared so far
+
+  if (fc.is_src && fc.layer < 0) {
+    add(0, "layer-unknown",
+        "the directory of " + relative_path +
+            " has no layer in kLayers (tools/lint_rules.h); place it "
+            "there before adding code");
+  }
 
   bool relaxed_justified_above = false;
   for (size_t i = 0; i < src.code.size(); ++i) {
@@ -385,6 +486,89 @@ inline std::vector<Violation> LintFile(const std::string& relative_path,
         }
       }
     }
+
+    const std::string_view included =
+        fc.layer >= 0 ? QuotedInclude(src.code_with_strings[i]) : "";
+    if (!included.empty()) {
+      const int layer = LayerOf(included);
+      if (layer < 0) {
+        add(i, "layer-unknown",
+            "include of \"" + std::string(included) +
+                "\": its directory has no layer in kLayers "
+                "(tools/lint_rules.h)");
+      } else if (layer > fc.layer) {
+        add(i, "layer-back-edge",
+            "layer " + std::to_string(fc.layer) + " file includes \"" +
+                std::string(included) + "\" of layer " +
+                std::to_string(layer) + ": a back-edge in the layer DAG");
+      }
+    }
+
+    if (fc.checks_pins) {
+      const std::string_view line = code;
+      for (size_t pos = FindIdent(line, kPinType, 0);
+           pos != std::string_view::npos;
+           pos = FindIdent(line, kPinType, pos + 1)) {
+        size_t b = pos;  // back over `pspc::`-style qualifiers
+        while (b >= 2 && line.substr(b - 2, 2) == "::") {
+          b -= 2;
+          while (b > 0 && IsIdentChar(line[b - 1])) --b;
+        }
+        const std::string_view before = Trim(line.substr(0, b));
+        size_t a = pos + kPinType.size();
+        while (a < line.size() && line[a] == ' ') ++a;
+        const std::string_view name = IdentAt(line, a);
+        a += name.size();
+        while (a < line.size() && line[a] == ' ') ++a;
+        const char next = a < line.size() ? line[a] : '\0';
+        if ((before.empty() || before == "const") && !name.empty() &&
+            (next == '=' || next == '(' || next == '{')) {
+          pins.emplace(name);  // a local initialised here, or a function
+        } else if (!(before == "class" && name.empty() && next == ';')) {
+          add(i, "pin-escape",
+              kPinType +
+                  " outside a local initialised on its line or a function "
+                  "return type: a pin in a member, container or parameter "
+                  "can outlive its scope and stall epoch reclamation");
+        }
+      }
+      // `auto ref = snapshots.Acquire();` makes `ref` a pin local too.
+      const size_t eq = line.find(" = ");
+      for (const std::string_view call : kPinSources) {
+        if (eq != std::string_view::npos &&
+            FindIdent(line, call, eq) != std::string_view::npos) {
+          size_t b = eq;
+          while (b > 0 && IsIdentChar(line[b - 1])) --b;
+          if (b < eq) pins.emplace(line.substr(b, eq - b));
+        }
+      }
+      // A capture list is a `[...]` not following an identifier, `]` or
+      // `)` (those are subscripts) and followed by `(` or `{`.
+      for (size_t open = line.find('['); open != std::string_view::npos;
+           open = line.find('[', open + 1)) {
+        const char prev = open == 0 ? ' ' : line[open - 1];
+        const size_t close = line.find(']', open);
+        if (IsIdentChar(prev) || prev == ']' || prev == ')' ||
+            close == std::string_view::npos) {
+          continue;
+        }
+        const size_t after = line.find_first_not_of(' ', close + 1);
+        if (after == std::string_view::npos ||
+            (line[after] != '(' && line[after] != '{')) {
+          continue;
+        }
+        for (const std::string& pin : pins) {
+          if (FindIdent(line.substr(0, close), pin, open) !=
+              std::string_view::npos) {
+            add(i, "pin-escape",
+                "lambda captures epoch pin '" + pin +
+                    "'; the capture can outlive the scope that acquired "
+                    "it");
+            break;
+          }
+        }
+      }
+    }
   }
 
   if (fc.is_header) {
@@ -397,11 +581,7 @@ inline std::vector<Violation> LintFile(const std::string& relative_path,
       ++first;
     }
     const auto trimmed = [&](size_t i) {
-      const std::string& line = src.code[i];
-      const size_t b = line.find_first_not_of(" \t");
-      if (b == std::string::npos) return std::string();
-      const size_t e = line.find_last_not_of(" \t");
-      return line.substr(b, e - b + 1);
+      return std::string(Trim(src.code[i]));
     };
     bool ok = false;
     if (first < src.code.size()) {
@@ -452,7 +632,7 @@ inline bool ReadFile(const std::filesystem::path& path, std::string* out) {
 
 /// Lints the repo rooted at `root` (the directories the invariants
 /// cover: src/, tools/, examples/, bench/, tests/ — minus the golden
-/// violation corpora, which are deliberately bad). Returns all
+/// violation corpus, which is deliberately bad). Returns all
 /// violations, sorted by path then line. Missing metric catalog is
 /// itself an error (`*error` set, non-empty).
 inline std::vector<Violation> LintTree(const std::filesystem::path& root,
@@ -499,11 +679,8 @@ inline std::vector<Violation> LintTree(const std::filesystem::path& root,
     }
     const std::string relative =
         std::filesystem::relative(path, root).generic_string();
-    // The golden corpora are violations on purpose.
-    if (relative.rfind("tests/lint_corpus/", 0) == 0 ||
-        relative.rfind("tests/analyze_corpus/", 0) == 0) {
-      continue;
-    }
+    // The golden corpus is violations on purpose.
+    if (relative.rfind("tests/lint_corpus/", 0) == 0) continue;
     std::vector<Violation> file_violations =
         LintFile(relative, content, options);
     violations.insert(violations.end(), file_violations.begin(),

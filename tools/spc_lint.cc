@@ -7,12 +7,13 @@
 #include "tools/lint_rules.h"
 
 /// spc_lint: the project-invariant linter. Scans src/, tools/,
-/// examples/, bench/ and tests/ (minus the golden corpora) for
+/// examples/, bench/ and tests/ (minus the golden corpus) for
 /// violations of the repo-specific rules in tools/lint_rules.h
 /// (metric-name catalog membership, the raw-mutex ban,
 /// memory_order_relaxed and (void)-cast justification comments,
-/// hot-path libc bans, include-guard hygiene). The compiler rejects
-/// NO_THREAD_SAFETY_ANALYSIS: the macro is not defined.
+/// hot-path libc bans, include-guard hygiene, the src/ layer DAG and
+/// epoch-pin escape). The compiler rejects NO_THREAD_SAFETY_ANALYSIS:
+/// the macro is not defined.
 ///
 ///   spc_lint [--root <repo-root>]
 ///
