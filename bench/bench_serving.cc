@@ -1,4 +1,4 @@
-// Mixed read/write serving throughput: the epoch-snapshot
+// Mixed read/write serving throughput: the snapshot-publishing
 // `ServingEngine` against a snapshot-off baseline that takes one
 // global mutex around the whole `DynamicSpcIndex` for every query and
 // every update — the design the serving subsystem replaces.
@@ -301,12 +301,10 @@ bool RunPublishCostPhase(const pspc::Graph& graph,
   // Quiesce oracle on the final published generation.
   const pspc::Graph current = dynamic.MaterializeGraph();
   size_t mismatches = 0;
-  {
-    const pspc::SnapshotRef snapshot = manager.Acquire();
-    for (const auto& [s, t] : pspc::MakeRandomQueries(n, 16, 0x0c2e)) {
-      if (snapshot->Query(s, t) != pspc::BfsSpcPair(current, s, t)) {
-        ++mismatches;
-      }
+  const auto snapshot = manager.Acquire();
+  for (const auto& [s, t] : pspc::MakeRandomQueries(n, 16, 0x0c2e)) {
+    if (snapshot->Query(s, t) != pspc::BfsSpcPair(current, s, t)) {
+      ++mismatches;
     }
   }
   if (mismatches != 0) {

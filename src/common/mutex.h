@@ -51,7 +51,7 @@ enum class LockRank : uint8_t {
   kWatchdog,        // HealthWatchdog::mu_ (report and rule state)
   // Leaf locks: short critical sections that take nothing inside.
   kResultCacheShard,  // ResultCache::Shard::mu
-  kEpochOverflow,     // EpochManager::overflow_mu_
+  kSnapshotManager,   // SnapshotManager::mu_
   kTraceCollector,    // obs::TraceCollector::mu_
   kUpdateTraceLog,    // obs::UpdateTraceLog::mu_
   kMetricsRegistry,   // obs::MetricsRegistry::mu_

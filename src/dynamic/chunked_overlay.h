@@ -71,8 +71,8 @@ using OverlayDirectory = std::vector<OverlayPagePtr>;
 /// Immutable freeze of a `ChunkedOverlay` as of one capture. Copying a
 /// view is one `shared_ptr` copy; the view (and any snapshot holding
 /// it) keeps every reachable page and chunk alive, and releases those
-/// references — the chunk-reclaim half of epoch retirement — when it
-/// is destroyed.
+/// references — the chunk-reclaim half of snapshot retirement — when
+/// it is destroyed.
 class OverlayView {
  public:
   OverlayView() = default;

@@ -225,7 +225,7 @@ class DynamicIndex {
 
   /// Shared ownership of the current immutable base. Snapshots hold
   /// this so a later Rebuild cannot free the label arrays out from
-  /// under an epoch still reading them.
+  /// under a reader still querying them.
   std::shared_ptr<const SpcIndex> SharedBaseIndex() const { return base_; }
 
   /// Freezes each distinct label side's overlay into a structurally

@@ -27,7 +27,6 @@ constexpr KindInfo kKindInfo[] = {
     {"batch_apply", {"batch_id", "submitted", "applied", "micros"}},
     {"health_transition", {"from_status", "to_status", "rule_id", ""}},
     {"queue_high_water", {"depth", "capacity", "", ""}},
-    {"epoch_overflow_pin", {"active_overflow_pins", "epoch", "", ""}},
 };
 
 const KindInfo& InfoFor(FlightEventKind kind) {

@@ -11,11 +11,11 @@
 
 /// Flight recorder: a lock-free bounded ring of structured control-
 /// plane events (snapshot publishes, reclaims, rebuild start/end,
-/// batch applies, health transitions, queue high-water marks, epoch
-/// overflow pins). The hot paths emit events with a handful of atomic
-/// stores; a diagnostic reader (the `/flightrecorder` endpoint
-/// or the watchdog's UNHEALTHY bundle dump) reconstructs the most
-/// recent `capacity` events without ever blocking a writer.
+/// batch applies, health transitions, queue high-water marks). The
+/// hot paths emit events with a handful of atomic stores; a
+/// diagnostic reader (the `/flightrecorder` endpoint or the watchdog's
+/// UNHEALTHY bundle dump) reconstructs the most recent `capacity`
+/// events without ever blocking a writer.
 ///
 /// Concurrency design — a per-slot seqlock. `Record` claims a slot by
 /// one global `fetch_add` on the sequence counter, bumps the slot's
@@ -47,7 +47,6 @@ enum class FlightEventKind : uint32_t {
   kBatchApply,         ///< batch_id, submitted, applied, micros
   kHealthTransition,   ///< from_status, to_status, rule_id
   kQueueHighWater,     ///< depth, capacity
-  kEpochOverflowPin,   ///< active_overflow_pins, epoch
 };
 
 std::string_view FlightEventKindName(FlightEventKind kind);

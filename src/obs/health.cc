@@ -21,8 +21,6 @@ constexpr uint64_t kQueueUnhealthyTicks = 3;
 constexpr int64_t kReclaimBacklogFloor = 4;
 constexpr uint64_t kReclaimDegradedTicks = 2;
 constexpr uint64_t kReclaimUnhealthyTicks = 4;
-constexpr uint64_t kOverflowDegradedTicks = 2;
-constexpr uint64_t kOverflowUnhealthyTicks = 5;
 constexpr uint64_t kPublishStallDegradedTicks = 3;
 constexpr uint64_t kPublishStallUnhealthyTicks = 6;
 
@@ -48,7 +46,6 @@ std::string_view HealthRuleName(HealthRuleId id) {
     case HealthRuleId::kNone: return "none";
     case HealthRuleId::kQueueSaturation: return "queue_saturation";
     case HealthRuleId::kReclaimBacklog: return "reclaim_backlog";
-    case HealthRuleId::kEpochOverflow: return "epoch_overflow";
     case HealthRuleId::kPublishStall: return "publish_stall";
     case HealthRuleId::kRebuildInProgress: return "rebuild_in_progress";
   }
@@ -132,8 +129,6 @@ HealthReport HealthWatchdog::Evaluate() {
       metrics_->GetGauge(kServeQueueCapacity)->Value();
   const int64_t retired =
       metrics_->GetGauge(kServeSnapshotsRetiredPending)->Value();
-  const uint64_t overflow_total =
-      metrics_->GetCounter(kServeEpochOverflowPinsTotal)->Value();
   const uint64_t applied_total =
       metrics_->GetCounter(kServeUpdatesAppliedTotal)->Value();
   const uint64_t published_total =
@@ -188,38 +183,13 @@ HealthReport HealthWatchdog::Evaluate() {
         rule.reason = "retired snapshot backlog growing: " +
                       std::to_string(retired) + " pending after " +
                       std::to_string(reclaim_ticks_) +
-                      " consecutive growth ticks (reader pin or reclaim "
-                      "stall)";
+                      " consecutive growth ticks (readers holding old "
+                      "generations, or a reclaim stall)";
       }
     } else {
       reclaim_ticks_ = 0;
     }
     rule.firing_ticks = reclaim_ticks_;
-    report.rules.push_back(std::move(rule));
-  }
-
-  // -- epoch_overflow ------------------------------------------------
-  {
-    HealthRuleState rule;
-    rule.id = HealthRuleId::kEpochOverflow;
-    const bool pinning = have_prev_ && overflow_total > prev_overflow_total_;
-    if (pinning) {
-      ++overflow_ticks_;
-      if (overflow_ticks_ >= kOverflowUnhealthyTicks) {
-        rule.status = HealthStatus::kUnhealthy;
-      } else if (overflow_ticks_ >= kOverflowDegradedTicks) {
-        rule.status = HealthStatus::kDegraded;
-      }
-      if (rule.status != HealthStatus::kOk) {
-        rule.reason = "epoch overflow pins still accumulating (" +
-                      std::to_string(overflow_total) + " total, " +
-                      std::to_string(overflow_ticks_) +
-                      " consecutive ticks): reader slots oversubscribed";
-      }
-    } else {
-      overflow_ticks_ = 0;
-    }
-    rule.firing_ticks = overflow_ticks_;
     report.rules.push_back(std::move(rule));
   }
 
@@ -263,7 +233,6 @@ HealthReport HealthWatchdog::Evaluate() {
   }
 
   prev_retired_ = retired;
-  prev_overflow_total_ = overflow_total;
   prev_applied_total_ = applied_total;
   prev_published_total_ = published_total;
   have_prev_ = true;

@@ -29,11 +29,9 @@
 ///     (serve.queue_depth / serve.queue_capacity) above the degraded
 ///     bar; persistently above the unhealthy bar for N ticks.
 ///   - `reclaim_backlog`: serve.snapshots_retired_pending growing
-///     across consecutive ticks while above a floor — a pinned reader
-///     (or a reclaim bug) is holding retired generations alive.
-///   - `epoch_overflow`: serve.epoch_overflow_pins_total still
-///     increasing tick over tick — sustained reader-slot
-///     oversubscription.
+///     across consecutive ticks while above a floor — readers holding
+///     refs to ever more generations (or a reclaim bug) keep retired
+///     generations alive.
 ///   - `publish_stall`: serve.updates_applied_total advancing while
 ///     serve.generations_published_total is flat — updates are being
 ///     accepted but readers cannot see them.
@@ -53,12 +51,12 @@ enum class HealthStatus : uint32_t { kOk = 0, kDegraded = 1, kUnhealthy = 2 };
 std::string_view HealthStatusName(HealthStatus status);
 
 /// Stable rule identifiers (also the `rule_id` payload of
-/// kHealthTransition flight events).
+/// kHealthTransition flight events). 3 belonged to a retired rule and
+/// stays unused, so recorded payloads keep their meaning.
 enum class HealthRuleId : uint32_t {
   kNone = 0,
   kQueueSaturation = 1,
   kReclaimBacklog = 2,
-  kEpochOverflow = 3,
   kPublishStall = 4,
   kRebuildInProgress = 5,
 };
@@ -150,10 +148,8 @@ class HealthWatchdog {
   // Per-rule consecutive-fire counters and previous-tick readings.
   uint64_t queue_ticks_ GUARDED_BY(mu_) = 0;
   uint64_t reclaim_ticks_ GUARDED_BY(mu_) = 0;
-  uint64_t overflow_ticks_ GUARDED_BY(mu_) = 0;
   uint64_t stall_ticks_ GUARDED_BY(mu_) = 0;
   int64_t prev_retired_ GUARDED_BY(mu_) = 0;
-  uint64_t prev_overflow_total_ GUARDED_BY(mu_) = 0;
   uint64_t prev_applied_total_ GUARDED_BY(mu_) = 0;
   uint64_t prev_published_total_ GUARDED_BY(mu_) = 0;
   bool have_prev_ GUARDED_BY(mu_) = false;

@@ -37,8 +37,6 @@ inline constexpr char kServeSnapshotsReclaimedTotal[] =
     "serve.snapshots_reclaimed_total";
 inline constexpr char kServePublishCopiedVerticesTotal[] =
     "serve.publish_copied_vertices_total";
-inline constexpr char kServeEpochOverflowPinsTotal[] =
-    "serve.epoch_overflow_pins_total";
 inline constexpr char kServeTracesSampledTotal[] =
     "serve.traces_sampled_total";
 inline constexpr char kServeTracesSlowTotal[] = "serve.traces_slow_total";
@@ -53,7 +51,6 @@ inline constexpr char kServeSnapshotsRetiredPending[] =
     "serve.snapshots_retired_pending";
 inline constexpr char kServePublishCopiedVerticesLast[] =
     "serve.publish_copied_vertices_last";
-inline constexpr char kServeActiveReaders[] = "serve.active_readers";
 inline constexpr char kServeQueueDepth[] = "serve.queue_depth";
 inline constexpr char kServeQueueCapacity[] = "serve.queue_capacity";
 
@@ -68,6 +65,7 @@ inline constexpr char kServeUpdateLatencyUs[] = "serve.update_latency_us";
 inline constexpr char kServePublishUs[] = "serve.publish_us";
 inline constexpr char kServePublishCopiedVertices[] =
     "serve.publish_copied_vertices";
+/// How long one worker micro-batch held its snapshot ref.
 inline constexpr char kServeReaderPinUs[] = "serve.reader_pin_us";
 /// Raw label bytes one uncached query's merge read.
 inline constexpr char kServeLabelBytesPerQuery[] =
@@ -128,7 +126,6 @@ inline constexpr std::string_view kCounterNames[] = {
     kServeGenerationsPublishedTotal,
     kServeSnapshotsReclaimedTotal,
     kServePublishCopiedVerticesTotal,
-    kServeEpochOverflowPinsTotal,
     kServeTracesSampledTotal,
     kServeTracesSlowTotal,
     kServeLabelBytesMergedTotal,
@@ -153,7 +150,6 @@ inline constexpr std::string_view kGaugeNames[] = {
     kServePublishedGeneration,
     kServeSnapshotsRetiredPending,
     kServePublishCopiedVerticesLast,
-    kServeActiveReaders,
     kServeQueueDepth,
     kServeQueueCapacity,
     kDynamicGeneration,

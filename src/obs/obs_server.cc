@@ -229,7 +229,6 @@ ObsServer::Response ObsServer::Handle(const std::string& path) const {
     serve.Add("published_generation", gauge(kServePublishedGeneration));
     serve.Add("snapshots_retired_pending",
               gauge(kServeSnapshotsRetiredPending));
-    serve.Add("active_readers", gauge(kServeActiveReaders));
     serve.Add("queue_depth", gauge(kServeQueueDepth));
     serve.Add("queue_capacity", gauge(kServeQueueCapacity));
     object.AddRaw("serve", serve.Serialize());

@@ -24,7 +24,7 @@
 ///   GET /healthz         200 (OK/DEGRADED) or 503 (UNHEALTHY) with
 ///                        the watchdog's report as the body
 ///   GET /varz            build info, uptime, generation and
-///                        snapshot/epoch state
+///                        snapshot/queue state
 ///   GET /tracez          slow-query traces + recent update-batch
 ///                        traces
 ///   GET /flightrecorder  the flight-recorder ring as JSON

@@ -13,7 +13,7 @@
 /// either edge direction (`DynamicIndex<GraphT>`).
 ///
 /// Capture shares the base index (a `shared_ptr`, so a later staleness
-/// rebuild cannot free it while an epoch still reads it) and freezes
+/// rebuild cannot free it while a snapshot still reads it) and freezes
 /// each distinct label side's persistent chunked overlay into an
 /// `OverlayView` — out and in for a directed index; an undirected
 /// capture reads its one view through both sides. A view freeze is one
@@ -25,9 +25,11 @@
 /// construction a snapshot is never written again (the writer unshares
 /// chunks before mutating them), so any number of reader threads may
 /// query it without synchronization; answers are exact for the graph
-/// as of the captured generation. Destroying a snapshot releases its
-/// page and chunk references, which is how retired generations give
-/// their memory back (see `SnapshotManager::Reclaim`).
+/// as of the captured generation. A snapshot owns everything it reads
+/// through these `shared_ptr`s, so a ref to it stays valid after the
+/// index and its serving engine are gone. Destroying a snapshot
+/// releases its page and chunk references, which is how retired
+/// generations give their memory back (see `SnapshotManager::Reclaim`).
 namespace pspc {
 
 template <class GraphT>

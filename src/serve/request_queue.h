@@ -115,8 +115,8 @@ class RequestQueue {
   /// Appends up to an adaptive number of requests to `out`; blocks
   /// while the queue is empty. The take size splits the backlog evenly
   /// across `num_consumers` (so a shallow queue does not all land on
-  /// one worker) and caps it at `max_batch` (so one worker's epoch pin
-  /// never spans an unbounded run of queries). Returns the number
+  /// one worker) and caps it at `max_batch` (so one worker's snapshot
+  /// ref never spans an unbounded run of queries). Returns the number
   /// taken; 0 means closed *and* drained.
   size_t PopBatch(std::vector<ServeRequest>* out, size_t max_batch,
                   size_t num_consumers) EXCLUDES(mu_) {

@@ -28,7 +28,7 @@ std::string ServingCounters::ToString() const {
       << " misses\n"
       << "writes:  " << updates_applied << " updates, "
       << generations_published << " generations published\n"
-      << "epochs:  " << snapshots_reclaimed << " snapshots reclaimed, "
+      << "reclaim: " << snapshots_reclaimed << " snapshots reclaimed, "
       << snapshots_retired_pending << " retired pending\n"
       << "publish: " << publish_copied_vertices_total
       << " label chunks copied total, " << publish_copied_vertices_last
@@ -89,6 +89,7 @@ void ServingEngine::BindMetrics(uint64_t generation) {
   micro_batch_size_ = metrics_->GetHistogram(obs::kServeMicroBatchSize);
   update_latency_us_ = metrics_->GetHistogram(obs::kServeUpdateLatencyUs);
   publish_us_ = metrics_->GetHistogram(obs::kServePublishUs);
+  reader_pin_us_ = metrics_->GetHistogram(obs::kServeReaderPinUs);
   label_bytes_merged_total_ =
       metrics_->GetCounter(obs::kServeLabelBytesMergedTotal);
   label_bytes_per_query_ =
@@ -334,9 +335,10 @@ void ServingEngine::WorkerLoop() {
     // the queue as a unit, so its queue waits share the instant.
     const int64_t dequeue_ns = obs::TraceNowNs();
 
-    // One epoch pin covers the whole micro-batch: the snapshot (and
+    // One snapshot ref covers the whole micro-batch: the snapshot (and
     // its generation, for cache tagging) is fixed across it.
-    SnapshotRef snapshot = snapshots_.Acquire();
+    const std::shared_ptr<const IndexSnapshot> snapshot =
+        snapshots_.Acquire();
     const uint64_t generation = snapshot->Generation();
     uint64_t hits = 0;
     uint64_t merged_bytes_batch = 0;
@@ -384,6 +386,9 @@ void ServingEngine::WorkerLoop() {
         if (traces_.Record(trace)) traces_slow_total_->Increment();
       }
     }
+    // How long this micro-batch held its snapshot ref.
+    reader_pin_us_->Record(
+        static_cast<double>(obs::TraceNowNs() - dequeue_ns) * 1e-3);
     // relaxed: Counters() tallies; exactness is only promised once
     // quiesced (Drain's acq_rel handshake).
     queries_served_.fetch_add(taken, std::memory_order_relaxed);

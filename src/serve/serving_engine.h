@@ -24,18 +24,19 @@
 #include "src/serve/snapshot_manager.h"
 
 /// The concurrent serving front-end: queries run against published
-/// epoch snapshots while edge repairs apply, so readers never wait on
-/// a writer.
+/// snapshots while edge repairs apply, so a reader waits at most for
+/// one pointer copy or swap under `SnapshotManager::mu_`, never for a
+/// repair.
 ///
 /// Wiring: client threads Submit single queries or batches into the
 /// bounded MPMC queue; a worker pool drains it in adaptive
-/// micro-batches, pins one epoch per micro-batch, consults the sharded
-/// generation-tagged result cache, and answers the rest from the
-/// pinned `IndexSnapshot` (the §IV parallel-batch kernel's merge path).
-/// The write side — ApplyUpdate(s) — is serialized on a writer mutex
-/// no reader ever touches: it repairs the dynamic index (either edge
-/// direction) and publishes a fresh snapshot generation, which retires
-/// the previous one into the epoch reclamation queue.
+/// micro-batches, acquires one snapshot ref per micro-batch, consults
+/// the sharded generation-tagged result cache, and answers the rest
+/// from that `IndexSnapshot` (the §IV parallel-batch kernel's merge
+/// path). The write side — ApplyUpdate(s) — is serialized on a writer
+/// mutex no reader ever touches: it repairs the dynamic index (either
+/// edge direction) and publishes a fresh snapshot generation, which
+/// retires the previous one until its last reader lets go.
 ///
 /// Every answer is exact for the generation it was computed against;
 /// a query admitted before a publish may be answered from the prior
@@ -46,7 +47,7 @@ namespace pspc {
 struct ServingOptions {
   /// Query worker threads (<= 0: all cores).
   int num_workers = 0;
-  /// Micro-batch cap: the most queries one epoch pin spans.
+  /// Micro-batch cap: the most queries one snapshot ref spans.
   size_t max_batch = 64;
   /// Result-cache entries per shard; zero disables caching.
   size_t cache_capacity_per_shard = 1 << 14;
@@ -154,13 +155,16 @@ class ServingEngine {
   /// The registry this engine's serve.* metrics land in.
   obs::MetricsRegistry& Metrics() const { return *metrics_; }
 
-  /// Pins the currently published snapshot until the returned ref is
-  /// released — a consistent multi-query read (every Query against the
-  /// ref sees one generation). Operationally a held pin delays
-  /// reclamation of every later generation, which is exactly what the
-  /// health watchdog's reclaim_backlog rule watches for; tests use
-  /// this as the reclaim-stall fault injection.
-  SnapshotRef PinSnapshot() const { return snapshots_.Acquire(); }
+  /// The currently published snapshot, kept alive for as long as the
+  /// returned ref is held (also past the engine) — a consistent
+  /// multi-query read (every Query against the ref sees one
+  /// generation). A held ref keeps only its own generation retired;
+  /// a reader that holds one per generation grows the backlog the
+  /// health watchdog's reclaim_backlog rule watches for, which is how
+  /// tests inject a reclaim stall.
+  std::shared_ptr<const IndexSnapshot> PinSnapshot() const {
+    return snapshots_.Acquire();
+  }
 
  private:
   void WorkerLoop();
@@ -227,6 +231,7 @@ class ServingEngine {
   obs::Histogram* micro_batch_size_;
   obs::Histogram* update_latency_us_;
   obs::Histogram* publish_us_;
+  obs::Histogram* reader_pin_us_;
   obs::Counter* label_bytes_merged_total_;
   obs::Histogram* label_bytes_per_query_;
   obs::Gauge* queue_depth_gauge_;

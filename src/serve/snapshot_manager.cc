@@ -1,6 +1,7 @@
 #include "src/serve/snapshot_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/timer.h"
@@ -11,11 +12,15 @@ namespace pspc {
 SnapshotManager::SnapshotManager(std::unique_ptr<const IndexSnapshot> initial,
                                  obs::MetricsRegistry* registry,
                                  obs::FlightRecorder* recorder)
-    : current_(initial.release()),
-      recorder_(recorder != nullptr ? recorder
+    : recorder_(recorder != nullptr ? recorder
                                     : &obs::FlightRecorder::Global()) {
-  // relaxed: single-threaded constructor, no concurrent publisher yet.
-  PSPC_CHECK(current_.load(std::memory_order_relaxed) != nullptr);
+  PSPC_CHECK(initial != nullptr);
+  {
+    // Locked for the thread-safety analysis; nothing shares the object
+    // yet.
+    spc::MutexLock lock(mu_);
+    current_ = std::move(initial);
+  }
   if (registry == nullptr) registry = &obs::MetricsRegistry::Global();
   reclaimed_total_counter_ =
       registry->GetCounter(obs::kServeSnapshotsReclaimedTotal);
@@ -24,35 +29,18 @@ SnapshotManager::SnapshotManager(std::unique_ptr<const IndexSnapshot> initial,
   retired_pending_gauge_ =
       registry->GetGauge(obs::kServeSnapshotsRetiredPending);
   copied_last_gauge_ = registry->GetGauge(obs::kServePublishCopiedVerticesLast);
-  active_readers_gauge_ = registry->GetGauge(obs::kServeActiveReaders);
   copied_hist_ = registry->GetHistogram(obs::kServePublishCopiedVertices);
-  pin_us_ = registry->GetHistogram(obs::kServeReaderPinUs);
-  epochs_.BindOverflowPinCounter(
-      registry->GetCounter(obs::kServeEpochOverflowPinsTotal));
-  epochs_.BindFlightRecorder(recorder_);
 }
 
-SnapshotManager::~SnapshotManager() {
-  PSPC_CHECK_MSG(epochs_.ActiveReaders() == 0,
-                 "SnapshotManager destroyed with pinned readers");
-  // relaxed: destructor runs after all readers and writers (checked
-  // above), so nothing races this final load.
-  delete current_.load(std::memory_order_relaxed);
-  for (const Retired& r : retired_) delete r.snapshot;
-}
-
-SnapshotRef SnapshotManager::Acquire() const {
-  // Pin first, then load: with both operations seq_cst, a writer whose
-  // post-swap slot scan misses this pin is guaranteed the load below
-  // observed the post-swap pointer (see epoch_manager.h).
-  const size_t slot = epochs_.Enter();
-  const IndexSnapshot* snapshot = current_.load(std::memory_order_seq_cst);
-  return SnapshotRef(&epochs_, slot, snapshot, pin_us_, obs::TraceNowNs());
+std::shared_ptr<const IndexSnapshot> SnapshotManager::Acquire() const {
+  spc::MutexLock lock(mu_);
+  return current_;
 }
 
 void SnapshotManager::Publish(std::unique_ptr<const IndexSnapshot> next) {
   PSPC_CHECK(next != nullptr);
   const size_t copied = next->CopiedVertices();
+  const uint64_t generation = next->Generation();
   // relaxed: statistics mirrors; Publish is writer-serialized and
   // pollers tolerate trailing values.
   copied_last_.store(copied, std::memory_order_relaxed);
@@ -60,45 +48,36 @@ void SnapshotManager::Publish(std::unique_ptr<const IndexSnapshot> next) {
   copied_total_counter_->Increment(copied);
   copied_last_gauge_->Set(static_cast<int64_t>(copied));
   copied_hist_->Record(static_cast<double>(copied));
-  const IndexSnapshot* old =
-      current_.exchange(next.release(), std::memory_order_seq_cst);
-  // Swap before advancing: any reader that still holds `old` pinned at
-  // an epoch read before this publish, i.e. strictly below the retire
-  // epoch recorded here.
-  const uint64_t retire_epoch = epochs_.AdvanceEpoch();
-  retired_.push_back({old, retire_epoch});
+  std::shared_ptr<const IndexSnapshot> old;
+  {
+    spc::MutexLock lock(mu_);
+    old = std::exchange(current_, std::move(next));
+  }
+  retired_.push_back(std::move(old));
   Reclaim();
-  active_readers_gauge_->Set(static_cast<int64_t>(epochs_.ActiveReaders()));
-  recorder_->Record(
-      obs::FlightEventKind::kPublish,
-      // relaxed: reading back the pointer this same thread just
-      // published; no cross-thread edge needed.
-      current_.load(std::memory_order_relaxed)->Generation(),
-      static_cast<uint64_t>(copied), static_cast<uint64_t>(retired_.size()));
+  recorder_->Record(obs::FlightEventKind::kPublish, generation,
+                    static_cast<uint64_t>(copied),
+                    static_cast<uint64_t>(retired_.size()));
 }
 
 void SnapshotManager::Reclaim() {
   WallTimer timer;
-  // kNoActiveReader compares greater than every retire epoch, so an
-  // idle reader side drains the whole list.
-  const uint64_t min_active = epochs_.MinActiveEpoch();
-  auto dead = std::partition(
+  // A retired snapshot is off current_, so no reader can take a new
+  // ref to it: once this list holds the only one, it is free to go.
+  const auto dead = std::partition(
       retired_.begin(), retired_.end(),
-      [min_active](const Retired& r) { return r.epoch > min_active; });
-  size_t freed = 0;
-  for (auto it = dead; it != retired_.end(); ++it) {
-    delete it->snapshot;
-    ++freed;
-    // relaxed: reclaim tally for Counters()/watchdog polls.
-    reclaimed_.fetch_add(1, std::memory_order_relaxed);
-    reclaimed_total_counter_->Increment();
-  }
+      [](const std::shared_ptr<const IndexSnapshot>& snapshot) {
+        return snapshot.use_count() > 1;
+      });
+  const size_t freed = static_cast<size_t>(retired_.end() - dead);
   retired_.erase(dead, retired_.end());
-  // relaxed: statistics mirrors of writer-serialized state, read by
-  // pollers that tolerate staleness.
-  retired_count_.store(retired_.size(), std::memory_order_relaxed);
-  retired_pending_gauge_->Set(static_cast<int64_t>(retired_.size()));
   const double micros = timer.ElapsedMicros();
+  reclaimed_total_counter_->Increment(freed);
+  retired_pending_gauge_->Set(static_cast<int64_t>(retired_.size()));
+  // relaxed: reclaim tally and statistics mirrors of writer-serialized
+  // state, read by pollers that tolerate staleness.
+  reclaimed_.fetch_add(freed, std::memory_order_relaxed);
+  retired_count_.store(retired_.size(), std::memory_order_relaxed);
   last_reclaim_us_.store(micros, std::memory_order_relaxed);
   if (freed > 0) {
     recorder_->Record(obs::FlightEventKind::kReclaim, freed, retired_.size(),

@@ -4,116 +4,52 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
+#include "src/common/mutex.h"
+#include "src/common/thread_annotations.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
-#include "src/serve/epoch_manager.h"
 #include "src/serve/index_snapshot.h"
 
-/// RCU-style publication of `IndexSnapshot` generations.
+/// RCU-style publication of `IndexSnapshot` generations, freed by
+/// reference count.
 ///
-/// The writer swaps a new snapshot into an atomic pointer, retires the
-/// old one tagged with the post-swap epoch, and reclaims retired
-/// generations once every pinned reader has drained past them (see
-/// epoch_manager.h for the safety argument). Readers Acquire() a
-/// `SnapshotRef` — an epoch pin plus the pointer — and query the
-/// immutable view for as long as they hold the ref, entirely
-/// independent of any concurrently publishing writer.
+/// The current snapshot is a `shared_ptr` behind one leaf mutex:
+/// Acquire() copies it, Publish() swaps in the next one. A reader
+/// queries its copy for as long as it holds it; a held ref keeps only
+/// its own generation alive. The writer keeps each swapped-out
+/// snapshot on a retired list and frees an entry once the list holds
+/// its last reference — a snapshot off `current_` can gain no new one —
+/// so while the manager lives, snapshots are freed on the writer
+/// thread, never by a reader.
 namespace pspc {
-
-class SnapshotManager;
-
-/// Epoch-pinned reference to a published snapshot. Movable, not
-/// copyable; the pointee stays valid (and immutable) until the ref is
-/// destroyed. Hold it for a micro-batch of queries, not indefinitely —
-/// a pinned epoch delays reclamation of every later generation.
-class SnapshotRef {
- public:
-  SnapshotRef(SnapshotRef&& other) noexcept
-      : epochs_(std::exchange(other.epochs_, nullptr)),
-        slot_(other.slot_),
-        snapshot_(other.snapshot_),
-        pin_us_(other.pin_us_),
-        enter_ns_(other.enter_ns_) {}
-  SnapshotRef& operator=(SnapshotRef&& other) noexcept {
-    if (this != &other) {
-      Release();
-      epochs_ = std::exchange(other.epochs_, nullptr);
-      slot_ = other.slot_;
-      snapshot_ = other.snapshot_;
-      pin_us_ = other.pin_us_;
-      enter_ns_ = other.enter_ns_;
-    }
-    return *this;
-  }
-  SnapshotRef(const SnapshotRef&) = delete;
-  SnapshotRef& operator=(const SnapshotRef&) = delete;
-  ~SnapshotRef() { Release(); }
-
-  const IndexSnapshot* get() const { return snapshot_; }
-  const IndexSnapshot* operator->() const { return snapshot_; }
-  const IndexSnapshot& operator*() const { return *snapshot_; }
-
- private:
-  friend class SnapshotManager;
-  SnapshotRef(EpochManager* epochs, size_t slot,
-              const IndexSnapshot* snapshot, obs::Histogram* pin_us,
-              int64_t enter_ns)
-      : epochs_(epochs),
-        slot_(slot),
-        snapshot_(snapshot),
-        pin_us_(pin_us),
-        enter_ns_(enter_ns) {}
-
-  void Release() {
-    if (epochs_ != nullptr) {
-      epochs_->Exit(slot_);
-      epochs_ = nullptr;
-      // How long this pin delayed reclamation — the RCU health signal
-      // (a fat tail here explains a growing retired backlog).
-      pin_us_->Record(static_cast<double>(obs::TraceNowNs() - enter_ns_) *
-                      1e-3);
-    }
-  }
-
-  EpochManager* epochs_ = nullptr;
-  size_t slot_ = 0;
-  const IndexSnapshot* snapshot_ = nullptr;
-  obs::Histogram* pin_us_ = nullptr;
-  int64_t enter_ns_ = 0;
-};
 
 class SnapshotManager {
  public:
   /// `registry == nullptr` selects the process-global registry for the
-  /// publication metrics (publish cost, reclaim backlog, reader-pin
-  /// duration, epoch-overflow pins); `recorder == nullptr` likewise
-  /// selects the global flight recorder for publish/reclaim events.
+  /// publication metrics (publish cost, reclaim backlog);
+  /// `recorder == nullptr` likewise selects the global flight recorder
+  /// for publish/reclaim events.
   explicit SnapshotManager(std::unique_ptr<const IndexSnapshot> initial,
                            obs::MetricsRegistry* registry = nullptr,
                            obs::FlightRecorder* recorder = nullptr);
 
-  /// Requires no reader still pinned (the owning engine joins its
-  /// workers first); frees the current and all retired snapshots.
-  ~SnapshotManager();
-
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
 
-  /// Reader-side: pins the current epoch and returns the snapshot that
-  /// was current at the pin. Never blocks and takes no locks.
-  SnapshotRef Acquire() const;
+  /// Reader-side: the currently published snapshot. Waits at most for
+  /// one pointer copy or swap under `mu_`. The ref may outlive the
+  /// manager.
+  std::shared_ptr<const IndexSnapshot> Acquire() const EXCLUDES(mu_);
 
   /// Writer-side (externally serialized): makes `next` the current
-  /// snapshot, retires the previous one, and reclaims every retired
-  /// generation no pinned reader can still see. Reclaiming deletes the
-  /// snapshot, which releases its overlay page and label-chunk
-  /// references — chunks shared with newer generations live on;
-  /// chunks only the retired generation could reach are freed here.
-  void Publish(std::unique_ptr<const IndexSnapshot> next);
+  /// snapshot, retires the previous one, and frees every retired
+  /// generation no reader still holds. Freeing a snapshot releases its
+  /// overlay page and label-chunk references — chunks shared with
+  /// newer generations live on; chunks only the retired generation
+  /// could reach are freed here.
+  void Publish(std::unique_ptr<const IndexSnapshot> next) EXCLUDES(mu_);
 
   /// Generation of the currently published snapshot.
   uint64_t PublishedGeneration() const { return Acquire()->Generation(); }
@@ -140,9 +76,6 @@ class SnapshotManager {
     return copied_total_.load(std::memory_order_relaxed);
   }
 
-  /// Currently pinned readers (diagnostics).
-  size_t ActiveReaders() const { return epochs_.ActiveReaders(); }
-
   /// Wall cost of the most recent Publish's reclaim sweep
   /// (microseconds; the write-path trace's reclaim span).
   double LastReclaimMicros() const {
@@ -150,16 +83,13 @@ class SnapshotManager {
   }
 
  private:
-  struct Retired {
-    const IndexSnapshot* snapshot;
-    uint64_t epoch;  // reclaim once min(active) >= this
-  };
-
   void Reclaim();
 
-  mutable EpochManager epochs_;
-  std::atomic<const IndexSnapshot*> current_;
-  std::vector<Retired> retired_;  // writer thread only
+  mutable spc::Mutex mu_{spc::LockRank::kSnapshotManager};
+  std::shared_ptr<const IndexSnapshot> current_ GUARDED_BY(mu_);
+  // Writer thread only: swapped-out generations, each freed once this
+  // list holds its last reference.
+  std::vector<std::shared_ptr<const IndexSnapshot>> retired_;
   // Writer-updated, any-thread-readable mirrors of the bookkeeping
   // above (Counters() polls them without the writer mutex).
   std::atomic<size_t> retired_count_{0};
@@ -173,9 +103,7 @@ class SnapshotManager {
   obs::Counter* copied_total_counter_;
   obs::Gauge* retired_pending_gauge_;
   obs::Gauge* copied_last_gauge_;
-  obs::Gauge* active_readers_gauge_;
   obs::Histogram* copied_hist_;
-  obs::Histogram* pin_us_;
   obs::FlightRecorder* recorder_;
 };
 

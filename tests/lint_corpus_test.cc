@@ -103,17 +103,6 @@ INSTANTIATE_TEST_SUITE_P(
         CorpusCase{"layering_engine.h",
                    "src/serve/engine.h",
                    {{"layer-unknown", 3}}},
-        // Pins: members (even one a Reset() releases), containers and
-        // lambda captures; the forward declaration and the function
-        // returning a pin are fine.
-        CorpusCase{"pin_cache.h",
-                   "src/serve/pin_cache.h",
-                   {{"pin-escape", 11}, {"pin-escape", 12},
-                    {"pin-escape", 21}}},
-        CorpusCase{"pin_use.cc",
-                   "src/serve/pin_use.cc",
-                   {{"pin-escape", 6}, {"pin-escape", 8}}},
-        CorpusCase{"pin_snapshot_api.h", "src/serve/snapshot_api.h", {}},
         CorpusCase{"worklist.h", "src/serve/worklist.h", {}},
         CorpusCase{"worklist.cc", "src/serve/worklist.cc", {}}),
     [](const ::testing::TestParamInfo<CorpusCase>& info) {
@@ -135,22 +124,6 @@ TEST(LintRulesTest, PragmaOnceSatisfiesTheGuardRule) {
   const std::vector<spclint::Violation> violations = spclint::LintFile(
       "src/common/example.h", "#pragma once\nint x;\n", CorpusOptions());
   EXPECT_TRUE(violations.empty());
-}
-
-TEST(LintRulesTest, PinEscapeFlagsParametersAndExemptsItsOwner) {
-  const std::string content =
-      "void Keep(SnapshotRef ref);\n"
-      "const pspc::SnapshotRef snapshot = manager.Acquire();\n"
-      "SnapshotRef PinSnapshot() const { return snapshots_.Acquire(); }\n";
-  EXPECT_EQ(Summarize(spclint::LintFile("src/serve/keep.cc", content,
-                                        CorpusOptions())),
-            (std::vector<std::pair<std::string, size_t>>{{"pin-escape", 1}}));
-  for (const char* exempt :
-       {"src/serve/snapshot_manager.cc", "tests/serving_test.cc"}) {
-    EXPECT_TRUE(
-        spclint::LintFile(exempt, content, CorpusOptions()).empty())
-        << exempt;
-  }
 }
 
 TEST(LintRulesTest, CanonicalGuard) {

@@ -136,11 +136,11 @@ TEST(FlightRecorderTest, ConcurrentWritersAndReaderStayConsistent) {
 
 TEST(FlightRecorderTest, JsonCarriesNamedKindsAndArgs) {
   FlightRecorder recorder(8);
-  recorder.Record(FlightEventKind::kEpochOverflowPin, 2, 9);
+  recorder.Record(FlightEventKind::kQueueHighWater, 2, 9);
   const std::string json = recorder.ToJson();
   EXPECT_NE(json.find("\"capacity\":8"), std::string::npos);
   EXPECT_NE(json.find("\"recorded\":1"), std::string::npos);
-  EXPECT_NE(json.find("epoch_overflow_pin"), std::string::npos);
+  EXPECT_NE(json.find("queue_high_water"), std::string::npos);
 }
 
 // ------------------------------------------------------ health watchdog
@@ -167,7 +167,7 @@ TEST(HealthWatchdogTest, AllQuietReportsOk) {
   EXPECT_EQ(report.worst_rule, HealthRuleId::kNone);
   EXPECT_EQ(report.reason, "ok");
   EXPECT_EQ(report.tick, 1u);
-  EXPECT_EQ(report.rules.size(), 5u);
+  EXPECT_EQ(report.rules.size(), 4u);
   EXPECT_EQ(watchdog.Transitions(), 0u);
   EXPECT_EQ(registry.GetGauge(kObsHealthStatus)->Value(), 0);
 }
@@ -247,32 +247,10 @@ TEST(HealthWatchdogTest, ReclaimBacklogNeedsGrowthAboveFloor) {
   EXPECT_NE(bundle.find("reclaim_backlog"), std::string::npos);
   EXPECT_NE(bundle.find("\"flight_recorder\""), std::string::npos);
 
-  // A flat backlog (reclaim caught up or pin released) recovers.
+  // A flat backlog (reclaim caught up or refs released) recovers.
   report = watchdog.Evaluate();
   EXPECT_EQ(report.status, HealthStatus::kOk);
   EXPECT_EQ(report.rules[1].firing_ticks, 0u);
-}
-
-TEST(HealthWatchdogTest, EpochOverflowFiresOnSustainedPinning) {
-  MetricsRegistry registry;
-  FlightRecorder recorder(16);
-  HealthWatchdog watchdog(ManualOptions(&registry, &recorder));
-  Counter* overflow = registry.GetCounter(kServeEpochOverflowPinsTotal);
-
-  watchdog.Evaluate();  // baseline
-  overflow->Increment();
-  EXPECT_EQ(watchdog.Evaluate().status, HealthStatus::kOk);  // tick 1
-  overflow->Increment();
-  HealthReport report = watchdog.Evaluate();  // tick 2: degraded bar
-  EXPECT_EQ(report.status, HealthStatus::kDegraded);
-  EXPECT_EQ(report.worst_rule, HealthRuleId::kEpochOverflow);
-  for (int i = 0; i < 3; ++i) {
-    overflow->Increment();
-    report = watchdog.Evaluate();
-  }
-  EXPECT_EQ(report.status, HealthStatus::kUnhealthy);  // tick 5
-  // Total flat again: recovered.
-  EXPECT_EQ(watchdog.Evaluate().status, HealthStatus::kOk);
 }
 
 TEST(HealthWatchdogTest, PublishStallFiresWhenUpdatesOutrunPublishes) {
@@ -350,8 +328,8 @@ TEST(HealthWatchdogTest, ReportJsonNamesEveryRule) {
   HealthWatchdog watchdog(ManualOptions(&registry, &recorder));
   const std::string json = watchdog.Evaluate().ToJson();
   for (const char* rule :
-       {"queue_saturation", "reclaim_backlog", "epoch_overflow",
-        "publish_stall", "rebuild_in_progress"}) {
+       {"queue_saturation", "reclaim_backlog", "publish_stall",
+        "rebuild_in_progress"}) {
     EXPECT_NE(json.find(rule), std::string::npos) << rule;
   }
   EXPECT_NE(json.find("\"status\":\"OK\""), std::string::npos);

@@ -1,10 +1,10 @@
 // The live ops plane over a real serving engine: HTTP endpoints
 // scraped through actual sockets, concurrent scrapes during a mixed
 // read/write workload, write-path traces surfacing in /tracez, and the
-// acceptance fault injection — a pinned snapshot stalls reclamation
-// until the watchdog flips /healthz to 503 naming reclaim_backlog,
-// dumps a bundle containing the triggering events, and recovers to 200
-// once the pin is released.
+// acceptance fault injection — a reader holding a ref to every
+// generation stalls reclamation until the watchdog flips /healthz to
+// 503 naming reclaim_backlog, dumps a bundle containing the triggering
+// events, and recovers to 200 once the refs are released.
 //
 // All OpenMP knobs are pinned to one thread — libgomp is not
 // TSan-instrumented, and a team of one never spawns — so every thread
@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -191,10 +190,11 @@ TEST(ServingOpsTest, LiveEndpointsServeOverHttp) {
   ops.server.Stop();
 }
 
-// The acceptance fault injection: a held snapshot pin stalls reclaim,
-// the backlog grows past the floor, /healthz flips to 503 naming
-// reclaim_backlog, the bundle carries the triggering publish events,
-// and releasing the pin recovers the plane to 200/OK.
+// The acceptance fault injection: a reader that keeps a ref to every
+// generation stalls reclaim, the backlog grows past the floor,
+// /healthz flips to 503 naming reclaim_backlog, the bundle carries the
+// triggering publish events, and releasing the refs recovers the plane
+// to 200/OK.
 TEST(ServingOpsTest, ReclaimStallFlipsHealthzAndRecovers) {
   const Graph graph = GenerateBarabasiAlbert(50, 3, 13);
   obs::MetricsRegistry registry;
@@ -212,11 +212,12 @@ TEST(ServingOpsTest, ReclaimStallFlipsHealthzAndRecovers) {
   const uint16_t port = ops.server.Port();
   ops.watchdog.Evaluate();  // baseline tick (backlog flat at zero)
 
-  // Fault: pin the published snapshot and keep writing. Every publish
-  // retires a generation the pin keeps alive, so the backlog grows by
-  // one per update — exactly the signature the reclaim_backlog rule
-  // watches for.
-  std::optional<SnapshotRef> pin(engine.PinSnapshot());
+  // Fault: a reader keeps a ref to every published generation while
+  // the writer keeps writing. Every publish retires a generation that
+  // reader still holds, so the backlog grows by one per update —
+  // exactly the signature the reclaim_backlog rule watches for.
+  std::vector<std::shared_ptr<const IndexSnapshot>> pins;
+  pins.push_back(engine.PinSnapshot());
   const VertexId u = 0;
   const VertexId v = graph.Neighbors(0)[0];
   obs::HealthReport report;
@@ -224,6 +225,7 @@ TEST(ServingOpsTest, ReclaimStallFlipsHealthzAndRecovers) {
     const EdgeUpdateKind kind =
         i % 2 == 0 ? EdgeUpdateKind::kDelete : EdgeUpdateKind::kInsert;
     ASSERT_TRUE(engine.ApplyUpdate({u, v, kind}).ok());
+    pins.push_back(engine.PinSnapshot());
     report = ops.watchdog.Evaluate();
   }
   ASSERT_EQ(report.status, obs::HealthStatus::kUnhealthy);
@@ -247,9 +249,9 @@ TEST(ServingOpsTest, ReclaimStallFlipsHealthzAndRecovers) {
   EXPECT_GE(registry.GetGauge(obs::kServeSnapshotsRetiredPending)->Value(),
             5);
 
-  // Recovery: release the pin; the next publish reclaims the backlog
+  // Recovery: release the refs; the next publish reclaims the backlog
   // and the next tick sees it flat (or shrinking), clearing the rule.
-  pin.reset();
+  pins.clear();
   ASSERT_TRUE(engine.ApplyUpdate({u, v, EdgeUpdateKind::kDelete}).ok());
   report = ops.watchdog.Evaluate();
   EXPECT_EQ(report.status, obs::HealthStatus::kOk);

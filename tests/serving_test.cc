@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -11,7 +9,6 @@
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/graph/generators.h"
 #include "src/label/query_engine.h"
-#include "src/serve/epoch_manager.h"
 #include "src/serve/index_snapshot.h"
 #include "src/serve/request_queue.h"
 #include "src/serve/result_cache.h"
@@ -200,125 +197,6 @@ TEST(IndexSnapshotTest, InsertHeavyPublishCopiesDeltaNotOverlay) {
   }
 }
 
-// ---------------------------------------------------------- EpochManager
-
-TEST(EpochManagerTest, OverflowPinsAbsorbExhaustion) {
-  EpochManager epochs;
-  const uint64_t e0 = epochs.CurrentEpoch();
-
-  // Saturate every lock-free slot, then keep pinning: overflow pins
-  // must absorb the excess instead of aborting.
-  std::vector<size_t> slots;
-  for (size_t i = 0; i < EpochManager::kMaxSlots; ++i) {
-    slots.push_back(epochs.Enter());
-    EXPECT_LT(slots.back(), EpochManager::kMaxSlots);
-  }
-  const size_t of1 = epochs.Enter();
-  EXPECT_TRUE(EpochManager::IsOverflowSlot(of1));
-  epochs.AdvanceEpoch();
-  const size_t of2 = epochs.Enter();  // later overflow pin, newer epoch
-  EXPECT_TRUE(EpochManager::IsOverflowSlot(of2));
-  EXPECT_NE(of1, of2);
-  EXPECT_EQ(epochs.ActiveReaders(), EpochManager::kMaxSlots + 2);
-  EXPECT_EQ(epochs.MinActiveEpoch(), e0);
-
-  // Regular slots drain; the e0 overflow pin holds the minimum...
-  for (const size_t slot : slots) epochs.Exit(slot);
-  EXPECT_EQ(epochs.ActiveReaders(), 2u);
-  EXPECT_EQ(epochs.MinActiveEpoch(), e0);
-  // ...and *only* that pin: epochs are tracked per overflow reader, so
-  // the minimum advances the moment the older reader leaves even
-  // though overflow never empties — sustained oversubscription must
-  // not freeze reclamation.
-  epochs.Exit(of1);
-  EXPECT_EQ(epochs.ActiveReaders(), 1u);
-  EXPECT_EQ(epochs.MinActiveEpoch(), e0 + 1);
-  epochs.Exit(of2);
-  EXPECT_EQ(epochs.ActiveReaders(), 0u);
-  EXPECT_EQ(epochs.MinActiveEpoch(), EpochManager::kNoActiveReader);
-
-  // A lock-free slot freed up again: the next Enter goes fast-path.
-  const size_t again = epochs.Enter();
-  EXPECT_LT(again, EpochManager::kMaxSlots);
-  epochs.Exit(again);
-}
-
-// Oversubscription through the full serving stack: more simultaneous
-// SnapshotRefs than lock-free slots, across threads, while the writer
-// keeps publishing. Overflow pins must keep retired generations alive
-// exactly like regular pins, and everything must reclaim at the end.
-TEST(SnapshotManagerTest, OversubscribedReadersStayExact) {
-  const Graph graph = GenerateBarabasiAlbert(80, 2, 23);
-  auto index = MakeIndex(graph);
-  SnapshotManager manager(IndexSnapshot::Capture(*index));
-
-  constexpr size_t kThreads = 4;
-  // Each thread holds enough refs that the total oversubscribes the
-  // slot array no matter how the threads interleave.
-  constexpr size_t kRefsPerThread = EpochManager::kMaxSlots / kThreads + 8;
-  std::vector<std::thread> threads;
-  std::atomic<size_t> holding{0};
-  std::atomic<bool> release{false};
-  for (size_t i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&] {
-      std::vector<SnapshotRef> refs;
-      refs.reserve(kRefsPerThread);
-      for (size_t r = 0; r < kRefsPerThread; ++r) {
-        refs.push_back(manager.Acquire());
-        // Every pinned ref must answer, overflow or not.
-        EXPECT_EQ(refs.back()->Query(1, 1), (SpcResult{0, 1}));
-      }
-      holding.fetch_add(1);
-      while (!release.load()) std::this_thread::yield();
-    });
-  }
-  while (holding.load() < kThreads) std::this_thread::yield();
-  const size_t pinned = manager.ActiveReaders();
-  EXPECT_EQ(pinned, kThreads * kRefsPerThread);
-  EXPECT_GT(pinned, EpochManager::kMaxSlots);  // overflow in use
-
-  // Publish under full oversubscription: the retired generation must
-  // stay alive while any pin (incl. overflow) predates the swap.
-  VertexId u = 0, v = 1;
-  while (index->HasEdge(u, v)) ++v;
-  ASSERT_TRUE(index->InsertEdge(u, v).ok());
-  manager.Publish(IndexSnapshot::Capture(*index));
-  EXPECT_EQ(manager.RetiredCount(), 1u);
-  EXPECT_EQ(manager.ReclaimedCount(), 0u);
-
-  release.store(true);
-  for (std::thread& t : threads) t.join();
-
-  // All pins drained: the next publish reclaims everything retired.
-  ASSERT_TRUE(index->DeleteEdge(u, v).ok());
-  manager.Publish(IndexSnapshot::Capture(*index));
-  EXPECT_EQ(manager.RetiredCount(), 0u);
-  EXPECT_EQ(manager.ReclaimedCount(), 2u);
-  EXPECT_EQ(manager.ActiveReaders(), 0u);
-}
-
-TEST(EpochManagerTest, PinAndRelease) {
-  EpochManager epochs;
-  EXPECT_EQ(epochs.ActiveReaders(), 0u);
-  EXPECT_EQ(epochs.MinActiveEpoch(), EpochManager::kNoActiveReader);
-
-  const uint64_t e0 = epochs.CurrentEpoch();
-  const size_t a = epochs.Enter();
-  EXPECT_EQ(epochs.ActiveReaders(), 1u);
-  EXPECT_EQ(epochs.MinActiveEpoch(), e0);
-
-  EXPECT_EQ(epochs.AdvanceEpoch(), e0 + 1);
-  const size_t b = epochs.Enter();
-  EXPECT_NE(a, b);
-  EXPECT_EQ(epochs.ActiveReaders(), 2u);
-  EXPECT_EQ(epochs.MinActiveEpoch(), e0);  // oldest pin wins
-
-  epochs.Exit(a);
-  EXPECT_EQ(epochs.MinActiveEpoch(), e0 + 1);
-  epochs.Exit(b);
-  EXPECT_EQ(epochs.ActiveReaders(), 0u);
-}
-
 // ------------------------------------------------------- SnapshotManager
 
 TEST(SnapshotManagerTest, PublishRetiresAndReclaims) {
@@ -330,23 +208,45 @@ TEST(SnapshotManagerTest, PublishRetiresAndReclaims) {
   VertexId u = 0, v = 1;
   while (index->HasEdge(u, v)) ++v;  // first absent edge from vertex 0
 
-  // A pinned reader keeps the retired generation alive.
+  // A held ref keeps the retired generation alive.
   {
-    SnapshotRef pinned = manager.Acquire();
+    const auto held = manager.Acquire();
     ASSERT_TRUE(index->InsertEdge(u, v).ok());
     manager.Publish(IndexSnapshot::Capture(*index));
     EXPECT_EQ(manager.RetiredCount(), 1u);
     EXPECT_EQ(manager.ReclaimedCount(), 0u);
-    EXPECT_EQ(pinned->Generation(), gen0);  // still readable
+    EXPECT_EQ(held->Generation(), gen0);  // still readable
     EXPECT_GT(manager.PublishedGeneration(), gen0);
   }
 
-  // Pin released: the next publish drains the limbo list.
+  // Ref released: the next publish drains the retired list.
   ASSERT_TRUE(index->DeleteEdge(u, v).ok());
   manager.Publish(IndexSnapshot::Capture(*index));
   EXPECT_EQ(manager.RetiredCount(), 0u);
   EXPECT_EQ(manager.ReclaimedCount(), 2u);
-  EXPECT_EQ(manager.ActiveReaders(), 0u);
+}
+
+// A held ref keeps only its own generation retired: every later
+// generation is freed at the publish that retires it, and the held
+// snapshot still answers exactly for the graph it captured.
+TEST(SnapshotManagerTest, AHeldRefKeepsOnlyItsOwnGeneration) {
+  const Graph graph = GenerateBarabasiAlbert(80, 2, 24);
+  auto index = MakeIndex(graph);
+  SnapshotManager manager(IndexSnapshot::Capture(*index));
+  const auto held = manager.Acquire();
+
+  constexpr size_t kPublishes = 6;
+  VertexId u = 0, v = 1;
+  for (size_t i = 0; i < kPublishes; ++i) {
+    while (index->HasEdge(u, v)) ++v;  // next absent edge from vertex 0
+    ASSERT_TRUE(index->InsertEdge(u, v).ok());
+    manager.Publish(IndexSnapshot::Capture(*index));
+  }
+  EXPECT_EQ(manager.RetiredCount(), 1u);
+  EXPECT_EQ(manager.ReclaimedCount(), kPublishes - 1);
+  for (const auto& [s, t] : MakeRandomQueries(80, 64, 25)) {
+    EXPECT_EQ(held->Query(s, t), BfsSpcPair(graph, s, t));
+  }
 }
 
 TEST(SnapshotManagerTest, AcquireSeesLatestPublish) {
@@ -569,6 +469,26 @@ TEST(ServingEngineTest, CacheDisabledStillExact) {
   EXPECT_EQ(engine.Submit(5, 17).get(), BfsSpcPair(graph, 5, 17));
   EXPECT_EQ(engine.Submit(5, 17).get(), BfsSpcPair(graph, 5, 17));
   EXPECT_EQ(engine.Counters().cache_hits, 0u);
+}
+
+// A ref from PinSnapshot() owns what it reads: it keeps answering
+// exactly for its generation after the engine and the index are gone.
+TEST(ServingEngineTest, PinOutlivesEngine) {
+  const Graph graph = GenerateBarabasiAlbert(60, 2, 34);
+  Graph updated;
+  std::shared_ptr<const IndexSnapshot> pin;
+  {
+    auto index = MakeIndex(graph);
+    ServingEngine engine(index.get(), SmallEngineOptions());
+    VertexId u = 0, v = 1;
+    while (index->HasEdge(u, v)) ++v;  // first absent edge from vertex 0
+    ASSERT_TRUE(engine.ApplyUpdate({u, v, EdgeUpdateKind::kInsert}).ok());
+    pin = engine.PinSnapshot();
+    updated = index->MaterializeGraph();
+  }
+  for (const auto& [s, t] : MakeRandomQueries(60, 64, 35)) {
+    EXPECT_EQ(pin->Query(s, t), BfsSpcPair(updated, s, t));
+  }
 }
 
 TEST(ServingEngineTest, DrainAndStopAreIdempotent) {

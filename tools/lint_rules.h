@@ -46,13 +46,6 @@
 ///                     or a lower one only (the kLayers table below)
 ///   layer-unknown     every src/ directory, and every directory a
 ///                     src/ file includes from, has a kLayers entry
-///   pin-escape        outside tests/ and src/serve/snapshot_manager.*,
-///                     an epoch pin (SnapshotRef) is named only to
-///                     declare a local initialised on that line or a
-///                     function returning one, and no lambda captures
-///                     a pin local: a pin in a member, container,
-///                     parameter or capture can outlive its scope and
-///                     stall reclamation of every later generation
 namespace spclint {
 
 struct Violation {
@@ -241,7 +234,6 @@ struct FileClass {
   bool is_mutex_wrapper = false;  // src/common/mutex.h
   bool is_src = false;            // layering applies
   int layer = -1;                 // src/ files: LayerOf, -1 if none
-  bool checks_pins = false;       // pin-escape applies
   std::string expected_guard;     // canonical PSPC_..._H_ (headers)
 };
 
@@ -271,8 +263,6 @@ inline FileClass ClassifyFile(const std::string& relative_path) {
   fc.is_mutex_wrapper = relative_path == "src/common/mutex.h";
   fc.is_src = relative_path.rfind("src/", 0) == 0;
   if (fc.is_src) fc.layer = LayerOf(relative_path);
-  fc.checks_pins = relative_path.rfind("tests/", 0) != 0 &&
-                   relative_path.rfind("src/serve/snapshot_manager.", 0) != 0;
   if (fc.is_header) fc.expected_guard = CanonicalGuard(relative_path);
   return fc;
 }
@@ -308,32 +298,6 @@ inline std::string_view Trim(std::string_view s) {
   const size_t b = s.find_first_not_of(" \t");
   if (b == std::string_view::npos) return {};
   return s.substr(b, s.find_last_not_of(" \t") - b + 1);
-}
-
-inline bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-/// The identifier starting at `pos` of `line` (empty if none).
-inline std::string_view IdentAt(std::string_view line, size_t pos) {
-  size_t end = pos;
-  while (end < line.size() && IsIdentChar(line[end])) ++end;
-  return line.substr(pos, end - pos);
-}
-
-/// Position of the next standalone identifier `token` in `line` at or
-/// after `from`, or npos.
-inline size_t FindIdent(std::string_view line, std::string_view token,
-                        size_t from) {
-  for (size_t pos = line.find(token, from); pos != std::string_view::npos;
-       pos = line.find(token, pos + 1)) {
-    const size_t end = pos + token.size();
-    if ((pos == 0 || !IsIdentChar(line[pos - 1])) &&
-        (end == line.size() || !IsIdentChar(line[end]))) {
-      return pos;
-    }
-  }
-  return std::string_view::npos;
 }
 
 /// The path of a `#include "path"` line, or empty for any other line.
@@ -377,13 +341,6 @@ inline std::vector<Violation> LintFile(const std::string& relative_path,
   static constexpr std::string_view kBannedHotCalls[] = {
       "rand", "srand", "time", "printf", "fprintf", "sprintf", "puts",
   };
-
-  // The epoch pin type, composed like the prefixes above, and the calls
-  // that return one (SnapshotManager::Acquire, ServingEngine's pin).
-  const std::string kPinType = "Snapshot" "Ref";
-  static constexpr std::string_view kPinSources[] = {"Acquire",
-                                                     "PinSnapshot"};
-  std::set<std::string> pins;  // pin locals declared so far
 
   if (fc.is_src && fc.layer < 0) {
     add(0, "layer-unknown",
@@ -501,72 +458,6 @@ inline std::vector<Violation> LintFile(const std::string& relative_path,
             "layer " + std::to_string(fc.layer) + " file includes \"" +
                 std::string(included) + "\" of layer " +
                 std::to_string(layer) + ": a back-edge in the layer DAG");
-      }
-    }
-
-    if (fc.checks_pins) {
-      const std::string_view line = code;
-      for (size_t pos = FindIdent(line, kPinType, 0);
-           pos != std::string_view::npos;
-           pos = FindIdent(line, kPinType, pos + 1)) {
-        size_t b = pos;  // back over `pspc::`-style qualifiers
-        while (b >= 2 && line.substr(b - 2, 2) == "::") {
-          b -= 2;
-          while (b > 0 && IsIdentChar(line[b - 1])) --b;
-        }
-        const std::string_view before = Trim(line.substr(0, b));
-        size_t a = pos + kPinType.size();
-        while (a < line.size() && line[a] == ' ') ++a;
-        const std::string_view name = IdentAt(line, a);
-        a += name.size();
-        while (a < line.size() && line[a] == ' ') ++a;
-        const char next = a < line.size() ? line[a] : '\0';
-        if ((before.empty() || before == "const") && !name.empty() &&
-            (next == '=' || next == '(' || next == '{')) {
-          pins.emplace(name);  // a local initialised here, or a function
-        } else if (!(before == "class" && name.empty() && next == ';')) {
-          add(i, "pin-escape",
-              kPinType +
-                  " outside a local initialised on its line or a function "
-                  "return type: a pin in a member, container or parameter "
-                  "can outlive its scope and stall epoch reclamation");
-        }
-      }
-      // `auto ref = snapshots.Acquire();` makes `ref` a pin local too.
-      const size_t eq = line.find(" = ");
-      for (const std::string_view call : kPinSources) {
-        if (eq != std::string_view::npos &&
-            FindIdent(line, call, eq) != std::string_view::npos) {
-          size_t b = eq;
-          while (b > 0 && IsIdentChar(line[b - 1])) --b;
-          if (b < eq) pins.emplace(line.substr(b, eq - b));
-        }
-      }
-      // A capture list is a `[...]` not following an identifier, `]` or
-      // `)` (those are subscripts) and followed by `(` or `{`.
-      for (size_t open = line.find('['); open != std::string_view::npos;
-           open = line.find('[', open + 1)) {
-        const char prev = open == 0 ? ' ' : line[open - 1];
-        const size_t close = line.find(']', open);
-        if (IsIdentChar(prev) || prev == ']' || prev == ')' ||
-            close == std::string_view::npos) {
-          continue;
-        }
-        const size_t after = line.find_first_not_of(' ', close + 1);
-        if (after == std::string_view::npos ||
-            (line[after] != '(' && line[after] != '{')) {
-          continue;
-        }
-        for (const std::string& pin : pins) {
-          if (FindIdent(line.substr(0, close), pin, open) !=
-              std::string_view::npos) {
-            add(i, "pin-escape",
-                "lambda captures epoch pin '" + pin +
-                    "'; the capture can outlive the scope that acquired "
-                    "it");
-            break;
-          }
-        }
       }
     }
   }

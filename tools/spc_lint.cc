@@ -11,9 +11,9 @@
 /// violations of the repo-specific rules in tools/lint_rules.h
 /// (metric-name catalog membership, the raw-mutex ban,
 /// memory_order_relaxed and (void)-cast justification comments,
-/// hot-path libc bans, include-guard hygiene, the src/ layer DAG and
-/// epoch-pin escape). The compiler rejects NO_THREAD_SAFETY_ANALYSIS:
-/// the macro is not defined.
+/// hot-path libc bans, include-guard hygiene and the src/ layer DAG).
+/// The compiler rejects NO_THREAD_SAFETY_ANALYSIS: the macro is not
+/// defined.
 ///
 ///   spc_lint [--root <repo-root>]
 ///
