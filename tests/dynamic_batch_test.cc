@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -307,10 +308,42 @@ Graph MakeCommunities(VertexId communities, VertexId size, EdgeId edges,
   return builder.Build();
 }
 
+/// The multi-threaded index must leave exactly the labels of its
+/// `num_threads = 1` twin: the same (hub rank, distance, count) entries
+/// at every vertex.
+void ExpectSameLabels(const DynamicSpcIndex& index,
+                      const DynamicSpcIndex& twin, int round) {
+  for (VertexId v = 0; v < twin.NumVertices(); ++v) {
+    const std::span<const LabelEntry> got = index.Labels(v);
+    const std::span<const LabelEntry> want = twin.Labels(v);
+    ASSERT_EQ(got.size(), want.size())
+        << "round " << round << " vertex " << v;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].hub_rank, want[i].hub_rank)
+          << "round " << round << " vertex " << v << " entry " << i;
+      ASSERT_EQ(got[i].dist, want[i].dist)
+          << "round " << round << " vertex " << v << " entry " << i;
+      ASSERT_EQ(got[i].count, want[i].count)
+          << "round " << round << " vertex " << v << " entry " << i;
+    }
+  }
+}
+
+/// ... and do exactly its repair work.
+void ExpectSameRepairWork(const DynamicStats& got, const DynamicStats& want) {
+  EXPECT_EQ(got.affected_hubs, want.affected_hubs);
+  EXPECT_EQ(got.subtract_repairs, want.subtract_repairs);
+  EXPECT_EQ(got.entries_inserted, want.entries_inserted);
+  EXPECT_EQ(got.entries_renewed, want.entries_renewed);
+  EXPECT_EQ(got.entries_erased, want.entries_erased);
+}
+
 TEST(ParallelWaveTest, DisjointRegionsRepairConcurrently) {
   const Graph start = MakeCommunities(6, 16, 34, 41);
   DynamicSpcIndex index(start, SmallBuildOptions(),
                         NoRebuildOptions(/*num_threads=*/4));
+  DynamicSpcIndex twin(start, SmallBuildOptions(),
+                       NoRebuildOptions(/*num_threads=*/1));
   EdgeMirror mirror(start);
   Rng rng(4242);
 
@@ -332,6 +365,8 @@ TEST(ParallelWaveTest, DisjointRegionsRepairConcurrently) {
       mirror.Apply({u, v, EdgeUpdateKind::kDelete});
     }
     ASSERT_TRUE(index.ApplyBatch(batch).ok()) << "round " << round;
+    ASSERT_TRUE(twin.ApplyBatch(batch).ok()) << "round " << round;
+    ASSERT_NO_FATAL_FAILURE(ExpectSameLabels(index, twin, round));
 
     const Graph now = mirror.Materialize();
     for (const auto& [s, t] : testing::AllPairs(now.NumVertices())) {
@@ -339,6 +374,7 @@ TEST(ParallelWaveTest, DisjointRegionsRepairConcurrently) {
           << "round " << round << " pair (" << s << "," << t << ")";
     }
   }
+  ExpectSameRepairWork(index.Stats(), twin.Stats());
   // The disjoint communities must actually have exercised the
   // staged-write wave path, not just the sequential fallback.
   EXPECT_GT(index.Stats().parallel_waves, 0u);
@@ -352,18 +388,23 @@ TEST(ParallelWaveTest, OverlappingRegionsStayExact) {
   const Graph start = GenerateWattsStrogatz(64, 4, 0.3, 51);
   DynamicSpcIndex index(start, SmallBuildOptions(),
                         NoRebuildOptions(/*num_threads=*/4));
+  DynamicSpcIndex twin(start, SmallBuildOptions(),
+                       NoRebuildOptions(/*num_threads=*/1));
   EdgeMirror mirror(start);
   Rng rng(5151);
 
   for (int round = 0; round < 5; ++round) {
     const EdgeUpdateBatch batch = mirror.SampleBatch(rng, 14);
     ASSERT_TRUE(index.ApplyBatch(batch).ok());
+    ASSERT_TRUE(twin.ApplyBatch(batch).ok());
+    ASSERT_NO_FATAL_FAILURE(ExpectSameLabels(index, twin, round));
     const Graph now = mirror.Materialize();
     for (const auto& [s, t] : testing::AllPairs(now.NumVertices())) {
       ASSERT_EQ(index.Query(s, t), BfsSpcPair(now, s, t))
           << "round " << round << " pair (" << s << "," << t << ")";
     }
   }
+  ExpectSameRepairWork(index.Stats(), twin.Stats());
 }
 
 }  // namespace
