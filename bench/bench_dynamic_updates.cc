@@ -200,7 +200,7 @@ void RunCase(const BenchCase& bench, size_t num_updates,
     const double mean = sum / static_cast<double>(ms.size());
     std::printf(
         "%s: %zu updates, mean %.3f ms, p50 %.3f ms, p95 %.3f ms, "
-        "max %.0f ms -> %.0fx faster than rebuild\n",
+        "max %.0f ms -> %.1fx faster than rebuild\n",
         label, ms.size(), mean, pspc::Percentile(ms, 0.5), pspc::Percentile(ms, 0.95),
         *std::max_element(ms.begin(), ms.end()),
         rebuild_seconds * 1e3 / mean);
@@ -214,7 +214,7 @@ void RunCase(const BenchCase& bench, size_t num_updates,
   for (const double x : all) sum += x;
   const double mean = sum / static_cast<double>(all.size());
   const double speedup = rebuild_seconds * 1e3 / mean;
-  std::printf("overall: mean %.3f ms/update -> %.0fx vs rebuild %s\n", mean,
+  std::printf("overall: mean %.3f ms/update -> %.1fx vs rebuild %s\n", mean,
               speedup, speedup >= 10.0 ? "(target >=10x met)"
                                        : "(BELOW the 10x target!)");
   std::printf("oracle: %zu spot-checks, %zu mismatches%s\n",
@@ -350,13 +350,10 @@ bool RunBatchComparison(const std::string& name, const pspc::Graph& graph,
               sequential.Stats().affected_hubs,
               sequential.Stats().subtract_repairs);
   std::printf("batched:    %.3fs, %zu hub runs (%zu resumed BFS, %zu full "
-              "re-runs, %zu subtractions; %zu coalesced updates, "
-              "%zu waves, %zu deferred)\n",
+              "re-runs, %zu subtractions; %zu coalesced updates)\n",
               batch_seconds, batch_runs, batched.Stats().resumed_bfs_runs,
               batched.Stats().affected_hubs, batched.Stats().subtract_repairs,
-              batched.Stats().updates_coalesced,
-              batched.Stats().parallel_waves,
-              batched.Stats().deferred_hub_runs);
+              batched.Stats().updates_coalesced);
   const double saved =
       seq_runs == 0 ? 0.0
                     : (static_cast<double>(seq_runs) -
@@ -487,7 +484,7 @@ bool RunDirectedCase(size_t num_updates, uint32_t divisor,
     for (const double x : ms) sum += x;
     const double mean = sum / static_cast<double>(ms.size());
     std::printf("%s: %zu updates, mean %.3f ms, p50 %.3f ms, p95 %.3f ms "
-                "-> %.0fx faster than rebuild\n",
+                "-> %.1fx faster than rebuild\n",
                 label, ms.size(), mean, pspc::Percentile(ms, 0.5),
                 pspc::Percentile(ms, 0.95), rebuild_seconds * 1e3 / mean);
   };

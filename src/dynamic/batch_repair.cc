@@ -1,38 +1,19 @@
 // Coalesced batch-deletion half of the undirected DynamicSpcIndex (see
 // the class comment in dynamic_spc_index.h): per-hub task planning
-// across the net-deleted edges of a batch, and the disjoint-region
-// parallel wave runner. Split from dynamic_spc_index.cc so the
-// single-update repair machinery and the batch orchestration stay
-// readable on their own.
+// across the net-deleted edges of a batch, and the ascending-rank task
+// run. Split from dynamic_spc_index.cc so the single-update repair
+// machinery and the batch orchestration stay readable on their own.
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
 #include "src/common/parallel.h"
-#include "src/common/saturating.h"
-#include "src/common/timer.h"
-#include "src/dynamic/batch_planner.h"
 #include "src/dynamic/dynamic_spc_index.h"
 
 namespace pspc {
-namespace {
-
-/// Folds the counters a hub repair can touch from a wave task's local
-/// stats into the index-wide stats.
-void MergeRepairStats(DynamicStats* into, const DynamicStats& from) {
-  into->affected_hubs += from.affected_hubs;
-  into->subtract_repairs += from.subtract_repairs;
-  into->entries_inserted += from.entries_inserted;
-  into->entries_renewed += from.entries_renewed;
-  into->entries_erased += from.entries_erased;
-}
-
-}  // namespace
 
 /// Planning artifact of one net-deleted edge: the two compressed
 /// affected regions, detected against the pre-batch graph and index.
@@ -314,13 +295,18 @@ void DynamicIndex<GraphT>::RepairDeletionsBatch(
     return t.subtract && t.depth_cap < t.seed_dist;
   });
 
-  ExecuteDeletionTasks(tasks, plans);
+  // `tasks` is in ascending global rank order (one task per rank group
+  // of the rank-sorted involvements), which keeps pruning sound: a
+  // re-run consults higher-ranked labels, which must already be
+  // repaired.
+  for (const DeletionTask& task : tasks) RunDeletionTask(task, plans);
 }
 
 template <class GraphT>
-void DynamicIndex<GraphT>::MaterializeTaskRegion(
-    const DeletionTask& task, const std::vector<DeletedEdgePlan>& plans,
-    RepairScratch& s) const {
+void DynamicIndex<GraphT>::RunDeletionTask(
+    const DeletionTask& task, const std::vector<DeletedEdgePlan>& plans) {
+  // Materialize the write region: the union of the task's regions.
+  RepairScratch& s = scratch_;
   for (const VertexId v : s.region_touched) s.region_flags[v] = 0;
   s.region_touched.clear();
   for (const auto& [edge, side] : task.regions) {
@@ -331,192 +317,16 @@ void DynamicIndex<GraphT>::MaterializeTaskRegion(
       }
     }
   }
-}
-
-template <class GraphT>
-void DynamicIndex<GraphT>::RunDeletionTaskLive(
-    const DeletionTask& task, const std::vector<DeletedEdgePlan>& plans,
-    RepairScratch& s, bool force_full) {
-  MaterializeTaskRegion(task, plans, s);
   const RegionView region{s.region_flags.data(), &s.region_touched};
-  LabelWriteSink sink(&overlays_.front());
   const SymmetricRepairView view = Forward();
-  if (task.subtract && !force_full &&
+  if (task.subtract &&
       repair::SubtractiveDeleteRepair(view, task.rank, task.start,
                                       task.seed_dist, task.seed_count,
-                                      task.depth_cap, region, s, sink,
-                                      &stats_)) {
+                                      task.depth_cap, region, s, &stats_)) {
     return;
   }
-  repair::RepairHubAfterDeletion(view, task.rank, region, s, sink, &stats_,
+  repair::RepairHubAfterDeletion(view, task.rank, region, s, &stats_,
                                  std::min(ResolvedThreads(), MaxThreads()));
-}
-
-template <class GraphT>
-void DynamicIndex<GraphT>::CommitStagedOps(std::span<const StagedLabelOp> ops) {
-  for (const StagedLabelOp& op : ops) {
-    std::vector<LabelEntry>& mv = overlays_.front().Mutable(op.v);
-    const auto it =
-        std::lower_bound(mv.begin(), mv.end(), op.entry, ByHubRank);
-    const bool present = it != mv.end() && it->hub_rank == op.entry.hub_rank;
-    if (op.erase) {
-      if (present) mv.erase(it);
-    } else if (present) {
-      *it = op.entry;
-    } else {
-      mv.insert(it, op.entry);
-    }
-  }
-}
-
-template <class GraphT>
-void DynamicIndex<GraphT>::ExecuteDeletionTasks(
-    std::vector<DeletionTask>& tasks,
-    const std::vector<DeletedEdgePlan>& plans) {
-  // Ascending global rank keeps pruning sound: a re-run consults
-  // higher-ranked labels, which must already be repaired.
-  std::sort(tasks.begin(), tasks.end(),
-            [](const DeletionTask& x, const DeletionTask& y) {
-              return x.rank < y.rank;
-            });
-  const int threads = ResolvedThreads();
-  if (threads <= 1 || tasks.size() < 2) {
-    for (const DeletionTask& task : tasks) {
-      RunDeletionTaskLive(task, plans, scratch_);
-    }
-    return;
-  }
-
-  // One disjoint-region wave over the whole task list. Every task
-  // whose claimed footprint (hub + write regions) is free of earlier
-  // claims joins the wave; a conflicting task *defers* to the
-  // sequential fixup but still claims the unowned part of its region
-  // as a barrier. Wave members write through staged ops against frozen
-  // labels, so members never race; the two cross-task dependencies
-  // left are both handled by the visit-time abort in
-  // RepairHubAfterDeletion:
-  //
-  //  * a member whose BFS traverses a lower-index member's region
-  //    could need that member's not-yet-committed entries for its
-  //    pruning certificates — it aborts and re-runs sequentially;
-  //  * a member whose BFS traverses a lower-index *deferred* task's
-  //    barrier would read entries the fixup has yet to write — same
-  //    abort.
-  //
-  // Claims are taken in ascending rank order, so "lower index" is
-  // "lower rank": the committed result is exactly the sequential
-  // ascending-rank result, independent of thread timing.
-  const VertexId n = base_graph_.NumVertices();
-  const size_t count = tasks.size();
-  std::vector<int32_t> claim(n, -1);
-  std::vector<uint8_t> in_wave(count, 0);
-  std::vector<VertexId> probe;
-  size_t wave_members = 0;
-  for (size_t j = 0; j < count; ++j) {
-    probe.clear();
-    probe.push_back(order_.VertexAt(tasks[j].rank));
-    for (const auto& [edge, side] : tasks[j].regions) {
-      for (const VertexId v : plans[edge].sides[side].touched) {
-        probe.push_back(v);
-      }
-    }
-    const auto self = static_cast<int32_t>(j);
-    bool conflict = false;
-    for (const VertexId v : probe) {
-      if (claim[v] != -1 && claim[v] != self) {
-        conflict = true;
-        break;
-      }
-    }
-    for (const VertexId v : probe) {
-      if (claim[v] == -1) claim[v] = self;
-    }
-    if (!conflict) {
-      in_wave[j] = 1;
-      ++wave_members;
-    }
-  }
-
-  if (wave_members < 2) {
-    for (const DeletionTask& task : tasks) {
-      RunDeletionTaskLive(task, plans, scratch_);
-    }
-    return;
-  }
-
-  struct WaveSlot {
-    std::vector<StagedLabelOp> staged;
-    DynamicStats local;
-    bool ok = false;
-  };
-  std::vector<WaveSlot> slots(count);
-  const size_t num_workers =
-      std::min<size_t>(static_cast<size_t>(threads), wave_members);
-  if (scratch_pool_.size() < num_workers) {
-    const size_t old = scratch_pool_.size();
-    scratch_pool_.resize(num_workers);
-    for (size_t w = old; w < num_workers; ++w) {
-      scratch_pool_[w].Init(n);
-    }
-  }
-  const SymmetricRepairView view = Forward();
-  const int sweep_threads = std::min(threads, MaxThreads());
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(num_workers);
-  for (size_t w = 0; w < num_workers; ++w) {
-    pool.emplace_back([&, w] {
-      RepairScratch& s = scratch_pool_[w];
-      for (;;) {
-        // relaxed: work-stealing cursor; only the claimed index
-        // matters, slot writes are ordered by the pool join.
-        const size_t idx = next.fetch_add(1, std::memory_order_relaxed);
-        if (idx >= count) return;
-        if (in_wave[idx] == 0) continue;  // deferred: sequential fixup
-        const DeletionTask& task = tasks[idx];
-        WaveSlot& slot = slots[idx];
-        MaterializeTaskRegion(task, plans, s);
-        const RegionView region{s.region_flags.data(), &s.region_touched};
-        LabelWriteSink sink(&slot.staged);
-        if (task.subtract) {
-          // Subtraction reads only its own rank's entries, which no
-          // other task writes — it cannot depend on in-flight work.
-          // Escalation (saturated counts) defers to the fixup, which
-          // re-runs the full repair live.
-          slot.ok = repair::SubtractiveDeleteRepair(
-              view, task.rank, task.start, task.seed_dist, task.seed_count,
-              task.depth_cap, region, s, sink, &slot.local);
-        } else {
-          slot.ok = repair::RepairHubAfterDeletion(
-              view, task.rank, region, s, sink, &slot.local, sweep_threads,
-              claim.data(), static_cast<int32_t>(idx));
-        }
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  ++stats_.parallel_waves;
-
-  // Commit completed members in rank order, then run everything else
-  // (deferred tasks, aborted members, escalated subtractions) live in
-  // rank order. A committed member provably never visited any
-  // lower-rank uncommitted work's region, so the interleaving is
-  // equivalent to the fully sequential order.
-  for (size_t idx = 0; idx < count; ++idx) {
-    if (in_wave[idx] == 0 || !slots[idx].ok) continue;
-    CommitStagedOps(slots[idx].staged);
-    MergeRepairStats(&stats_, slots[idx].local);
-    ++stats_.parallel_hub_runs;
-  }
-  for (size_t idx = 0; idx < count; ++idx) {
-    if (in_wave[idx] != 0 && slots[idx].ok) continue;
-    // A wave attempt that escalated a subtraction already proved it
-    // impossible (saturation depends only on inputs no other task
-    // writes), so the fixup goes straight to the full repair.
-    const bool force_full = in_wave[idx] != 0 && tasks[idx].subtract;
-    RunDeletionTaskLive(tasks[idx], plans, scratch_, force_full);
-    ++stats_.deferred_hub_runs;
-  }
 }
 
 template void DynamicIndex<Graph>::RepairDeletionsBatch(

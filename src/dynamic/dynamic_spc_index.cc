@@ -47,8 +47,6 @@ std::string DynamicStats::ToString() const {
       << "repair:  " << resumed_bfs_runs << " resumed BFS, "
       << affected_hubs << " hubs fully re-run, " << subtract_repairs
       << " hubs count-subtracted\n"
-      << "waves:   " << parallel_waves << " parallel, " << parallel_hub_runs
-      << " hub runs committed, " << deferred_hub_runs << " deferred\n"
       << "labels:  " << entries_inserted << " inserted, " << entries_renewed
       << " renewed, " << entries_erased << " erased\n"
       << "rebuilds: " << rebuilds << "\n"
@@ -276,21 +274,6 @@ Status DynamicIndex<GraphT>::ApplyBatch(const EdgeUpdateBatch& batch) {
     PublishMetrics();
     return Status::OK();
   }
-  if (plan.NetSize() == 1) {
-    // One net update: the tuned single-update path (its deletion
-    // classification is strictly sharper than the batch one).
-    const Status status =
-        plan.net_deletions.empty()
-            ? InsertEdge(plan.net_insertions[0].first,
-                         plan.net_insertions[0].second)
-            : DeleteEdge(plan.net_deletions[0].first,
-                         plan.net_deletions[0].second);
-    // The delegated path stamps its own last_* fields with plan cost
-    // zero; this batch did plan.
-    stats_.last_plan_us = plan_us;
-    return status;
-  }
-
   const double repair_before = stats_.repair_seconds;
   {
     ScopedTimer timer(&stats_.repair_seconds);

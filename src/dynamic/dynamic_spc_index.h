@@ -87,13 +87,9 @@
 ///    once, and each affected hub repairs **once** — a hub shared by
 ///    several regions escalates to a single full re-run over the union
 ///    of the opposite regions instead of one run per edge. Hubs repair
-///    in ascending rank order (the construction-order dependency); runs
-///    whose claimed regions are disjoint execute in parallel on a
-///    `std::thread` pool with per-thread BFS scratch, writing through
-///    staged label ops that commit in rank order — a task that would
-///    read another in-flight task's region aborts and re-runs
-///    sequentially, so the result is deterministic and identical to
-///    the sequential order.
+///    one at a time in ascending rank order (the construction-order
+///    dependency: a re-run prunes against higher-ranked hubs' labels,
+///    which must already be repaired).
 ///
 /// Between rebuilds the maintained labels satisfy: every pair with a
 /// positive trough count at the true shortest distance has a correct
@@ -115,18 +111,20 @@
 /// saturated counts remain saturating (as everywhere in the library).
 ///
 /// Threading: the index itself is externally single-threaded (one
-/// thread of control for reads and writes); the parallel phases above
-/// are internal. Concurrent serving goes through `src/serve/`: a
-/// writer thread applies updates here and publishes immutable
-/// `IndexSnapshot` generations (captured via `Generation()`,
-/// `SharedBaseIndex()` and `CaptureOverlays()`), which readers query
-/// without ever touching this object. Capture is O(delta since the
-/// previous capture) per label side: it freezes the chunked overlays
-/// by structural sharing instead of deep-copying them.
+/// thread of control for reads and writes). Every hub repair runs on
+/// the calling thread; only a deletion's stale-entry erasure sweep and
+/// the staleness rebuild use OpenMP teams internally. Concurrent
+/// serving goes through `src/serve/`: a writer thread applies updates
+/// here and publishes immutable `IndexSnapshot` generations (captured
+/// via `Generation()`, `SharedBaseIndex()` and `CaptureOverlays()`),
+/// which readers query without ever touching this object. Capture is
+/// O(delta since the previous capture) per label side: it freezes the
+/// chunked overlays by structural sharing instead of deep-copying
+/// them.
 namespace pspc {
 
-// DynamicOptions and DynamicStats (and the repair scratch/sink/view/
-// kernel machinery) live in repair_core.h.
+// DynamicOptions and DynamicStats (and the repair scratch/view/kernel
+// machinery) live in repair_core.h.
 
 template <class GraphT>
 class DynamicIndex {
@@ -318,22 +316,15 @@ class DynamicIndex {
   // -------------------------------------------------------- deletion
   void RepairDeletion(VertexId u, VertexId v);
   // Coalesced batch deletion, undirected only (batch_repair.cc
-  // defines it for `Graph`): per-hub task planning, then an
-  // ascending-rank task run with disjoint-region waves on a thread
-  // pool.
+  // defines it for `Graph`): per-hub task planning, then one task run
+  // per hub in ascending rank order.
   void RepairDeletionsBatch(
       const std::vector<std::pair<VertexId, VertexId>>& edges);
-  void ExecuteDeletionTasks(std::vector<DeletionTask>& tasks,
-                            const std::vector<DeletedEdgePlan>& plans);
-  // `force_full` skips a subtract task's subtraction attempt (used
-  // when a wave run already proved it must escalate).
-  void RunDeletionTaskLive(const DeletionTask& task,
-                           const std::vector<DeletedEdgePlan>& plans,
-                           RepairScratch& scratch, bool force_full = false);
-  void MaterializeTaskRegion(const DeletionTask& task,
-                             const std::vector<DeletedEdgePlan>& plans,
-                             RepairScratch& scratch) const;
-  void CommitStagedOps(std::span<const StagedLabelOp> ops);
+  // One task over the union of its regions: a full re-run, or the
+  // planned subtraction (escalating to a full re-run when the counts
+  // do not allow it).
+  void RunDeletionTask(const DeletionTask& task,
+                       const std::vector<DeletedEdgePlan>& plans);
 
   GraphT base_graph_;
   std::shared_ptr<const SpcIndex> base_;
@@ -347,9 +338,8 @@ class DynamicIndex {
   obs::FlightRecorder* recorder_;
   uint64_t generation_ = 0;
 
-  RepairScratch scratch_;                    // sequential paths
+  RepairScratch scratch_;  // every hub repair
   // Coalesced batch deletion only (undirected; empty when directed).
-  std::vector<RepairScratch> scratch_pool_;  // parallel waves (lazy)
   std::vector<uint8_t> subtract_side_;  // by rank; 1 = a-side, 2 = b-side
   std::vector<uint32_t> bucket_max_;    // by rank; max target entry dist
 };

@@ -78,8 +78,8 @@ struct DynamicOptions {
   /// directed one orders by `DirectedDegreeOrder` and reads only what
   /// `BuildDirectedPspcIndex` reads.
   BuildOptions rebuild_options;
-  /// Threads for the parallel repair phases (<= 0: all cores). At 1 a
-  /// coalesced batch runs its hub repairs sequentially.
+  /// Threads for a deletion repair's stale-entry erasure sweep (<= 0:
+  /// all cores). Every hub repair itself runs on the calling thread.
   int num_threads = 0;
   /// Registry receiving the `dynamic.*` metrics (counters mirrored
   /// from `Stats()`, stage-timing histograms, overlay gauges; a
@@ -103,9 +103,6 @@ struct DynamicStats {
   size_t rebuilds = 0;
   size_t batches_applied = 0;    ///< ApplyBatch calls that validated
   size_t updates_coalesced = 0;  ///< batch updates dropped as no-ops
-  size_t parallel_waves = 0;     ///< thread-pool waves launched
-  size_t parallel_hub_runs = 0;  ///< hub repairs committed off a wave
-  size_t deferred_hub_runs = 0;  ///< wave aborts re-run sequentially
   double repair_seconds = 0.0;
   double rebuild_seconds = 0.0;
   /// Per-batch stage costs of the most recent public mutation
@@ -125,9 +122,9 @@ struct DynamicStats {
   std::string ToString() const;
 };
 
-/// Reusable n-sized BFS scratch. One instance backs the sequential
-/// paths; parallel waves draw from a per-thread pool (repair BFS
-/// state must never be shared across concurrently running hubs).
+/// Reusable n-sized BFS scratch. Hub repairs run one at a time on the
+/// writer thread, so one instance per index backs them all; each
+/// repair resets what it set before it returns.
 struct RepairScratch {
   std::vector<uint32_t> hub_dist;   // by rank; kInfSpcDistance = unset
   std::vector<uint32_t> bfs_dist;   // by vertex; kInfSpcDistance = unset
@@ -152,57 +149,6 @@ struct RepairScratch {
     next_frontier.clear();
     region_touched.clear();
   }
-};
-
-/// Write destination for one hub repair: the live overlay (sequential
-/// paths), or a staged op list a parallel wave commits in rank order
-/// after every task of the wave finished. A hub task touches each
-/// vertex's own-rank entry at most once, so one staged op per (task,
-/// vertex) suffices and commit can re-find positions.
-struct StagedLabelOp {
-  VertexId v = 0;
-  LabelEntry entry{};  // carries the hub rank; payload unused on erase
-  bool erase = false;
-};
-
-class LabelWriteSink {
- public:
-  explicit LabelWriteSink(ChunkedOverlay* live) : live_(live) {}
-  explicit LabelWriteSink(std::vector<StagedLabelOp>* staged)
-      : staged_(staged) {}
-
-  bool staged() const { return staged_ != nullptr; }
-
-  /// Replaces the entry at `pos` (present) of v's list.
-  void Renew(VertexId v, size_t pos, const LabelEntry& e) {
-    if (staged_ != nullptr) {
-      staged_->push_back({v, e, false});
-    } else {
-      live_->Mutable(v)[pos] = e;
-    }
-  }
-  /// Inserts `e` at rank position `pos` of v's list.
-  void Insert(VertexId v, size_t pos, const LabelEntry& e) {
-    if (staged_ != nullptr) {
-      staged_->push_back({v, e, false});
-    } else {
-      std::vector<LabelEntry>& mv = live_->Mutable(v);
-      mv.insert(mv.begin() + static_cast<ptrdiff_t>(pos), e);
-    }
-  }
-  /// Erases the entry for `hub_rank` sitting at `pos` of v's list.
-  void Erase(VertexId v, size_t pos, Rank hub_rank) {
-    if (staged_ != nullptr) {
-      staged_->push_back({v, LabelEntry{hub_rank, 0, 0}, true});
-    } else {
-      std::vector<LabelEntry>& mv = live_->Mutable(v);
-      mv.erase(mv.begin() + static_cast<ptrdiff_t>(pos));
-    }
-  }
-
- private:
-  ChunkedOverlay* live_ = nullptr;
-  std::vector<StagedLabelOp>* staged_ = nullptr;
 };
 
 /// A hub repair's write region: non-zero `flags[v]` marks membership,
@@ -700,13 +646,12 @@ void MarkDistanceChanges(const View& view,
 /// is provably longer than the entry distance it would have to match.
 /// Returns false when saturation blocks subtraction — the caller
 /// escalates to RepairHubAfterDeletion (which recomputes anything this
-/// pass may already have written in live mode).
+/// pass may already have written).
 template <class View>
 bool SubtractiveDeleteRepair(const View& view, Rank hub_rank, VertexId start,
                              uint32_t seed_dist, Count seed_count,
                              uint32_t depth_cap, RegionView region,
-                             RepairScratch& s, LabelWriteSink& sink,
-                             DynamicStats* stats) {
+                             RepairScratch& s, DynamicStats* stats) {
   bool escalate = seed_count == kSaturatedCount;
   if (!escalate) {
     s.bfs_queue.clear();
@@ -732,16 +677,16 @@ bool SubtractiveDeleteRepair(const View& view, Rank hub_rank, VertexId start,
             // the only provable case — anything else escalates.
             if (old_entry.count != kSaturatedCount &&
                 s.bfs_count[v] == old_entry.count) {
-              sink.Erase(v, pos, hub_rank);
+              std::vector<LabelEntry>& mv = view.Mutable(v);
+              mv.erase(mv.begin() + static_cast<ptrdiff_t>(pos));
               ++stats->entries_erased;
             } else {
               escalate = true;
               break;
             }
           } else {
-            sink.Renew(v, pos,
-                       {hub_rank, old_entry.dist,
-                        old_entry.count - s.bfs_count[v]});
+            view.Mutable(v)[pos] = {hub_rank, old_entry.dist,
+                                    old_entry.count - s.bfs_count[v]};
             ++stats->entries_renewed;
           }
         }
@@ -779,18 +724,11 @@ bool SubtractiveDeleteRepair(const View& view, Rank hub_rank, VertexId start,
 /// count propagation only), followed by an erasure sweep: a region
 /// vertex the re-run did not confirm has lost its trough paths to this
 /// hub, so its entry (when present) is stale and must go.
-/// `sweep_threads` bounds the live-mode erasure sweep's parallel-for.
-/// Returns false iff the task aborted because it visited a vertex
-/// claimed by a lower-rank in-flight task (`claim_owner`, parallel
-/// waves only) — the caller re-runs it sequentially after the wave
-/// commits.
+/// `sweep_threads` bounds the erasure sweep's parallel-for.
 template <class View>
-bool RepairHubAfterDeletion(const View& view, Rank hub_rank,
+void RepairHubAfterDeletion(const View& view, Rank hub_rank,
                             RegionView region, RepairScratch& s,
-                            LabelWriteSink& sink, DynamicStats* stats,
-                            int sweep_threads,
-                            const int32_t* claim_owner = nullptr,
-                            int32_t claim_self = -1) {
+                            DynamicStats* stats, int sweep_threads) {
   const VertexId hub = view.VertexAt(hub_rank);
   LoadHubDist(view, hub, s);
 
@@ -800,23 +738,10 @@ bool RepairHubAfterDeletion(const View& view, Rank hub_rank,
   s.bfs_count[hub] = 1;
   s.bfs_queue.push_back(hub);
   s.bfs_touched.push_back(hub);
-  bool aborted = false;
 
   for (size_t head = 0; head < s.bfs_queue.size(); ++head) {
     const VertexId v = s.bfs_queue[head];
     const uint32_t dv = s.bfs_dist[v];
-
-    // Wave-mode dependency check: visiting a vertex claimed by a
-    // lower-rank in-flight task means this run could read that task's
-    // not-yet-committed entries — bail out, the caller re-runs this
-    // hub sequentially after the wave commits.
-    if (claim_owner != nullptr) {
-      const int32_t owner = claim_owner[v];
-      if (owner >= 0 && owner < claim_self) {
-        aborted = true;
-        break;
-      }
-    }
 
     if (v != hub) {
       const auto lv = view.Labels(v);
@@ -849,11 +774,13 @@ bool RepairHubAfterDeletion(const View& view, Rank hub_rank,
         // Affected pair: the old entry cannot be trusted; prune only
         // via strictly higher hubs, then renew/insert.
         if (dv > over) continue;
+        const LabelEntry entry{hub_rank, ToLabelDistance(dv), s.bfs_count[v]};
         if (!has_hub) {
-          sink.Insert(v, pos, {hub_rank, ToLabelDistance(dv), s.bfs_count[v]});
+          std::vector<LabelEntry>& mv = view.Mutable(v);
+          mv.insert(mv.begin() + static_cast<ptrdiff_t>(pos), entry);
           ++stats->entries_inserted;
         } else if (old_entry.dist != dv || old_entry.count != s.bfs_count[v]) {
-          sink.Renew(v, pos, {hub_rank, ToLabelDistance(dv), s.bfs_count[v]});
+          view.Mutable(v)[pos] = entry;
           ++stats->entries_renewed;
         }
         s.updated[v] = 1;
@@ -873,61 +800,46 @@ bool RepairHubAfterDeletion(const View& view, Rank hub_rank,
     });
   }
 
-  if (!aborted) {
-    if (sink.staged()) {
-      for (const VertexId v : *region.touched) {
-        if (view.RankOf(v) <= hub_rank || s.updated[v] != 0) continue;
-        const auto lv = view.Labels(v);
-        const size_t pos = FindHubEntry(lv, hub_rank);
-        if (pos < lv.size()) {
-          sink.Erase(v, pos, hub_rank);
-          ++stats->entries_erased;
-        }
-      }
-    } else {
-      // Per-vertex erases are independent, so the sweep is planned
-      // cost-aware (label sizes vary wildly) and runs through the
-      // shared parallel-for.
-      std::vector<VertexId> to_erase;
-      for (const VertexId v : *region.touched) {
-        if (view.RankOf(v) <= hub_rank || s.updated[v] != 0) continue;
-        const auto lv = view.Labels(v);
-        if (FindHubEntry(lv, hub_rank) < lv.size()) to_erase.push_back(v);
-      }
-      if (!to_erase.empty()) {
-        std::vector<uint64_t> costs;
-        costs.reserve(to_erase.size());
-        for (const VertexId v : to_erase) {
-          costs.push_back(view.Labels(v).size());
-        }
-        const SchedulePlan plan = PlanIteration(
-            ScheduleKind::kCostAware, to_erase, costs, view.VertexToRank());
-        // Copy-on-write materialization touches the overlay's shared
-        // spine (root/page/chunk unsharing) and stays sequential; the
-        // erases themselves hit disjoint private chunks.
-        std::vector<std::vector<LabelEntry>*> lists;
-        lists.reserve(plan.sequence.size());
-        for (const VertexId v : plan.sequence) {
-          lists.push_back(&view.Mutable(v));
-        }
-        // Capped by the OpenMP environment (OMP_NUM_THREADS): the TSan
-        // job pins teams to one thread because libgomp is not
-        // instrumented, and an explicit num_threads must not undo that.
-        ParallelForDynamic(lists.size(), sweep_threads, plan.chunk,
-                           [&](size_t i) {
-                             std::vector<LabelEntry>& mv = *lists[i];
-                             const size_t pos = FindHubEntry(
-                                 {mv.data(), mv.size()}, hub_rank);
-                             if (pos < mv.size()) {
-                               mv.erase(mv.begin() +
-                                        static_cast<ptrdiff_t>(pos));
-                             }
-                           });
-        stats->entries_erased += lists.size();
-      }
-    }
-    ++stats->affected_hubs;
+  // Per-vertex erases are independent, so the sweep is planned
+  // cost-aware (label sizes vary wildly) and runs through the shared
+  // parallel-for.
+  std::vector<VertexId> to_erase;
+  for (const VertexId v : *region.touched) {
+    if (view.RankOf(v) <= hub_rank || s.updated[v] != 0) continue;
+    const auto lv = view.Labels(v);
+    if (FindHubEntry(lv, hub_rank) < lv.size()) to_erase.push_back(v);
   }
+  if (!to_erase.empty()) {
+    std::vector<uint64_t> costs;
+    costs.reserve(to_erase.size());
+    for (const VertexId v : to_erase) {
+      costs.push_back(view.Labels(v).size());
+    }
+    const SchedulePlan plan = PlanIteration(
+        ScheduleKind::kCostAware, to_erase, costs, view.VertexToRank());
+    // Copy-on-write materialization touches the overlay's shared spine
+    // (root/page/chunk unsharing) and stays sequential; the erases
+    // themselves hit disjoint private chunks.
+    std::vector<std::vector<LabelEntry>*> lists;
+    lists.reserve(plan.sequence.size());
+    for (const VertexId v : plan.sequence) {
+      lists.push_back(&view.Mutable(v));
+    }
+    // Capped by the OpenMP environment (OMP_NUM_THREADS): the TSan job
+    // pins teams to one thread because libgomp is not instrumented,
+    // and an explicit num_threads must not undo that.
+    ParallelForDynamic(lists.size(), sweep_threads, plan.chunk,
+                       [&](size_t i) {
+                         std::vector<LabelEntry>& mv = *lists[i];
+                         const size_t pos =
+                             FindHubEntry({mv.data(), mv.size()}, hub_rank);
+                         if (pos < mv.size()) {
+                           mv.erase(mv.begin() + static_cast<ptrdiff_t>(pos));
+                         }
+                       });
+    stats->entries_erased += lists.size();
+  }
+  ++stats->affected_hubs;
 
   ResetHubDist(view, hub, s);
   for (const VertexId v : s.bfs_touched) {
@@ -935,7 +847,6 @@ bool RepairHubAfterDeletion(const View& view, Rank hub_rank,
     s.bfs_count[v] = 0;
     s.updated[v] = 0;
   }
-  return !aborted;
 }
 
 /// Shared state the deletion driver threads through the kernels.
@@ -1183,31 +1094,28 @@ void RepairEdgeDeletionPair(const ViewA& va, const ViewB& vb, VertexId a,
   // repaired; same-rank cross-side tasks touch disjoint label sides).
   std::sort(tasks.begin(), tasks.end(),
             [](const HubTask& x, const HubTask& y) { return x.rank < y.rank; });
-  LabelWriteSink sink_a(va.WriteOverlay());
-  LabelWriteSink sink_b(vb.WriteOverlay());
   RepairScratch& s = *ctx.scratch;
   auto run_task = [&](const auto& view, const HubTask& task,
-                      const AffectedSide& opposite, LabelWriteSink& sink,
+                      const AffectedSide& opposite,
                       const std::vector<uint32_t>& bucket) {
     const RegionView region{opposite.flags.data(), &opposite.touched};
     if (!task.subtract) {
-      RepairHubAfterDeletion(view, task.rank, region, s, sink, ctx.stats,
+      RepairHubAfterDeletion(view, task.rank, region, s, ctx.stats,
                              ctx.sweep_threads);
     } else if (bucket[task.rank] >= task.seed_dist) {
       if (!SubtractiveDeleteRepair(view, task.rank, task.start,
                                    task.seed_dist, task.seed_count,
-                                   bucket[task.rank], region, s, sink,
-                                   ctx.stats)) {
-        RepairHubAfterDeletion(view, task.rank, region, s, sink, ctx.stats,
+                                   bucket[task.rank], region, s, ctx.stats)) {
+        RepairHubAfterDeletion(view, task.rank, region, s, ctx.stats,
                                ctx.sweep_threads);
       }
     }
   };
   for (const HubTask& task : tasks) {
     if (task.on_b_side) {
-      run_task(vb, task, side_a, sink_b, bucket_b);
+      run_task(vb, task, side_a, bucket_b);
     } else {
-      run_task(va, task, side_b, sink_a, bucket_a);
+      run_task(va, task, side_b, bucket_a);
     }
   }
 }

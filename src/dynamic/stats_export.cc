@@ -18,9 +18,6 @@ DynamicStatsExporter::DynamicStatsExporter(MetricsRegistry* registry)
       entries_inserted_(registry_->GetCounter(kDynamicEntriesInsertedTotal)),
       entries_renewed_(registry_->GetCounter(kDynamicEntriesRenewedTotal)),
       entries_erased_(registry_->GetCounter(kDynamicEntriesErasedTotal)),
-      parallel_waves_(registry_->GetCounter(kDynamicParallelWavesTotal)),
-      parallel_hub_runs_(registry_->GetCounter(kDynamicParallelHubRunsTotal)),
-      deferred_hub_runs_(registry_->GetCounter(kDynamicDeferredHubRunsTotal)),
       rebuilds_(registry_->GetCounter(kDynamicRebuildsTotal)),
       generation_(registry_->GetGauge(kDynamicGeneration)),
       overlay_entries_(registry_->GetGauge(kDynamicOverlayEntries)),
@@ -47,9 +44,6 @@ void DynamicStatsExporter::ExportDelta(const DynamicStats& now) {
   push(entries_inserted_, now.entries_inserted, last_.entries_inserted);
   push(entries_renewed_, now.entries_renewed, last_.entries_renewed);
   push(entries_erased_, now.entries_erased, last_.entries_erased);
-  push(parallel_waves_, now.parallel_waves, last_.parallel_waves);
-  push(parallel_hub_runs_, now.parallel_hub_runs, last_.parallel_hub_runs);
-  push(deferred_hub_runs_, now.deferred_hub_runs, last_.deferred_hub_runs);
   push(rebuilds_, now.rebuilds, last_.rebuilds);
   last_ = now;
 }

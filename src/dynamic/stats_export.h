@@ -70,9 +70,6 @@ class DynamicStatsExporter {
   Counter* entries_inserted_;
   Counter* entries_renewed_;
   Counter* entries_erased_;
-  Counter* parallel_waves_;
-  Counter* parallel_hub_runs_;
-  Counter* deferred_hub_runs_;
   Counter* rebuilds_;
 
   Gauge* generation_;

@@ -92,12 +92,6 @@ inline constexpr char kDynamicEntriesRenewedTotal[] =
     "dynamic.entries_renewed_total";
 inline constexpr char kDynamicEntriesErasedTotal[] =
     "dynamic.entries_erased_total";
-inline constexpr char kDynamicParallelWavesTotal[] =
-    "dynamic.parallel_waves_total";
-inline constexpr char kDynamicParallelHubRunsTotal[] =
-    "dynamic.parallel_hub_runs_total";
-inline constexpr char kDynamicDeferredHubRunsTotal[] =
-    "dynamic.deferred_hub_runs_total";
 inline constexpr char kDynamicRebuildsTotal[] = "dynamic.rebuilds_total";
 
 inline constexpr char kDynamicGeneration[] = "dynamic.generation";
@@ -139,9 +133,6 @@ inline constexpr std::string_view kCounterNames[] = {
     kDynamicEntriesInsertedTotal,
     kDynamicEntriesRenewedTotal,
     kDynamicEntriesErasedTotal,
-    kDynamicParallelWavesTotal,
-    kDynamicParallelHubRunsTotal,
-    kDynamicDeferredHubRunsTotal,
     kDynamicRebuildsTotal,
     kObsHealthTransitionsTotal,
 };

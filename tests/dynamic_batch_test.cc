@@ -1,8 +1,9 @@
 // Coalesced ApplyBatch: planner semantics (atomic validation,
 // canceling-pair coalescing), the batched ≡ sequential ≡ BFS-oracle
 // equivalence across randomized mixed batches with overlapping
-// affected hubs, and the disjoint-region parallel wave runner (the
-// TSan target for the concurrent hub re-run path).
+// affected hubs, and coalesced deletions over disjoint and overlapping
+// regions, whose labels must match a single-threaded twin's byte for
+// byte.
 
 #include <gtest/gtest.h>
 
@@ -211,7 +212,7 @@ struct BatchCase {
   std::string name;
   Graph (*make)();
   uint64_t seed;
-  int num_threads;  // for the batched index; 1 runs the waves sequentially
+  int num_threads;  // for the batched index; 1 runs the erasure sweep inline
 };
 
 Graph MakeEr() { return GenerateErdosRenyi(48, 110, 21); }
@@ -238,10 +239,10 @@ class BatchOracleTest : public ::testing::TestWithParam<int> {
 // The central acceptance property of the coalesced path: applying a
 // mixed batch at once answers exactly like applying it update by
 // update, and both match a BFS on the final graph — across graph
-// families, with the parallel wave runner on and off. Regions of the
+// families, with the parallel erasure sweep on and off. Regions of the
 // batch's deletions overlap heavily (they come from one 48-vertex
 // graph), so hub coalescing and multi-region escalation are exercised,
-// not just the disjoint fast path.
+// not just single-region hubs.
 TEST_P(BatchOracleTest, BatchedEqualsSequentialEqualsOracle) {
   const Graph start = Case().make();
   DynamicSpcIndex batched(start, SmallBuildOptions(),
@@ -287,13 +288,11 @@ INSTANTIATE_TEST_SUITE_P(
       return kBatchCases[info.param].name;
     });
 
-// ------------------------------------------------- parallel wave path
+// ------------------------------------------- disjoint and overlapping
 
 /// Several disconnected communities: deletions in different
-/// communities have disjoint affected regions, so the wave runner
-/// executes them concurrently (the TSan target — run with
-/// OMP_NUM_THREADS=1 under `-fsanitize=thread`, the std::thread pool
-/// is fully instrumented).
+/// communities have pairwise disjoint affected regions, so every hub
+/// task of a batch writes a region no other task reads.
 Graph MakeCommunities(VertexId communities, VertexId size, EdgeId edges,
                       uint64_t seed) {
   GraphBuilder builder(communities * size);
@@ -338,7 +337,7 @@ void ExpectSameRepairWork(const DynamicStats& got, const DynamicStats& want) {
   EXPECT_EQ(got.entries_erased, want.entries_erased);
 }
 
-TEST(ParallelWaveTest, DisjointRegionsRepairConcurrently) {
+TEST(ApplyBatchTest, DisjointDeletionsStayExact) {
   const Graph start = MakeCommunities(6, 16, 34, 41);
   DynamicSpcIndex index(start, SmallBuildOptions(),
                         NoRebuildOptions(/*num_threads=*/4));
@@ -375,16 +374,12 @@ TEST(ParallelWaveTest, DisjointRegionsRepairConcurrently) {
     }
   }
   ExpectSameRepairWork(index.Stats(), twin.Stats());
-  // The disjoint communities must actually have exercised the
-  // staged-write wave path, not just the sequential fallback.
-  EXPECT_GT(index.Stats().parallel_waves, 0u);
-  EXPECT_GT(index.Stats().parallel_hub_runs, 0u);
 }
 
-TEST(ParallelWaveTest, OverlappingRegionsStayExact) {
+TEST(ApplyBatchTest, OverlappingDeletionsStayExact) {
   // The adversarial counterpart: deletions clustered in one dense
-  // graph, so waves are short, claims collide, and the abort/defer
-  // fixup runs. Exactness must be independent of thread timing.
+  // graph, so the affected regions of a batch overlap and shared hubs
+  // escalate to full re-runs over the union of their regions.
   const Graph start = GenerateWattsStrogatz(64, 4, 0.3, 51);
   DynamicSpcIndex index(start, SmallBuildOptions(),
                         NoRebuildOptions(/*num_threads=*/4));
