@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/common/logging.h"
-#include "src/common/parallel.h"
 #include "src/dynamic/dynamic_spc_index.h"
 
 namespace pspc {
@@ -326,7 +325,7 @@ void DynamicIndex<GraphT>::RunDeletionTask(
     return;
   }
   repair::RepairHubAfterDeletion(view, task.rank, region, s, &stats_,
-                                 std::min(ResolvedThreads(), MaxThreads()));
+                                 SweepThreads());
 }
 
 template void DynamicIndex<Graph>::RepairDeletionsBatch(

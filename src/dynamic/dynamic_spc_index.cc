@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/parallel.h"
 #include "src/common/timer.h"
 #include "src/core/builder_facade.h"
 #include "src/core/pspc_builder.h"
@@ -369,7 +368,7 @@ void DynamicIndex<GraphT>::RepairDeletion(VertexId u, VertexId v) {
   repair::RepairContext ctx;
   ctx.scratch = &scratch_;
   ctx.stats = &stats_;
-  ctx.sweep_threads = std::min(ResolvedThreads(), MaxThreads());
+  ctx.sweep_threads = SweepThreads();
   repair::RepairEdgeDeletionPair(Forward(), Backward(), u, v, ctx, [&] {
     PSPC_CHECK(graph_.RemoveEdge(u, v).ok());
   });

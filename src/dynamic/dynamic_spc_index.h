@@ -1,6 +1,7 @@
 #ifndef PSPC_SRC_DYNAMIC_DYNAMIC_SPC_INDEX_H_
 #define PSPC_SRC_DYNAMIC_DYNAMIC_SPC_INDEX_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -295,8 +296,12 @@ class DynamicIndex {
   /// Mirrors `stats_` deltas into the registry and refreshes the
   /// overlay/generation gauges; tail of every public mutation.
   void PublishMetrics();
-  int ResolvedThreads() const {
-    return options_.num_threads > 0 ? options_.num_threads : MaxThreads();
+  /// The erasure sweep's team size: `num_threads` (<= 0: all cores),
+  /// capped by the OpenMP environment.
+  int SweepThreads() const {
+    return options_.num_threads > 0
+               ? std::min(options_.num_threads, MaxThreads())
+               : MaxThreads();
   }
 
   /// The kernel views over the live graph, overlays and order. The

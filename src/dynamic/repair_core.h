@@ -774,13 +774,14 @@ void RepairHubAfterDeletion(const View& view, Rank hub_rank,
         // Affected pair: the old entry cannot be trusted; prune only
         // via strictly higher hubs, then renew/insert.
         if (dv > over) continue;
-        const LabelEntry entry{hub_rank, ToLabelDistance(dv), s.bfs_count[v]};
         if (!has_hub) {
           std::vector<LabelEntry>& mv = view.Mutable(v);
-          mv.insert(mv.begin() + static_cast<ptrdiff_t>(pos), entry);
+          mv.insert(mv.begin() + static_cast<ptrdiff_t>(pos),
+                    {hub_rank, ToLabelDistance(dv), s.bfs_count[v]});
           ++stats->entries_inserted;
         } else if (old_entry.dist != dv || old_entry.count != s.bfs_count[v]) {
-          view.Mutable(v)[pos] = entry;
+          view.Mutable(v)[pos] = {hub_rank, ToLabelDistance(dv),
+                                  s.bfs_count[v]};
           ++stats->entries_renewed;
         }
         s.updated[v] = 1;
