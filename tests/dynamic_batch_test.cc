@@ -3,7 +3,7 @@
 // equivalence across randomized mixed batches with overlapping
 // affected hubs, and coalesced deletions over disjoint and overlapping
 // regions, whose labels must match a single-threaded twin's byte for
-// byte.
+// byte; and the pinned repair work of fixed mixed streams.
 
 #include <gtest/gtest.h>
 
@@ -66,31 +66,36 @@ class EdgeMirror {
     return builder.Build();
   }
 
-  /// Random mixed batch, valid against the mirrored state (and applied
-  /// to it): `deletes` existing edges and `inserts` absent pairs,
-  /// interleaved. Deleting near-random edges of one graph produces
-  /// heavily overlapping affected regions by construction.
+  /// Random update, valid against the mirrored state (and applied to
+  /// it): a delete of an existing edge if `remove`, else an insert of
+  /// an absent pair.
+  EdgeUpdate SampleUpdate(Rng& rng, bool remove) {
+    EdgeUpdate up;
+    if (remove) {
+      auto it = edges_.begin();
+      std::advance(it, static_cast<long>(rng.NextBounded(edges_.size())));
+      up = {it->first, it->second, EdgeUpdateKind::kDelete};
+    } else {
+      while (true) {
+        const auto u = static_cast<VertexId>(rng.NextBounded(n_));
+        const auto v = static_cast<VertexId>(rng.NextBounded(n_));
+        if (u != v && !edges_.contains(std::minmax(u, v))) {
+          up = {std::min(u, v), std::max(u, v), EdgeUpdateKind::kInsert};
+          break;
+        }
+      }
+    }
+    Apply(up);
+    return up;
+  }
+
+  /// Random mixed batch of `size` such updates, deletes and inserts
+  /// interleaved at random. Deleting near-random edges of one graph
+  /// produces heavily overlapping affected regions by construction.
   EdgeUpdateBatch SampleBatch(Rng& rng, size_t size) {
     EdgeUpdateBatch batch;
     for (size_t i = 0; i < size; ++i) {
-      const bool remove = !edges_.empty() && rng.NextBool(0.5);
-      EdgeUpdate up;
-      if (remove) {
-        auto it = edges_.begin();
-        std::advance(it, static_cast<long>(rng.NextBounded(edges_.size())));
-        up = {it->first, it->second, EdgeUpdateKind::kDelete};
-      } else {
-        while (true) {
-          const auto u = static_cast<VertexId>(rng.NextBounded(n_));
-          const auto v = static_cast<VertexId>(rng.NextBounded(n_));
-          if (u != v && !edges_.contains(std::minmax(u, v))) {
-            up = {std::min(u, v), std::max(u, v), EdgeUpdateKind::kInsert};
-            break;
-          }
-        }
-      }
-      batch.Add(up);
-      Apply(up);
+      batch.Add(SampleUpdate(rng, !edges_.empty() && rng.NextBool(0.5)));
     }
     return batch;
   }
@@ -400,6 +405,52 @@ TEST(ApplyBatchTest, OverlappingDeletionsStayExact) {
     }
   }
   ExpectSameRepairWork(index.Stats(), twin.Stats());
+}
+
+// ------------------------------------------------- pinned repair work
+
+// Exact answers do not show which repair ran, so this pins it: the
+// repair work and the labels a fixed 64-update stream (alternately an
+// insert and a delete) leaves, update by update and in batches of 8,
+// with the erasure sweep on 1 and on 4 threads. The grid's batches run
+// the coalesced deletion driver; the BA graph's cut over to replaying
+// their deletions edge by edge. A deliberate repair change updates
+// these pins in a commit of its own.
+TEST(ApplyBatchTest, RepairWorkPinned) {
+  struct PinCase {
+    const char* name;
+    Graph graph;
+    testing::RepairPin sequential;
+    testing::RepairPin batched;
+  };
+  const PinCase cases[] = {
+      {"barabasi_albert",
+       GenerateBarabasiAlbert(400, 3, 11),
+       {1311, 248, 256, 906, 1313, 493, 0xdfffe2ba2e718e4dull},
+       {601, 246, 255, 903, 1308, 489, 0x65f42e3f301eb2b5ull}},
+      {"road_grid",
+       GenerateRoadGrid(12, 12, 0.9, 0.0, 3),
+       {979, 488, 472, 1933, 13380, 2944, 0x5fa4a6386049ecddull},
+       {446, 657, 306, 1948, 11636, 3009, 0xe85ea7202a864a7dull}},
+  };
+  for (const PinCase& c : cases) {
+    EdgeMirror mirror(c.graph);
+    Rng rng(29);
+    EdgeUpdateBatch stream;
+    for (int i = 0; i < 64; ++i) {
+      stream.Add(mirror.SampleUpdate(rng, /*remove=*/i % 2 == 1));
+    }
+    const SpcIndex built = BuildIndex(c.graph, SmallBuildOptions()).index;
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << c.name << ", " << threads
+                                        << " sweep threads");
+      const auto [sequential, batched] =
+          testing::RunRepairStream<DynamicSpcIndex>(
+              c.graph, built, NoRebuildOptions(threads), stream, 8);
+      EXPECT_EQ(sequential, c.sequential);
+      EXPECT_EQ(batched, c.batched);
+    }
+  }
 }
 
 }  // namespace

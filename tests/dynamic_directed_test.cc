@@ -2,8 +2,9 @@
 // exactness against the DiBfsSpcPair oracle across randomized mixed
 // insert/delete streams, the batched ≡ sequential ≡ oracle equivalence
 // (mirroring tests/dynamic_batch_test.cc), direction distinctness
-// (u -> v and v -> u never conflate), atomic batch validation, and the
-// staleness-rebuild path.
+// (u -> v and v -> u never conflate), atomic batch validation, the
+// staleness-rebuild path, and the pinned repair work of a fixed mixed
+// stream.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "src/common/random.h"
 #include "src/core/builder_facade.h"
+#include "src/core/pspc_builder.h"
 #include "src/digraph/dbfs_spc.h"
 #include "src/digraph/digraph.h"
 #include "src/dynamic/dynamic_spc_index.h"
@@ -56,30 +58,35 @@ class DiEdgeMirror {
     return builder.Build();
   }
 
-  /// Random mixed batch, valid against the mirrored state (and applied
-  /// to it): deletes existing directed edges and inserts absent
-  /// ordered pairs, interleaved.
+  /// Random update, valid against the mirrored state (and applied to
+  /// it): a delete of an existing directed edge if `remove`, else an
+  /// insert of an absent ordered pair.
+  EdgeUpdate SampleUpdate(Rng& rng, bool remove) {
+    EdgeUpdate up;
+    if (remove) {
+      auto it = edges_.begin();
+      std::advance(it, static_cast<long>(rng.NextBounded(edges_.size())));
+      up = {it->first, it->second, EdgeUpdateKind::kDelete};
+    } else {
+      while (true) {
+        const auto u = static_cast<VertexId>(rng.NextBounded(n_));
+        const auto v = static_cast<VertexId>(rng.NextBounded(n_));
+        if (u != v && !edges_.contains({u, v})) {
+          up = {u, v, EdgeUpdateKind::kInsert};
+          break;
+        }
+      }
+    }
+    Apply(up);
+    return up;
+  }
+
+  /// Random mixed batch of `size` such updates, deletes and inserts
+  /// interleaved at random.
   EdgeUpdateBatch SampleBatch(Rng& rng, size_t size) {
     EdgeUpdateBatch batch;
     for (size_t i = 0; i < size; ++i) {
-      const bool remove = !edges_.empty() && rng.NextBool(0.5);
-      EdgeUpdate up;
-      if (remove) {
-        auto it = edges_.begin();
-        std::advance(it, static_cast<long>(rng.NextBounded(edges_.size())));
-        up = {it->first, it->second, EdgeUpdateKind::kDelete};
-      } else {
-        while (true) {
-          const auto u = static_cast<VertexId>(rng.NextBounded(n_));
-          const auto v = static_cast<VertexId>(rng.NextBounded(n_));
-          if (u != v && !edges_.contains({u, v})) {
-            up = {u, v, EdgeUpdateKind::kInsert};
-            break;
-          }
-        }
-      }
-      batch.Add(up);
-      Apply(up);
+      batch.Add(SampleUpdate(rng, !edges_.empty() && rng.NextBool(0.5)));
     }
     return batch;
   }
@@ -385,6 +392,39 @@ TEST(DynamicDspcTest, StalenessAndGaugesSumBothOverlays) {
             static_cast<int64_t>(entries));
   EXPECT_EQ(registry.GetGauge(obs::kDynamicOverlayVertices)->Value(),
             static_cast<int64_t>(vertices));
+}
+
+// ------------------------------------------------- pinned repair work
+
+// The directed twin of `ApplyBatchTest.RepairWorkPinned`: a fixed
+// 64-update stream (alternately an insert and a delete), update by
+// update and in batches of 8, so each batch carries four net
+// deletions, with the erasure sweep on 1 and on 4 threads.
+TEST(DirectedApplyBatchTest, RepairWorkPinned) {
+  const DiGraph graph = GenerateRandomDiGraph(300, 1500, 7);
+  const testing::RepairPin want_sequential{3262, 532, 464, 2105, 5897, 909,
+                                           0x9e469b2ba960cf9cull};
+  const testing::RepairPin want_batched{1514, 531, 467, 2106, 5875, 901,
+                                        0x778d122285f3aa8aull};
+  DiEdgeMirror mirror(graph);
+  Rng rng(29);
+  EdgeUpdateBatch stream;
+  for (int i = 0; i < 64; ++i) {
+    stream.Add(mirror.SampleUpdate(rng, /*remove=*/i % 2 == 1));
+  }
+  const SpcIndex built =
+      BuildDirectedPspcIndex(graph, DirectedDegreeOrder(graph), BuildOptions{})
+          .index;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " sweep threads");
+    DynamicOptions options = NoRebuildOptions();
+    options.num_threads = threads;
+    const auto [sequential, batched] =
+        testing::RunRepairStream<DynamicDspcIndex>(graph, built, options,
+                                                   stream, 8);
+    EXPECT_EQ(sequential, want_sequential);
+    EXPECT_EQ(batched, want_batched);
+  }
 }
 
 }  // namespace

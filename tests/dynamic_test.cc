@@ -11,6 +11,7 @@
 #include "src/core/builder_facade.h"
 #include "src/core/pspc_builder.h"
 #include "src/digraph/digraph.h"
+#include "src/dynamic/dynamic_digraph.h"
 #include "src/dynamic/dynamic_graph.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
@@ -404,6 +405,76 @@ TEST(DynamicGraphTest, AddRemoveRoundTrip) {
   ASSERT_TRUE(view.AddEdge(2, 1).ok());  // un-remove a base edge
   EXPECT_EQ(view.NumEdges(), g.NumEdges());
   EXPECT_EQ(view.Materialize(), g);
+}
+
+TEST(DynamicGraphTest, DirectedOverlayMatchesMaterialized) {
+  const DiGraph g = GenerateRandomDiGraph(24, 80, 43);
+  DynamicDiGraph view(&g);
+  std::set<std::pair<VertexId, VertexId>> arcs;
+  for (VertexId u = 0; u < 24; ++u) {
+    for (const VertexId v : g.OutNeighbors(u)) arcs.insert({u, v});
+  }
+  const auto random_arc = [&](Rng& rng) {
+    auto it = arcs.begin();
+    std::advance(it, static_cast<long>(rng.NextBounded(arcs.size())));
+    return *it;
+  };
+
+  Rng rng(43);
+  std::vector<std::pair<VertexId, VertexId>> removed_base;
+  for (int step = 0; step < 60; ++step) {
+    // Cycle through: remove a live arc, toggle the reverse of a live
+    // arc, un-remove a removed base arc, toggle a random ordered pair.
+    std::pair<VertexId, VertexId> arc;
+    if (step % 4 == 0) {
+      arc = random_arc(rng);
+    } else if (step % 4 == 1) {
+      const auto [u, v] = random_arc(rng);
+      arc = {v, u};
+    } else if (step % 4 == 2 && !removed_base.empty()) {
+      arc = removed_base.back();
+      removed_base.pop_back();
+    } else {
+      do {
+        arc = {static_cast<VertexId>(rng.NextBounded(24)),
+               static_cast<VertexId>(rng.NextBounded(24))};
+      } while (arc.first == arc.second);
+    }
+    const auto [u, v] = arc;
+    if (arcs.erase(arc) != 0) {
+      ASSERT_TRUE(view.RemoveEdge(u, v).ok()) << "step " << step;
+      if (g.HasEdge(u, v)) removed_base.push_back(arc);
+    } else {
+      ASSERT_TRUE(view.AddEdge(u, v).ok()) << "step " << step;
+      arcs.insert(arc);
+    }
+    EXPECT_EQ(view.HasEdge(u, v), arcs.contains({u, v})) << "step " << step;
+    EXPECT_EQ(view.HasEdge(v, u), arcs.contains({v, u})) << "step " << step;
+
+    const DiGraph snapshot = view.Materialize();
+    ASSERT_TRUE(snapshot == MakeDiGraph(24, {arcs.begin(), arcs.end()}))
+        << "step " << step;
+    ASSERT_EQ(view.NumEdges(), arcs.size()) << "step " << step;
+    for (VertexId x = 0; x < 24; ++x) {
+      std::vector<VertexId> out, in;
+      view.ForEachOutNeighbor(x, [&](VertexId w) { out.push_back(w); });
+      view.ForEachInNeighbor(x, [&](VertexId w) { in.push_back(w); });
+      std::sort(out.begin(), out.end());
+      std::sort(in.begin(), in.end());
+      const auto want_out = snapshot.OutNeighbors(x);
+      const auto want_in = snapshot.InNeighbors(x);
+      ASSERT_TRUE(std::equal(out.begin(), out.end(), want_out.begin(),
+                             want_out.end()))
+          << "step " << step << " vertex " << x;
+      ASSERT_TRUE(
+          std::equal(in.begin(), in.end(), want_in.begin(), want_in.end()))
+          << "step " << step << " vertex " << x;
+    }
+  }
+  EXPECT_EQ(view.AddEdge(5, 5).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(view.RemoveEdge(5, 5).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(view.AddEdge(0, 24).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(view.RemoveEdge(24, 0).code(), Status::Code::kInvalidArgument);
 }
 
 // ------------------------------------------------------ update stream IO
