@@ -317,7 +317,7 @@ void DynamicIndex<GraphT>::RunDeletionTask(
     }
   }
   const RegionView region{s.region_flags.data(), &s.region_touched};
-  const SymmetricRepairView view = Forward();
+  const ForwardView view = Forward();
   if (task.subtract &&
       repair::SubtractiveDeleteRepair(view, task.rank, task.start,
                                       task.seed_dist, task.seed_count,

@@ -20,13 +20,19 @@ void SortedErase(std::vector<VertexId>* vec, VertexId v) {
   if (it != vec->end() && *it == v) vec->erase(it);
 }
 
+std::string EdgeText(VertexId u, VertexId v, bool directed) {
+  return "edge (" + std::to_string(u) + (directed ? " -> " : ", ") +
+         std::to_string(v) + ")";
+}
+
 }  // namespace
 
-Status DynamicGraph::ValidateEndpoints(VertexId u, VertexId v) const {
+template <class GraphT>
+Status DynamicGraph<GraphT>::ValidateEndpoints(VertexId u, VertexId v) const {
   if (u >= NumVertices() || v >= NumVertices()) {
     return Status::InvalidArgument(
-        "edge (" + std::to_string(u) + ", " + std::to_string(v) +
-        ") outside vertex universe [0, " + std::to_string(NumVertices()) +
+        EdgeText(u, v, kDirected) + " outside vertex universe [0, " +
+        std::to_string(NumVertices()) +
         "); the dynamic index does not grow the vertex set");
   }
   if (u == v) {
@@ -35,73 +41,75 @@ Status DynamicGraph::ValidateEndpoints(VertexId u, VertexId v) const {
   return Status::OK();
 }
 
-bool DynamicGraph::HasEdge(VertexId u, VertexId v) const {
-  const auto it = delta_.find(u);
-  if (it == delta_.end()) return base_->HasEdge(u, v);
+template <class GraphT>
+bool DynamicGraph<GraphT>::HasEdge(VertexId u, VertexId v) const {
+  const auto it = deltas_.front().find(u);
+  if (it == deltas_.front().end()) return base_->HasEdge(u, v);
   if (SortedContains(it->second.added, v)) return true;
   if (SortedContains(it->second.removed, v)) return false;
   return base_->HasEdge(u, v);
 }
 
-Status DynamicGraph::AddEdge(VertexId u, VertexId v) {
+template <class GraphT>
+Status DynamicGraph<GraphT>::AddEdge(VertexId u, VertexId v) {
   PSPC_RETURN_IF_ERROR(ValidateEndpoints(u, v));
   if (HasEdge(u, v)) {
-    return Status::InvalidArgument("edge (" + std::to_string(u) + ", " +
-                                   std::to_string(v) + ") already exists");
+    return Status::InvalidArgument(EdgeText(u, v, kDirected) +
+                                   " already exists");
   }
-  AddDirected(u, v);
-  AddDirected(v, u);
+  ApplyAdd(&deltas_.front(), u, v);
+  ApplyAdd(&deltas_.back(), v, u);
   ++num_edges_;
-  ++delta_edges_;
   return Status::OK();
 }
 
-Status DynamicGraph::RemoveEdge(VertexId u, VertexId v) {
+template <class GraphT>
+Status DynamicGraph<GraphT>::RemoveEdge(VertexId u, VertexId v) {
   PSPC_RETURN_IF_ERROR(ValidateEndpoints(u, v));
   if (!HasEdge(u, v)) {
-    return Status::NotFound("edge (" + std::to_string(u) + ", " +
-                            std::to_string(v) + ") does not exist");
+    return Status::NotFound(EdgeText(u, v, kDirected) + " does not exist");
   }
-  RemoveDirected(u, v);
-  RemoveDirected(v, u);
+  ApplyRemove(&deltas_.front(), u, v);
+  ApplyRemove(&deltas_.back(), v, u);
   --num_edges_;
-  ++delta_edges_;
   return Status::OK();
 }
 
-void DynamicGraph::AddDirected(VertexId u, VertexId v) {
-  VertexDelta& d = delta_[u];
-  if (SortedContains(d.removed, v)) {
-    SortedErase(&d.removed, v);  // un-remove a base edge
+template <class GraphT>
+void DynamicGraph<GraphT>::ApplyAdd(DeltaMap* delta, VertexId key,
+                                    VertexId value) {
+  VertexDelta& d = (*delta)[key];
+  if (SortedContains(d.removed, value)) {
+    SortedErase(&d.removed, value);  // un-remove a base edge
   } else {
-    SortedInsert(&d.added, v);
+    SortedInsert(&d.added, value);
   }
 }
 
-void DynamicGraph::RemoveDirected(VertexId u, VertexId v) {
-  VertexDelta& d = delta_[u];
-  if (SortedContains(d.added, v)) {
-    SortedErase(&d.added, v);  // cancel a delta insertion
+template <class GraphT>
+void DynamicGraph<GraphT>::ApplyRemove(DeltaMap* delta, VertexId key,
+                                       VertexId value) {
+  VertexDelta& d = (*delta)[key];
+  if (SortedContains(d.added, value)) {
+    SortedErase(&d.added, value);  // cancel a delta insertion
   } else {
-    SortedInsert(&d.removed, v);
+    SortedInsert(&d.removed, value);
   }
 }
 
-VertexId DynamicGraph::Degree(VertexId v) const {
-  const auto it = delta_.find(v);
-  if (it == delta_.end()) return base_->Degree(v);
-  return static_cast<VertexId>(base_->Degree(v) + it->second.added.size() -
-                               it->second.removed.size());
-}
-
-Graph DynamicGraph::Materialize() const {
-  GraphBuilder builder(NumVertices());
+template <class GraphT>
+GraphT DynamicGraph<GraphT>::Materialize() const {
+  std::conditional_t<kDirected, DiGraphBuilder, GraphBuilder> builder(
+      NumVertices());
   for (VertexId u = 0; u < NumVertices(); ++u) {
-    ForEachNeighbor(u, [&](VertexId w) {
-      if (u < w) builder.AddEdge(u, w);
+    ForEachOutNeighbor(u, [&](VertexId w) {
+      if (kDirected || u < w) builder.AddEdge(u, w);
     });
   }
   return builder.Build();
 }
+
+template class DynamicGraph<Graph>;
+template class DynamicGraph<DiGraph>;
 
 }  // namespace pspc

@@ -89,20 +89,12 @@ DynamicIndex<GraphT>::DynamicIndex(GraphT graph,
 
 template <class GraphT>
 typename DynamicIndex<GraphT>::ForwardView DynamicIndex<GraphT>::Forward() {
-  if constexpr (kDirected) {
-    return {&graph_, &overlays_.back(), &overlays_.front(), &order_};
-  } else {
-    return {&graph_, &overlays_.front(), &order_};
-  }
+  return {&graph_, &overlays_.back(), &overlays_.front(), &order_};
 }
 
 template <class GraphT>
 typename DynamicIndex<GraphT>::BackwardView DynamicIndex<GraphT>::Backward() {
-  if constexpr (kDirected) {
-    return {&graph_, &overlays_.front(), &overlays_.back(), &order_};
-  } else {
-    return Forward();
-  }
+  return {&graph_, &overlays_.front(), &overlays_.back(), &order_};
 }
 
 template <class GraphT>

@@ -17,7 +17,6 @@
 #include "src/core/build_options.h"
 #include "src/digraph/digraph.h"
 #include "src/dynamic/chunked_overlay.h"
-#include "src/dynamic/dynamic_digraph.h"
 #include "src/dynamic/dynamic_graph.h"
 #include "src/dynamic/edge_update.h"
 #include "src/dynamic/repair_core.h"
@@ -38,8 +37,12 @@
 /// DiGraph`, paper §II-A) splits each label into an out side and an in
 /// side. Everything below is written once over the out and in sides;
 /// undirected, the in side *is* the out side, exactly as `SpcIndex`
-/// aliases its in CSR. Direction lives only in the repair views of
-/// repair_core.h (which side a hub writes, which way a BFS expands):
+/// aliases its in CSR, and the live graph (`DynamicGraph<GraphT>`,
+/// dynamic_graph.h) keeps one delta map for both edge orientations.
+/// The repair kernels run over one view template, `RepairView<GraphT,
+/// kForward>` of repair_core.h, which fixes the side a hub writes and
+/// the way a BFS expands; undirected, its forward and backward views
+/// coincide. Repair by update kind:
 ///
 ///  * **Insertion** `u -> v` (undirected: `{u, v}`) — every changed
 ///    pair `(h, y)` gains a new shortest trough path `h .. u -> v .. y`
@@ -247,14 +250,10 @@ class DynamicIndex {
   const DynamicOptions& Options() const { return options_; }
 
  private:
-  using LiveGraph =
-      std::conditional_t<kDirected, DynamicDiGraph, DynamicGraph>;
-  using ForwardView =
-      std::conditional_t<kDirected, DirectedRepairView<true>,
-                         SymmetricRepairView>;
-  using BackwardView =
-      std::conditional_t<kDirected, DirectedRepairView<false>,
-                         SymmetricRepairView>;
+  using ForwardView = RepairView<GraphT, true>;
+  // Undirected, the backward view is the forward one, type included, so
+  // each kernel is instantiated once.
+  using BackwardView = RepairView<GraphT, !kDirected>;
 
   /// Compressed per-(edge, side) region of a coalesced deletion batch.
   /// `flags` parallels `touched` (values as in AffectedSide): the batch
@@ -307,7 +306,7 @@ class DynamicIndex {
   /// The kernel views over the live graph, overlays and order. The
   /// forward view covers hubs' out-reach (expansion over out-edges,
   /// entries written to in-labels), the backward view the mirror
-  /// image; undirected, both are the one symmetric view.
+  /// image; undirected, both are the same view.
   ForwardView Forward();
   BackwardView Backward();
 
@@ -334,7 +333,7 @@ class DynamicIndex {
   GraphT base_graph_;
   std::shared_ptr<const SpcIndex> base_;
   VertexOrder order_;
-  LiveGraph graph_;
+  DynamicGraph<GraphT> graph_;
   // One overlay per distinct label side: front() out, back() in.
   std::array<ChunkedOverlay, kLabelSides> overlays_;
   DynamicOptions options_;

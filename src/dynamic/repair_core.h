@@ -15,7 +15,6 @@
 #include "src/core/build_options.h"
 #include "src/core/scheduler.h"
 #include "src/dynamic/chunked_overlay.h"
-#include "src/dynamic/dynamic_digraph.h"
 #include "src/dynamic/dynamic_graph.h"
 #include "src/label/label_entry.h"
 #include "src/label/label_merge.h"
@@ -33,18 +32,14 @@
 /// adjacency) or directed (per-vertex out/in labels, dual adjacency).
 /// What differs is only *which label side a hub writes* and *which way
 /// the BFS expands*. The kernels here are therefore parameterized over
-/// a **repair view** binding those choices. `DynamicIndex<GraphT>`
-/// (dynamic_spc_index.h) binds one of two view families, by edge
-/// direction:
-///
-///  * `SymmetricRepairView` — `DynamicSpcIndex`. Both label sides are
-///    the single undirected list; forward and reverse neighbors
-///    coincide, so the index's forward and backward views are this one.
-///  * `DirectedRepairView<kForward>` — `DynamicDspcIndex`. The forward
-///    view covers hubs' *out-reach*: the BFS expands out-edges away
-///    from the hub, entries land in the in-labels of reached vertices,
-///    and pruning certificates read the hub's out-labels; the backward
-///    view is the mirror image.
+/// a **repair view** binding those choices: `RepairView<GraphT,
+/// kForward>`, over the live graph and the label overlays of a
+/// `DynamicIndex<GraphT>` (dynamic_spc_index.h). The forward view
+/// covers hubs' *out-reach*: the BFS expands out-edges away from the
+/// hub, entries land in the in-labels of reached vertices, and pruning
+/// certificates read the hub's out-labels; the backward view is the
+/// mirror image. Undirected, the in side is the out side and the in-
+/// and out-neighbors are one adjacency, so the two views coincide.
 ///
 /// A view must provide:
 ///
@@ -54,7 +49,6 @@
 ///   span<const LabelEntry> HubLabels(v)  // hub side: distances from a
 ///                                        // hub to higher-ranked hubs
 ///   vector<LabelEntry>& Mutable(v)       // overlay COW list, write side
-///   ChunkedOverlay* WriteOverlay()       // the write-side overlay
 ///   ForEachNeighbor(v, fn)               // expansion away from the hub
 ///   ForEachReverseNeighbor(v, fn)        // toward the hub (detection)
 ///   RankOf(v) / VertexAt(r) / VertexToRank()
@@ -62,9 +56,9 @@
 ///   Query(s, t)   // view-oriented 2-hop query: s on the hub side
 ///                 // (merges HubLabels(s) with Labels(t))
 ///
-/// The orientation invariant: for the forward directed view,
-/// `Query(s, t)` is the real directed query `s -> t`; for the backward
-/// view it is `t -> s`; for the symmetric view both coincide.
+/// The orientation invariant: for the forward view, `Query(s, t)` is
+/// the real query `s -> t`; for the backward view it is `t -> s`
+/// (undirected, both are the one symmetric query).
 namespace pspc {
 
 /// Configuration of the dynamic index (both edge directions).
@@ -175,52 +169,13 @@ struct AffectedSide {
   std::vector<VertexId> touched;     // everything in the region
 };
 
-/// Symmetric (undirected) view: one label side, one adjacency.
-struct SymmetricRepairView {
-  const DynamicGraph* graph = nullptr;
-  ChunkedOverlay* overlay = nullptr;
-  const VertexOrder* order = nullptr;
-
-  std::span<const LabelEntry> Labels(VertexId v) const {
-    return overlay->Labels(v);
-  }
-  std::span<const LabelEntry> HubLabels(VertexId v) const {
-    return overlay->Labels(v);
-  }
-  std::vector<LabelEntry>& Mutable(VertexId v) const {
-    return overlay->Mutable(v);
-  }
-  ChunkedOverlay* WriteOverlay() const { return overlay; }
-  template <typename Fn>
-  void ForEachNeighbor(VertexId v, Fn&& fn) const {
-    graph->ForEachNeighbor(v, fn);
-  }
-  template <typename Fn>
-  void ForEachReverseNeighbor(VertexId v, Fn&& fn) const {
-    graph->ForEachNeighbor(v, fn);
-  }
-  Rank RankOf(VertexId v) const { return order->RankOf(v); }
-  VertexId VertexAt(Rank r) const { return order->VertexAt(r); }
-  const std::vector<Rank>& VertexToRank() const {
-    return order->VertexToRank();
-  }
-  VertexId NumVertices() const { return graph->NumVertices(); }
-  /// The pruning query. It runs the reference merge, not
-  /// `MergeLabelCountsBranchFree`: on the short labels repair queries,
-  /// the branch-free kernel made updates slower.
-  SpcResult Query(VertexId s, VertexId t) const {
-    if (s == t) return {0, 1};
-    return MergeLabelCounts(HubLabels(s), Labels(t));
-  }
-};
-
-/// Directed view: per-vertex out/in labels, dual adjacency. The
-/// forward view covers hubs' out-reach: expansion over out-edges,
-/// entries written to in-labels, certificates from the hub's
-/// out-labels; `kForward = false` mirrors everything.
-template <bool kForward>
-struct DirectedRepairView {
-  const DynamicDiGraph* graph = nullptr;
+/// Repair view over the live graph and label overlays of one edge
+/// direction. The forward view covers hubs' out-reach: expansion over
+/// out-edges, entries written to in-labels, certificates from the
+/// hub's out-labels; `kForward = false` mirrors everything.
+template <class GraphT, bool kForward>
+struct RepairView {
+  const DynamicGraph<GraphT>* graph = nullptr;
   ChunkedOverlay* write_side = nullptr;  // forward: the in-overlay
   ChunkedOverlay* hub_side = nullptr;    // forward: the out-overlay
   const VertexOrder* order = nullptr;
@@ -234,7 +189,6 @@ struct DirectedRepairView {
   std::vector<LabelEntry>& Mutable(VertexId v) const {
     return write_side->Mutable(v);
   }
-  ChunkedOverlay* WriteOverlay() const { return write_side; }
   template <typename Fn>
   void ForEachNeighbor(VertexId v, Fn&& fn) const {
     if constexpr (kForward) {
@@ -258,9 +212,10 @@ struct DirectedRepairView {
   }
   VertexId NumVertices() const { return graph->NumVertices(); }
   /// View-oriented query: `s` on the hub side. For the forward view
-  /// this is the real directed query `s -> t` (Lout(s) x Lin(t)); the
-  /// backward view answers `t -> s` through the same merge. Like the
-  /// undirected repair view, it runs the reference merge.
+  /// this is the real query `s -> t` (Lout(s) x Lin(t)); the backward
+  /// view answers `t -> s` through the same merge. It runs the
+  /// reference merge, not `MergeLabelCountsBranchFree`: on the short
+  /// labels repair queries, the branch-free kernel made updates slower.
   SpcResult Query(VertexId s, VertexId t) const {
     if (s == t) return {0, 1};
     return MergeLabelCounts(HubLabels(s), Labels(t));
@@ -445,7 +400,7 @@ void ResumedInsertBfs(const View& view, Rank hub_rank,
 
 /// View-oriented BFS distances *toward* `source`: `dist[x]` is the
 /// distance from `x` to `source` in coverage direction (plain BFS over
-/// reverse neighbors; symmetric for the undirected view).
+/// reverse neighbors; symmetric when undirected).
 template <class View>
 std::vector<uint32_t> ViewBfsDistances(const View& view, VertexId source) {
   std::vector<uint32_t> dist(view.NumVertices(), kInfSpcDistance);
@@ -859,12 +814,11 @@ struct RepairContext {
 
 /// Single-edge deletion repair of the edge `a -> b`, generic over the
 /// two side views: `va` covers hubs on the a side (their coverage
-/// crosses the edge forward into the b region), `vb` the mirror image.
-/// For the undirected index both views are the same symmetric view;
-/// for the directed index `va` is the forward view and `vb` the
-/// backward one. `remove_edge` must delete the edge from the live
-/// graph when invoked (detection and seed validation run before it,
-/// repair after).
+/// crosses the edge forward into the b region), `vb` the mirror image
+/// — the index's forward and backward views (undirected, one view
+/// twice). `remove_edge` must delete the edge from the live graph when
+/// invoked (detection and seed validation run before it, repair
+/// after).
 ///
 /// Every changed pair of a sender hub falls in one of two classes,
 /// each with a provable certificate that picks the cheapest repair:
@@ -890,47 +844,23 @@ void RepairEdgeDeletionPair(const ViewA& va, const ViewB& vb, VertexId a,
                             RemoveFn&& remove_edge) {
   const VertexId n = va.NumVertices();
 
-  // The symmetric instantiation passes the same view twice; its two
-  // sides then share one label table, the two rank sets are provably
-  // disjoint (a vertex cannot satisfy both distance conditions), and
-  // every per-side rank-indexed buffer below can alias its `a`
-  // counterpart — keeping the undirected path at its pre-refactor
-  // allocation count. Directed views get genuinely separate buffers
-  // (one rank can sit on both sides of a cycle through the edge).
-  const bool two_sided = va.WriteOverlay() != vb.WriteOverlay();
-
-  // Hub presence at the endpoints, per view and on its write side (for
-  // the symmetric view `vb`'s near/far pair is `va`'s far/near pair;
-  // for the directed views they are the in-label sides for `va` and
-  // the out-label sides for `vb`).
+  // Hub presence at the endpoints, per view and on its write side (the
+  // in-label sides for `va`, the out-label sides for `vb`). Each side
+  // keeps its own rank-indexed buffers, here and below: a directed
+  // rank can sit on both sides of a cycle through the edge, while the
+  // two undirected rank sets are disjoint.
   std::vector<uint8_t> hub_a_near(n, 0), hub_a_far(n, 0);
-  std::vector<uint8_t> hub_b_near_store, hub_b_far_store;
+  std::vector<uint8_t> hub_b_near(n, 0), hub_b_far(n, 0);
   for (const LabelEntry& e : va.Labels(a)) hub_a_near[e.hub_rank] = 1;
   for (const LabelEntry& e : va.Labels(b)) hub_a_far[e.hub_rank] = 1;
-  if (two_sided) {
-    hub_b_near_store.assign(n, 0);
-    hub_b_far_store.assign(n, 0);
-    for (const LabelEntry& e : vb.Labels(b)) hub_b_near_store[e.hub_rank] = 1;
-    for (const LabelEntry& e : vb.Labels(a)) hub_b_far_store[e.hub_rank] = 1;
-  }
-  const std::vector<uint8_t>& hub_b_near =
-      two_sided ? hub_b_near_store : hub_a_far;
-  const std::vector<uint8_t>& hub_b_far =
-      two_sided ? hub_b_far_store : hub_a_near;
+  for (const LabelEntry& e : vb.Labels(b)) hub_b_near[e.hub_rank] = 1;
+  for (const LabelEntry& e : vb.Labels(a)) hub_b_far[e.hub_rank] = 1;
 
-  // Pre-deletion snapshots of the endpoint labels: subtraction seeds
-  // must be the through-edge trough counts as they were before any
-  // repair of this update touches them.
-  const auto la_span = va.Labels(a);
-  const auto lb_span = vb.Labels(b);
-  const std::vector<LabelEntry> la(la_span.begin(), la_span.end());
-  const std::vector<LabelEntry> lb(lb_span.begin(), lb_span.end());
-
-  // Detection runs against the pre-deletion graph and index. For the
-  // symmetric view the two sides are disjoint (u cannot satisfy both
-  // distance conditions); a directed vertex can sit on both sides (a
-  // cycle through the edge), in which case it owes one task per side —
-  // they write different label sides and never conflict.
+  // Detection runs against the pre-deletion graph and index. Undirected,
+  // the two sides are disjoint (u cannot satisfy both distance
+  // conditions); a directed vertex can sit on both sides (a cycle
+  // through the edge), in which case it owes one task per side — they
+  // write different label sides and never conflict.
   AffectedSide side_a, side_b;
   DetectAffectedSide(va, a, b, hub_a_near, hub_a_far, &side_a);
   DetectAffectedSide(vb, b, a, hub_b_near, hub_b_far, &side_b);
@@ -947,30 +877,16 @@ void RepairEdgeDeletionPair(const ViewA& va, const ViewB& vb, VertexId a,
   tasks.reserve(side_a.full_ranks.size() + side_a.subtract_ranks.size() +
                 side_b.full_ranks.size() + side_b.subtract_ranks.size());
 
-  // Rank-indexed seed arrays: a directed rank can appear on both sides
-  // with distinct seeds, so two-sided runs keep separate sets; the
-  // symmetric run shares one (disjoint rank sets).
-  std::vector<uint8_t> seed_ok_a(n, 0);
-  std::vector<uint32_t> seed_dist_a(n, 0);
-  std::vector<Count> seed_count_a(n, 0);
-  std::vector<uint8_t> seed_ok_b_store;
-  std::vector<uint32_t> seed_dist_b_store;
-  std::vector<Count> seed_count_b_store;
-  if (two_sided) {
-    seed_ok_b_store.assign(n, 0);
-    seed_dist_b_store.assign(n, 0);
-    seed_count_b_store.assign(n, 0);
-  }
-  std::vector<uint8_t>& seed_ok_b = two_sided ? seed_ok_b_store : seed_ok_a;
-  std::vector<uint32_t>& seed_dist_b =
-      two_sided ? seed_dist_b_store : seed_dist_a;
-  std::vector<Count>& seed_count_b =
-      two_sided ? seed_count_b_store : seed_count_a;
+  // Subtraction seeds: the through-edge trough counts of the endpoint
+  // labels, read before any repair of this update writes them.
+  std::vector<uint8_t> seed_ok_a(n, 0), seed_ok_b(n, 0);
+  std::vector<uint32_t> seed_dist_a(n, 0), seed_dist_b(n, 0);
+  std::vector<Count> seed_count_a(n, 0), seed_count_b(n, 0);
   ValidateDeletionSeeds(va, side_a.full_ranks, side_a.subtract_ranks,
-                        {la.data(), la.size()}, a, b, hub_a_near, hub_a_far,
+                        va.Labels(a), a, b, hub_a_near, hub_a_far,
                         &seed_ok_a, &seed_dist_a, &seed_count_a, nullptr);
   ValidateDeletionSeeds(vb, side_b.full_ranks, side_b.subtract_ranks,
-                        {lb.data(), lb.size()}, b, a, hub_b_near, hub_b_far,
+                        vb.Labels(b), b, a, hub_b_near, hub_b_far,
                         &seed_ok_b, &seed_dist_b, &seed_count_b, nullptr);
 
   // The exact distance-change filter costs one plain BFS per opposite
@@ -1009,11 +925,7 @@ void RepairEdgeDeletionPair(const ViewA& va, const ViewB& vb, VertexId a,
   const std::vector<uint32_t> full_pre_b =
       extract_pre(side_b.full_ranks, pre_dist_b, vb);
 
-  std::vector<uint8_t> needs_full_a(n, 0);
-  std::vector<uint8_t> needs_full_b_store;
-  if (two_sided) needs_full_b_store.assign(n, 0);
-  std::vector<uint8_t>& needs_full_b =
-      two_sided ? needs_full_b_store : needs_full_a;
+  std::vector<uint8_t> needs_full_a(n, 0), needs_full_b(n, 0);
   if (filter_a) {
     MarkDistanceChanges(va, side_a.full_ranks,
                         {full_pre_a.data(), full_pre_a.size()},
@@ -1062,10 +974,7 @@ void RepairEdgeDeletionPair(const ViewA& va, const ViewB& vb, VertexId a,
   // entries at b-side vertices live on `va`'s write side, and vice
   // versa.
   std::vector<uint8_t> sub_mask(n, 0);  // bit 0: a-side, bit 1: b-side
-  std::vector<uint32_t> bucket_a(n, 0);
-  std::vector<uint32_t> bucket_b_store;
-  if (two_sided) bucket_b_store.assign(n, 0);
-  std::vector<uint32_t>& bucket_b = two_sided ? bucket_b_store : bucket_a;
+  std::vector<uint32_t> bucket_a(n, 0), bucket_b(n, 0);
   for (const HubTask& task : tasks) {
     if (task.subtract) {
       sub_mask[task.rank] |= task.on_b_side ? 2 : 1;

@@ -11,7 +11,6 @@
 #include "src/core/builder_facade.h"
 #include "src/core/pspc_builder.h"
 #include "src/digraph/digraph.h"
-#include "src/dynamic/dynamic_digraph.h"
 #include "src/dynamic/dynamic_graph.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
@@ -384,12 +383,11 @@ TEST(DynamicGraphTest, OverlayMatchesMaterialized) {
   EXPECT_EQ(snapshot.NumEdges(), view.NumEdges());
   for (VertexId u = 0; u < 24; ++u) {
     std::vector<VertexId> seen;
-    view.ForEachNeighbor(u, [&](VertexId w) { seen.push_back(w); });
+    view.ForEachOutNeighbor(u, [&](VertexId w) { seen.push_back(w); });
     std::sort(seen.begin(), seen.end());
     const auto expected = snapshot.Neighbors(u);
     ASSERT_EQ(seen.size(), expected.size()) << "vertex " << u;
     EXPECT_TRUE(std::equal(seen.begin(), seen.end(), expected.begin()));
-    EXPECT_EQ(view.Degree(u), snapshot.Degree(u));
   }
 }
 
@@ -409,7 +407,7 @@ TEST(DynamicGraphTest, AddRemoveRoundTrip) {
 
 TEST(DynamicGraphTest, DirectedOverlayMatchesMaterialized) {
   const DiGraph g = GenerateRandomDiGraph(24, 80, 43);
-  DynamicDiGraph view(&g);
+  DynamicGraph view(&g);
   std::set<std::pair<VertexId, VertexId>> arcs;
   for (VertexId u = 0; u < 24; ++u) {
     for (const VertexId v : g.OutNeighbors(u)) arcs.insert({u, v});
