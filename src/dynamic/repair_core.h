@@ -169,10 +169,9 @@ struct AffectedSide {
   std::vector<VertexId> touched;     // everything in the region
 };
 
-/// Repair view over the live graph and label overlays of one edge
-/// direction. The forward view covers hubs' out-reach: expansion over
-/// out-edges, entries written to in-labels, certificates from the
-/// hub's out-labels; `kForward = false` mirrors everything.
+/// The repair view of the file comment, over a `DynamicIndex<GraphT>`'s
+/// live graph and label overlays; `kForward = false` mirrors the
+/// forward view.
 template <class GraphT, bool kForward>
 struct RepairView {
   const DynamicGraph<GraphT>* graph = nullptr;
